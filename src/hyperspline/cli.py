@@ -1,7 +1,8 @@
 """Command-line workflows: calibrate, predict, lcurve and compare.
 
 All outputs are plain JSON/CSV written atomically (temp file plus rename)
-and byte-deterministic for identical inputs: floats are serialised with
+and byte-deterministic for identical inputs, except the measured
+``wall_time_s`` column of ``compare.csv``: floats are serialised with
 ``repr``, which emits the shortest digit string that round-trips.  Exit
 codes: 0 success, 2 input/config error, 3 numerical failure.
 """
@@ -304,13 +305,14 @@ def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> Calibratio
                                      lambda_pen=_resolve_lambda(cfg, kind),
                                      A_ineq=ineq.rows,
                                      fixed_zero=fixed_zero_indices(spec))
-        lc = None
+        lc = theta0 = None
         if problem.lambda_pen == AUTO:
             grid = np.logspace(np.log10(cfg.lcurve_min), np.log10(cfg.lcurve_max),
                                cfg.lcurve_count)
             lc = lcurve(problem, grid)
             problem.lambda_pen = lc.lambda_chosen
-        sol = solve(problem)
+            theta0 = lc.theta_near(lc.lambda_chosen)  # the sweep already solved it
+        sol = solve(problem, theta0=theta0)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     except (RuntimeError, np.linalg.LinAlgError) as exc:

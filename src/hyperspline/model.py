@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import splines
-from .domain import (DomainMapConfig, chain_rule, map_forward, map_inverse,
+from .domain import (DomainMapConfig, map_forward, map_inverse,
                      map_jacobian, _band, _transform)
 from .kinematics import DeformationMode, Sample, max_invariants, stress_coefficients, invariants
 

@@ -6,19 +6,20 @@ The calibration problem is
     s.t. A_ineq theta <= 0,  theta[fixed] = 0,
 
 a convex QP solved with a primal active-set method in the least-squares
-(stacked) form; the normal equations are never formed.  Every
-equality-constrained subproblem goes through an orthogonal factorisation
-of the stacked matrix restricted to the null space of the working set.
-Starting from a feasible point, steps stay feasible, the blocking
-constraint at the shortest step is added (ties go to the smallest index)
-and the constraint with the most negative multiplier is dropped.  The
-working set stays linearly independent: a warm start seeds it with an
-independent subset of its near-active rows, and a blocking row is never a
-combination of working rows.  Feasibility is judged relative to max|theta|:
-the rows of ``inequality_operator`` are unit-normalised, so G @ theta
-carries the units of theta.  A loop that reaches its iteration cap is restarted once
-from theta = 0, dropping the smallest-index constraint with a negative
-multiplier (Bland's rule).
+(stacked) form; the normal equations are never formed.  The stacked matrix
+is reduced once per solve to its triangular factor R (with Q^T d), so
+iterations work on n rows whatever the number of samples.  Each iteration
+takes the null space Z of the working rows from a complete QR of their
+transpose, solves the subproblem by a QR of R Z and reuses the first
+factor for the multipliers (Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23).  From a feasible start, steps stay feasible, the
+blocking row at the shortest step is added (ties go to the smallest index)
+and the row with the most negative multiplier is dropped.  The working set
+stays linearly independent: a warm start seeds it with an independent
+subset of its near-active rows, and a blocking row is never a combination
+of working rows.  Feasibility is judged relative to max|theta|: the rows
+of ``inequality_operator`` are unit-normalised, so G @ theta carries the
+units of theta.  A loop that reaches its iteration cap raises.
 
 The penalty weight can be chosen from the discrete L-curve: solve over a
 grid of weights, locate the corner as the point of maximum discrete
@@ -106,6 +107,12 @@ class LCurveResult:
     corner_index: int
     lambda_corner: float
     lambda_chosen: float
+    thetas: np.ndarray  # the solution at each weight, one row per weight
+
+    def theta_near(self, lam: float) -> np.ndarray:
+        """Swept solution at the grid weight nearest ``lam`` (log scale): a
+        feasible warm start for ``solve`` at ``lam``."""
+        return self.thetas[int(np.argmin(np.abs(np.log(self.lambdas / lam))))]
 
 
 FEAS_TOL = 1e-9
@@ -169,72 +176,71 @@ def _stacked(problem: CalibrationProblem, free: np.ndarray, lam: float):
     return M, d
 
 
-def _eqp(M: np.ndarray, d: np.ndarray, G: np.ndarray, work: list):
-    """Minimise ||M t - d|| subject to G[work] t = 0 via a null-space basis."""
-    n = M.shape[1]
-    if work:
-        Gw = G[work]
-        _, s, Vt = np.linalg.svd(Gw, full_matrices=True)
-        tol = max(Gw.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > tol))
-        Z = Vt[rank:].T
-    else:
-        Z = np.eye(n)
-    if Z.shape[1] == 0:
-        return np.zeros(n)
-    z, *_ = np.linalg.lstsq(M @ Z, d, rcond=None)
-    return Z @ z
+def _reduce(M: np.ndarray, d: np.ndarray):
+    """Triangular factor of [M | d]: ||M t - d|| = ||R t - c|| for every t."""
+    Rc = np.linalg.qr(np.column_stack([M, d]), mode="r")
+    return Rc[:, :-1], Rc[:, -1]
 
 
-def _multipliers(M: np.ndarray, d: np.ndarray, G: np.ndarray, work: list,
-                 theta: np.ndarray) -> np.ndarray:
-    g = 2.0 * M.T @ (M @ theta - d)
-    if not work:
-        return np.zeros(0)
-    mu, *_ = np.linalg.lstsq(G[work].T, -g, rcond=None)
-    return mu
+def _subproblem(R: np.ndarray, c: np.ndarray, Gw: np.ndarray):
+    """Minimise ||R t - c|| subject to Gw t = 0.
+
+    The complete QR Gw^T = [Y Z] [T; 0] gives the null space Z of the
+    working rows; t = Z z with z from a QR of R Z.  Returns t, Y and T.
+    """
+    k = Gw.shape[0]
+    Q, T = np.linalg.qr(Gw.T, mode="complete")
+    Z = Q[:, k:]
+    t = np.zeros(R.shape[1])
+    if Z.shape[1]:
+        Qz, Rz = np.linalg.qr(R @ Z)
+        t = Z @ np.linalg.solve(Rz, Qz.T @ c)
+    return t, Q[:, :k], T[:k]
 
 
-def _active_set_lsq(M, d, G, theta0, work0, max_iter, bland: bool):
-    """Primal active-set loop; returns (theta, working set, iterations)."""
-    n = M.shape[1]
+def _multipliers(R, c, Y, T, theta) -> np.ndarray:
+    """Working-row multipliers at theta: solve Gw^T mu = -g with Gw^T = Y T."""
+    g = 2.0 * R.T @ (R @ theta - c)
+    return np.linalg.solve(T, -(Y.T @ g))
+
+
+def _ratio_test(G, theta, step, work):
+    """Longest fraction t <= 1 of ``step`` that keeps the rows outside the
+    working set feasible, and the row that blocks it (-1 if none does);
+    ties go to the smallest index."""
+    Gstep = G @ step
+    block = ~work & (Gstep > _feas_tol(step))
+    t = np.full(G.shape[0], np.inf)
+    t[block] = np.maximum(0.0, -(G @ theta)[block]) / Gstep[block]
+    j = int(np.argmax(t <= np.min(t) + 1e-15))
+    return (float(t[j]), j) if t[j] < 1.0 else (1.0, -1)
+
+
+def _active_set_lsq(R, c, G, theta0, work0, max_iter):
+    """Primal active-set loop on ||R theta - c||; returns (theta, working
+    rows, their multipliers, iterations)."""
     theta = theta0.copy()
-    work = sorted(work0)
-    m = G.shape[0]
+    work = np.zeros(G.shape[0], dtype=bool)
+    work[work0] = True
     for it in range(1, max_iter + 1):
-        trial = _eqp(M, d, G, work)
-        viol = G @ trial if m else np.zeros(0)
-        if m == 0 or np.all(viol <= _feas_tol(trial)):
+        trial, Y, T = _subproblem(R, c, G[work])
+        if np.all(G @ trial <= _feas_tol(trial)):
             theta = trial
-            mu = _multipliers(M, d, G, work, theta)
-            if mu.size == 0 or np.min(mu) >= -MULT_TOL:
-                return theta, work, it
-            if bland:
-                drop = next(i for i, v in zip(work, mu) if v < -MULT_TOL)
-            else:
-                drop = work[int(np.argmin(mu))]
-            work.remove(drop)
+            mu = _multipliers(R, c, Y, T, theta)
+            if np.all(mu >= -MULT_TOL):
+                return theta, np.flatnonzero(work), mu, it
+            work[np.flatnonzero(work)[np.argmin(mu)]] = False
             continue
         step = trial - theta
-        Gstep = G @ step
-        Gtheta = G @ theta
-        t_best, j_best = 1.0, -1
-        step_tol = _feas_tol(step)
-        for j in range(m):
-            if j in work or Gstep[j] <= step_tol:
-                continue
-            tj = max(0.0, -Gtheta[j]) / Gstep[j]
-            if tj < t_best - 1e-15 or (abs(tj - t_best) <= 1e-15 and (j_best < 0 or j < j_best)):
-                t_best, j_best = min(tj, 1.0), j
+        t_best, j = _ratio_test(G, theta, step, work)
         theta = theta + t_best * step
-        if j_best >= 0 and t_best < 1.0:
-            work.append(j_best)
-            work.sort()
-        elif np.linalg.norm(t_best * step) < STEP_TOL:
+        if j >= 0:
+            work[j] = True
+        elif np.linalg.norm(step) < STEP_TOL:
             # no progress and nothing to add: treat as converged
-            mu = _multipliers(M, d, G, work, theta)
-            if mu.size == 0 or np.min(mu) >= -MULT_TOL:
-                return theta, work, it
+            mu = _multipliers(R, c, Y, T, theta)
+            if np.all(mu >= -MULT_TOL):
+                return theta, np.flatnonzero(work), mu, it
     raise RuntimeError(f"active-set solver failed to converge in {max_iter} iterations")
 
 
@@ -307,26 +313,18 @@ def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None,
         work0 = _independent(G, [j for j in range(G.shape[0]) if viol[j] >= -tol])
 
     cap = max_iter if max_iter is not None else 10 * free.size + 100
-    try:
-        th_free, work, iters = _active_set_lsq(M, d, G, start, work0, cap, bland=False)
-    except RuntimeError:
-        th_free, work, iters = _active_set_lsq(M, d, G, np.zeros(free.size), [],
-                                               3 * cap, bland=True)
+    R, c = _reduce(M, d)
+    th_free, work, mu, iters = _active_set_lsq(R, c, G, start, work0, cap)
 
     theta = np.zeros(n)
     theta[free] = th_free
-
-    mu = _multipliers(M, d, G, work, th_free)
-    mu_plus = np.clip(mu, 0.0, None)
-    g = 2.0 * M.T @ (M @ th_free - d)
-    stat = g + (G[work].T @ mu_plus if work else 0.0)
+    stat = 2.0 * R.T @ (R @ th_free - c) + G[work].T @ np.clip(mu, 0.0, None)
     kkt = float(np.linalg.norm(stat))
 
     obj = float(np.sum((problem.A @ theta - problem.y) ** 2))
     if problem.A_pen is not None and float(problem.lambda_pen) > 0.0:
         obj += float(problem.lambda_pen) * float(np.sum((problem.A_pen @ theta) ** 2))
-    active = tuple(sorted(work))
-    return Solution(theta=theta, objective=obj, active_set=active,
+    return Solution(theta=theta, objective=obj, active_set=tuple(int(j) for j in work),
                     kkt_residual=kkt, iterations=iters,
                     wall_time=time.perf_counter() - t_start)
 
@@ -407,6 +405,7 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
 
     misfits = np.zeros(grid.size)
     seminorms = np.zeros(grid.size)
+    thetas = np.zeros((grid.size, problem.n_params))
     theta_prev = None
     for idx in range(grid.size - 1, -1, -1):
         sub = replace(problem, lambda_pen=float(grid[idx]))
@@ -414,7 +413,7 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
             sol = solve(sub, theta0=theta_prev)
         except ValueError:
             sol = solve(sub)
-        theta_prev = sol.theta
+        theta_prev = thetas[idx] = sol.theta
         misfits[idx] = float(np.sum((problem.A @ sol.theta - problem.y) ** 2))
         seminorms[idx] = float(np.sum((problem.A_pen @ sol.theta) ** 2))
 
@@ -425,4 +424,5 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     lam_corner = float(grid[corner])
     return LCurveResult(lambdas=grid, misfits=misfits, seminorms=seminorms,
                         kappas=kappas, corner_index=corner,
-                        lambda_corner=lam_corner, lambda_chosen=lam_corner / 10.0)
+                        lambda_corner=lam_corner, lambda_chosen=lam_corner / 10.0,
+                        thetas=thetas)

@@ -16,7 +16,6 @@ and A2.3 of Piegl & Tiller, "The NURBS Book").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -335,13 +334,3 @@ def sensitivity_set(sites_u, sites_v) -> SensitivitySet:
     return SensitivitySet(u=DirectionOps(np.asarray(sites_u, dtype=float)),
                           v=DirectionOps(np.asarray(sites_v, dtype=float)))
 
-
-@lru_cache(maxsize=128)
-def _cached_direction(sites: tuple) -> DirectionOps:
-    return DirectionOps(np.asarray(sites, dtype=float))
-
-
-def cached_sensitivity_set(sites_u: tuple, sites_v: tuple) -> SensitivitySet:
-    """Memoised variant keyed on site tuples; used by the model layer."""
-    return SensitivitySet(u=_cached_direction(tuple(sites_u)),
-                          v=_cached_direction(tuple(sites_v)))

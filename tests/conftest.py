@@ -36,8 +36,9 @@ def treloar_fit(treloar):
     """Factory returning cached calibration products for one model kind.
 
     The separable split is solved without a penalty; the surface kinds
-    select their weight from the default L-curve sweep, matching the
-    command-line defaults.
+    select their weight from the default L-curve sweep and warm-start the
+    final solve from the sweep's solution there, matching the command-line
+    defaults.
     """
     cache = {}
 
@@ -50,11 +51,12 @@ def treloar_fit(treloar):
             problem = CalibrationProblem(
                 A=A, y=y, A_pen=pen.rows, lambda_pen=0.0,
                 A_ineq=ineq.rows, fixed_zero=fixed_zero_indices(spec))
-            lc = None
+            lc = theta0 = None
             if kind is not ModelKind.SEPARABLE:
                 lc = lcurve(problem)
                 problem.lambda_pen = lc.lambda_chosen
-            sol = solve(problem)
+                theta0 = lc.theta_near(lc.lambda_chosen)
+            sol = solve(problem, theta0=theta0)
             state = ModelState(spec=spec, theta=sol.theta)
             cache[kind] = SimpleNamespace(
                 spec=spec, A=A, y=y, pen=pen, ineq=ineq, problem=problem,

@@ -17,6 +17,8 @@ from hyperspline import (
     lcurve,
     solve,
 )
+from hyperspline import solver
+from hyperspline.cli import RunConfig, bundled_treloar_path, run_calibration
 from hyperspline.solver import _stacked
 
 
@@ -308,6 +310,98 @@ def test_treloar_surface_fit_matches_the_nnls_oracle(weight, treloar_fit):
             sol = solve(problem)
     best, M, d, free = _lsi_objective(problem)
     assert float(np.sum((M @ sol.theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-6)
+
+
+def _svd_step(M, d, Gw):
+    """Reference subproblem: an SVD null space of the working rows, then
+    least squares on the stacked matrix restricted to it."""
+    n = M.shape[1]
+    Z = np.eye(n)
+    if Gw.shape[0]:
+        _, s, Vt = np.linalg.svd(Gw, full_matrices=True)
+        rank = int(np.sum(s > max(Gw.shape) * np.finfo(float).eps * s[0]))
+        Z = Vt[rank:].T
+    if Z.shape[1] == 0:
+        return np.zeros(n)
+    z, *_ = np.linalg.lstsq(M @ Z, d, rcond=None)
+    return Z @ z
+
+
+@pytest.mark.parametrize("weight", ["chosen", "zero"])
+def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypatch):
+    """Every working set of a real Treloar surface solve gets the reference step.
+
+    Steps agree in the norm of the fit, ||M (step - ref)||.  At zero weight
+    the ridge leaves cond(M Z) near 2e7, so the steps themselves are only
+    determined to about 1e-7: two orthonormal bases of one null space,
+    equal to roundoff, already move the least-squares solution that much.
+    There the Euclidean comparison is not made.
+    """
+    problem = treloar_fit(ModelKind.SURFACE).problem
+    if weight == "zero":
+        problem = replace(problem, lambda_pen=0.0)
+    working_sets = []
+    subproblem = solver._subproblem
+
+    def record(R, c, Gw):
+        working_sets.append(Gw)
+        return subproblem(R, c, Gw)
+
+    monkeypatch.setattr(solver, "_subproblem", record)
+    free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # at zero weight the ridge engages
+        solve(problem, theta0=np.zeros(problem.n_params))  # one stage, from the origin
+        M, d = _stacked(problem, free, float(problem.lambda_pen))
+    R, c = solver._reduce(M, d)
+    assert len(working_sets) > 100
+    for Gw in working_sets:
+        step, _, _ = subproblem(R, c, Gw)
+        ref = _svd_step(M, d, Gw)
+        assert np.linalg.norm(M @ (step - ref)) <= 1e-8 * np.linalg.norm(M @ ref)
+        if weight == "chosen":
+            assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+        assert np.max(np.abs(Gw @ step), initial=0.0) <= 1e-9 * max(1.0, np.max(np.abs(step)))
+
+
+def _loop_ratio_test(G, theta, step, work):
+    """Reference: the row-by-row ratio test the vectorised one replaced."""
+    Gstep, Gtheta = G @ step, G @ theta
+    tol = solver._feas_tol(step)
+    t_best, j_best = 1.0, -1
+    for j in range(G.shape[0]):
+        if work[j] or Gstep[j] <= tol:
+            continue
+        tj = max(0.0, -Gtheta[j]) / Gstep[j]
+        if tj < t_best - 1e-15 or (abs(tj - t_best) <= 1e-15 and (j_best < 0 or j < j_best)):
+            t_best, j_best = min(tj, 1.0), j
+    return (t_best, j_best) if t_best < 1.0 else (1.0, -1)
+
+
+def test_ratio_test_matches_the_row_loop():
+    """Same step and blocking row as the loop, exact ties and the origin included."""
+    rng = np.random.default_rng(113)
+    for case in range(300):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 15))
+        G = rng.normal(size=(m, n))
+        if case % 3 == 1:
+            G[m // 2:] = G[:m - m // 2]  # duplicated rows tie exactly
+        theta = np.zeros(n) if case % 3 == 2 else rng.normal(size=n)  # at 0 every t is 0
+        theta *= float(rng.choice([1e-3, 1.0, 1e6]))
+        # project violated rows onto theta's orthogonal complement: theta is feasible
+        G -= np.maximum(G @ theta, 0.0)[:, None] * theta / max(theta @ theta, 1e-300)
+        work = rng.random(m) < 0.3
+        step = rng.normal(size=n) * float(rng.choice([1e-3, 1.0, 1e3]))
+        assert solver._ratio_test(G, theta, step, work) == _loop_ratio_test(G, theta, step, work)
+
+
+def test_calibration_warm_starts_the_chosen_weight(treloar_fit):
+    """The automatic surface fit reuses the sweep's solution at its weight."""
+    result = run_calibration(RunConfig(kind="surface", data=str(bundled_treloar_path())))
+    assert result.lambda_pen == result.lcurve_result.lambda_chosen
+    cold = solve(replace(treloar_fit(ModelKind.SURFACE).problem, lambda_pen=result.lambda_pen))
+    assert result.sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert result.sol.iterations < 20
 
 
 def test_kkt_check_flags_bad_points():
