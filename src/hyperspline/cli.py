@@ -10,6 +10,7 @@ codes: 0 success, 2 input/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .domain import DomainMapConfig
-from .kinematics import DeformationMode, Sample
+from .kinematics import DeformationMode, Sample, mode_groups
 from .model import (ModelKind, ModelSpec, ModelState, activation,
                     assemble_design, fixed_zero_indices, default_spec,
                     metrics, predict_stress, predict_stress_clamped)
@@ -290,46 +291,62 @@ def _resolve_lambda(cfg: RunConfig, kind: ModelKind):
     return float(cfg.lambda_pen)
 
 
-def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> CalibrationResult:
-    """Full calibration workflow for one model kind."""
-    kind = kind if kind is not None else cfg.model_kind()
-    samples = ingest(cfg.data, cfg.stress_scale)
+@contextlib.contextmanager
+def _classified_errors():
+    """Map bad input to InputError and solver failures to NumericalError."""
     try:
-        spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
-        A, y = assemble_design(spec, samples)
-        pen = curvature_operator(spec)
-        ineq = inequality_operator(spec, monotone_1=cfg.monotone_1,
-                                   monotone_2=cfg.monotone_2,
-                                   convex_1=cfg.convex_1, convex_2=cfg.convex_2)
-        problem = CalibrationProblem(A=A, y=y, A_pen=pen.rows,
-                                     lambda_pen=_resolve_lambda(cfg, kind),
-                                     A_ineq=ineq.rows,
-                                     fixed_zero=fixed_zero_indices(spec))
-        lc = theta0 = None
-        if problem.lambda_pen == AUTO:
-            grid = np.logspace(np.log10(cfg.lcurve_min), np.log10(cfg.lcurve_max),
-                               cfg.lcurve_count)
-            lc = lcurve(problem, grid)
-            problem.lambda_pen = lc.lambda_chosen
-            theta0 = lc.theta_near(lc.lambda_chosen)  # the sweep already solved it
-        sol = solve(problem, theta0=theta0)
+        yield
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise NumericalError(str(exc)) from exc
+
+
+def build_problem(cfg: RunConfig, kind: ModelKind, samples, lambda_pen):
+    """Spec and calibration problem (design, curvature penalty, shape
+    constraints, pinned parameters) of one model kind."""
+    spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
+    A, y = assemble_design(spec, samples)
+    ineq = inequality_operator(spec, monotone_1=cfg.monotone_1,
+                               monotone_2=cfg.monotone_2,
+                               convex_1=cfg.convex_1, convex_2=cfg.convex_2)
+    problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
+                                 lambda_pen=lambda_pen, A_ineq=ineq.rows,
+                                 fixed_zero=fixed_zero_indices(spec))
+    return spec, problem
+
+
+def _sweep(cfg: RunConfig, problem: CalibrationProblem):
+    grid = np.logspace(np.log10(cfg.lcurve_min), np.log10(cfg.lcurve_max),
+                       cfg.lcurve_count)
+    return lcurve(problem, grid)
+
+
+def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> CalibrationResult:
+    """Full calibration workflow for one model kind."""
+    kind = kind if kind is not None else cfg.model_kind()
+    samples = ingest(cfg.data, cfg.stress_scale)
+    with _classified_errors():
+        spec, problem = build_problem(cfg, kind, samples, _resolve_lambda(cfg, kind))
+        lc = theta0 = None
+        if problem.lambda_pen == AUTO:
+            lc = _sweep(cfg, problem)
+            problem.lambda_pen = lc.lambda_chosen
+            theta0 = lc.theta_near(lc.lambda_chosen)  # the sweep already solved it
+        sol = solve(problem, theta0=theta0)
     state = ModelState(spec=spec, theta=sol.theta)
     fit = metrics(state, samples)
     return CalibrationResult(state=state, lambda_pen=float(problem.lambda_pen),
-                             fit=fit, act=activation(A), sol=sol,
+                             fit=fit, act=activation(problem.A), sol=sol,
                              lcurve_result=lc, samples=samples)
 
 
 def _prediction_rows(result: CalibrationResult):
-    rows = []
-    for s in result.samples:
-        pred = predict_stress(result.state, s.mode, s.stretch)
-        rows.append([s.mode.value, s.stretch, s.stress, pred])
-    return rows
+    samples = result.samples
+    pred = np.zeros(len(samples))
+    for mode, idx in mode_groups([s.mode for s in samples]).items():
+        pred[idx] = predict_stress(result.state, mode, [samples[k].stretch for k in idx])
+    return [[s.mode.value, s.stretch, s.stress, p] for s, p in zip(samples, pred.tolist())]
 
 
 def _activation_rows(result: CalibrationResult):
@@ -412,7 +429,7 @@ def _cmd_predict(args) -> int:
         text = Path(args.at).read_text()
     except OSError as exc:
         raise InputError(f"cannot read stretches file {args.at}: {exc}") from exc
-    rows = []
+    requests = []  # (line number, mode, stretch)
     header_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -434,13 +451,25 @@ def _cmd_predict(args) -> int:
         if not (STRETCH_MIN <= stretch <= STRETCH_MAX):
             raise InputError(f"{args.at}:{lineno}: stretch {stretch} outside "
                              f"[{STRETCH_MIN}, {STRETCH_MAX}]")
-        try:
-            value, extrapolated = predict_stress_clamped(state, mode, stretch)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(str(exc)) from exc
-        rows.append([mode.value, stretch, value, 1 if extrapolated else 0])
+        requests.append((lineno, mode, stretch))
     if not header_seen:
         raise InputError(f"{args.at}: missing header 'mode,stretch'")
+
+    values = np.zeros(len(requests))
+    flags = np.zeros(len(requests), dtype=bool)
+    try:
+        for mode, idx in mode_groups([r[1] for r in requests]).items():
+            values[idx], flags[idx] = predict_stress_clamped(
+                state, mode, [requests[k][2] for k in idx])
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        for lineno, mode, stretch in requests:  # report the first row that fails alone
+            try:
+                predict_stress_clamped(state, mode, stretch)
+            except (ValueError, np.linalg.LinAlgError) as row_exc:
+                raise NumericalError(f"{args.at}:{lineno}: {row_exc}") from row_exc
+        raise NumericalError(str(exc)) from exc
+    rows = [[mode.value, stretch, value, int(flag)]
+            for (_, mode, stretch), value, flag in zip(requests, values.tolist(), flags.tolist())]
     outdir = Path(args.output)
     _write_atomic(outdir / "predictions.csv",
                   _csv_text(["mode", "stretch", "stress_model", "extrapolated"], rows))
@@ -450,25 +479,10 @@ def _cmd_predict(args) -> int:
 
 def _cmd_lcurve(args) -> int:
     cfg = load_config(args.config)
-    kind = cfg.model_kind()
     samples = ingest(cfg.data, cfg.stress_scale)
-    try:
-        spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
-        A, y = assemble_design(spec, samples)
-        pen = curvature_operator(spec)
-        ineq = inequality_operator(spec, monotone_1=cfg.monotone_1,
-                                   monotone_2=cfg.monotone_2,
-                                   convex_1=cfg.convex_1, convex_2=cfg.convex_2)
-        problem = CalibrationProblem(A=A, y=y, A_pen=pen.rows, lambda_pen=AUTO,
-                                     A_ineq=ineq.rows,
-                                     fixed_zero=fixed_zero_indices(spec))
-        grid = np.logspace(np.log10(cfg.lcurve_min), np.log10(cfg.lcurve_max),
-                           cfg.lcurve_count)
-        lc = lcurve(problem, grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(str(exc)) from exc
+    with _classified_errors():
+        _, problem = build_problem(cfg, cfg.model_kind(), samples, AUTO)
+        lc = _sweep(cfg, problem)
     outdir = Path(args.output or cfg.output)
     _write_atomic(outdir / "lcurve.csv",
                   _csv_text(["lambda", "misfit", "seminorm", "kappa", "chosen"],

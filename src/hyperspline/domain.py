@@ -16,6 +16,10 @@ between the two boundaries, optionally after a monotone transform of I2
 whose convexity is compatible with polyconvex energies.  A small width
 floor ``delta`` keeps the map well defined at the apex, where the band
 collapses to a point.
+
+Every function here is elementwise: it takes one point or a 1-D array of
+points (the trigonometric cubic is solved for all of them at once) and
+returns Python floats for a scalar point.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._batch import first, pairs, points, unbatch
 
 _SQRT3 = math.sqrt(3.0)
 _SHIFT = 3.0 * _SQRT3  # value of I2^(3/2) at the undeformed state
@@ -54,7 +60,8 @@ class DomainMapConfig:
 
 @dataclass(frozen=True)
 class BoundaryEval:
-    """Boundary roots of the admissibility cubic and their I1-derivatives."""
+    """Boundary roots of the admissibility cubic and their I1-derivatives
+    (floats at one I1, arrays at an array of them)."""
 
     i2_lo: float
     i2_hi: float
@@ -64,20 +71,21 @@ class BoundaryEval:
 
 @dataclass(frozen=True)
 class MapJacobian:
+    """Partial derivatives of the map (floats at one point, arrays at many)."""
+
     dxi_di1: float
     deta_di1: float
     deta_di2: float
 
 
-def cubic_residual(i1: float, i2: float) -> float:
+def cubic_residual(i1, i2):
     """C(I1, I2); zero on the boundary, negative strictly inside."""
-    i1 = float(i1)
-    i2 = float(i2)
-    return (i2 ** 3 - 0.25 * i1 * i1 * i2 * i2 - 4.5 * i1 * i2
-            + i1 ** 3 + 6.75)
+    i1, i2, scalar = pairs(i1, i2)
+    return unbatch(i2 ** 3 - 0.25 * i1 * i1 * i2 * i2 - 4.5 * i1 * i2
+                   + i1 ** 3 + 6.75, scalar)
 
 
-def _shifted_cubic(i1: float):
+def _shifted_cubic(i1: np.ndarray):
     """Coefficients of C(I1, 3 + y) = y^3 + q2 y^2 + q1 y + q0.
 
     The factored forms of q1 and q0 avoid the catastrophic cancellation
@@ -90,7 +98,7 @@ def _shifted_cubic(i1: float):
     return q2, q1, q0
 
 
-def _cubic_val_d2(i1: float, i2: float):
+def _cubic_val_d2(i1: np.ndarray, i2: np.ndarray):
     """C and dC/dI2 evaluated through the shifted, factored form."""
     q2, q1, q0 = _shifted_cubic(i1)
     y = i2 - 3.0
@@ -99,171 +107,187 @@ def _cubic_val_d2(i1: float, i2: float):
     return val, d2
 
 
-def _cubic_d1(i1: float, i2: float) -> float:
+def _cubic_d1(i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
     """dC/dI1 in the shifted form (equals -I1*I2^2/2 - 9*I2/2 + 3*I1^2)."""
     y = i2 - 3.0
     return (-0.5 * i1) * y * y - 1.5 * (2.0 * i1 + 3.0) * y + (i1 - 3.0) * (3.0 * i1 + 4.5)
 
 
-def boundary(i1: float) -> BoundaryEval:
+def _slope(i1: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Implicit I1-derivative -(dC/dI1) / (dC/dI2) of a boundary root; 1 where
+    dC/dI2 vanishes (the apex tangent)."""
+    _, d2 = _cubic_val_d2(i1, root)
+    flat = np.abs(d2) < 1e-30
+    return np.where(flat, 1.0, -_cubic_d1(i1, root) / np.where(flat, 1.0, d2))
+
+
+def boundary(i1) -> BoundaryEval:
     """Lower/upper admissible bounds on I2 at the given I1, with derivatives.
 
     Solves the monic cubic by the trigonometric three-real-root method,
     polishes each root with one Newton step, discards the spurious root
     below 3, and differentiates the remaining roots implicitly:
     I2' = -(dC/dI1) / (dC/dI2).  At the apex both bounds equal 3 and the
-    common tangent slope is 1.
+    common tangent slope is 1.  Takes one I1 or an array of them.
     """
-    i1 = float(i1)
-    if i1 < 3.0 - 1e-9:
-        raise ValueError(f"I1 must be at least 3, got {i1!r}")
-    if i1 <= 3.0:
-        return BoundaryEval(3.0, 3.0, 1.0, 1.0)
-
-    a = -0.25 * i1 * i1
-    b = -4.5 * i1
-    c = i1 ** 3 + 6.75
-    p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
-    phi = math.acos(arg) / 3.0
-    shift = -a / 3.0
-    roots = []
-    for k in range(3):
-        r = m * math.cos(phi - 2.0 * math.pi * k / 3.0) + shift
-        val, d2 = _cubic_val_d2(i1, r)
-        if abs(d2) > 1e-30:
-            r = r - val / d2
-        roots.append(r)
-
-    kept = sorted(r for r in roots if r >= 3.0 - 1e-9)
-    if not kept:  # round-off collapse immediately next to the apex
-        kept = [3.0]
-    lo, hi = kept[0], kept[-1]
-
-    def _slope(root: float) -> float:
-        _, d2 = _cubic_val_d2(i1, root)
-        if abs(d2) < 1e-30:
-            return 1.0
-        return -_cubic_d1(i1, root) / d2
-
-    return BoundaryEval(i2_lo=lo, i2_hi=hi, d_lo=_slope(lo), d_hi=_slope(hi))
+    x, scalar = points(i1)
+    small = x < 3.0 - 1e-9
+    if small.any():
+        raise ValueError(f"I1 must be at least 3, got {float(x[first(small)])!r}")
+    lo, hi = np.full((2, x.size), 3.0)  # the apex values
+    d_lo, d_hi = np.ones((2, x.size))
+    inner = x > 3.0
+    if inner.any():
+        i1 = x[inner]
+        a = -0.25 * i1 * i1
+        b = -4.5 * i1
+        c = i1 ** 3 + 6.75
+        p = b - a * a / 3.0
+        q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
+        m = 2.0 * np.sqrt(-p / 3.0)
+        phi = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
+        roots = m * np.cos(phi - 2.0 * math.pi * np.arange(3)[:, None] / 3.0) - a / 3.0
+        val, d2 = _cubic_val_d2(i1, roots)
+        steep = np.abs(d2) > 1e-30
+        roots = np.where(steep, roots - val / np.where(steep, d2, 1.0), roots)
+        kept = roots >= 3.0 - 1e-9
+        none = ~kept.any(axis=0)  # round-off collapse immediately next to the apex
+        r_lo = np.where(none, 3.0, np.where(kept, roots, np.inf).min(axis=0))
+        r_hi = np.where(none, 3.0, np.where(kept, roots, -np.inf).max(axis=0))
+        lo[inner], hi[inner] = r_lo, r_hi
+        d_lo[inner], d_hi[inner] = _slope(i1, r_lo), _slope(i1, r_hi)
+    return BoundaryEval(i2_lo=unbatch(lo, scalar), i2_hi=unbatch(hi, scalar),
+                        d_lo=unbatch(d_lo, scalar), d_hi=unbatch(d_hi, scalar))
 
 
-def poly_transform(i2: float):
+def poly_transform(i2):
     """Polyconvexity-compatible transform of I2 and its derivative.
 
     Returns ``(I2^(3/2) - 3*sqrt(3), 1.5*sqrt(I2))``; the shift zeroes the
     transform at the undeformed state.  Values within round-off below the
     floor I2 = 3 are clamped to it.
     """
-    i2 = float(i2)
-    if i2 < 3.0 - 1e-9:
-        raise ValueError(f"I2 must be at least 3, got {i2!r}")
-    i2 = max(i2, 3.0)
-    s = math.sqrt(i2)
-    return i2 * s - _SHIFT, 1.5 * s
+    i2, scalar = points(i2)
+    small = i2 < 3.0 - 1e-9
+    if small.any():
+        raise ValueError(f"I2 must be at least 3, got {float(i2[first(small)])!r}")
+    i2 = np.maximum(i2, 3.0)
+    s = np.sqrt(i2)
+    return unbatch(i2 * s - _SHIFT, scalar), unbatch(1.5 * s, scalar)
 
 
-def poly_transform_inverse(value: float) -> float:
+def poly_transform_inverse(value):
     """Inverse of the polyconvex transform."""
-    x = float(value) + _SHIFT
-    if x < 0.0:
+    x, scalar = points(value)
+    x = x + _SHIFT
+    if (x < 0.0).any():
         raise ValueError("transformed value below the admissible range")
-    c = float(np.cbrt(x))
-    return c * c
+    c = np.cbrt(x)
+    return unbatch(c * c, scalar)
 
 
-def _transform(i2: float, cfg: DomainMapConfig):
+def _transform(i2: np.ndarray, cfg: DomainMapConfig):
     if cfg.use_polyconvex:
         return poly_transform(i2)
-    return float(i2), 1.0
+    return i2, np.ones(i2.shape)
 
 
-def _transform_inverse(value: float, cfg: DomainMapConfig) -> float:
+def _transform_inverse(value: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
     if cfg.use_polyconvex:
         return poly_transform_inverse(value)
-    return float(value)
+    return value
 
 
-def _check_i1(i1: float, cfg: DomainMapConfig) -> float:
-    grace = 1e-9 * (1.0 + abs(i1))
-    if i1 < cfg.u_min - grace or i1 > cfg.u_max + grace:
-        raise ValueError(f"I1 = {i1!r} outside [{cfg.u_min}, {cfg.u_max}]")
-    return min(max(float(i1), cfg.u_min), cfg.u_max)
+def _check_i1(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
+    grace = 1e-9 * (1.0 + np.abs(i1))
+    bad = (i1 < cfg.u_min - grace) | (i1 > cfg.u_max + grace)
+    if bad.any():
+        raise ValueError(f"I1 = {float(i1[first(bad)])!r} outside [{cfg.u_min}, {cfg.u_max}]")
+    return np.clip(i1, cfg.u_min, cfg.u_max)
 
 
-def _band(i1: float, cfg: DomainMapConfig):
+def _band(i1: np.ndarray, cfg: DomainMapConfig):
     """Transformed boundary values, their derivatives and effective width."""
     be = boundary(i1)
-    t_lo, tp_lo = _transform(max(be.i2_lo, 3.0), cfg)
-    t_hi, tp_hi = _transform(max(be.i2_hi, 3.0), cfg)
+    t_lo, tp_lo = _transform(np.maximum(be.i2_lo, 3.0), cfg)
+    t_hi, tp_hi = _transform(np.maximum(be.i2_hi, 3.0), cfg)
     d_lo = tp_lo * be.d_lo
     d_hi = tp_hi * be.d_hi
     gap = t_hi - t_lo
     dgap = d_hi - d_lo
-    eff = math.hypot(gap, cfg.delta)
-    deff = gap * dgap / eff if eff > 0.0 else 0.0
+    eff = np.hypot(gap, cfg.delta)
+    deff = gap * dgap / np.where(eff > 0.0, eff, 1.0)
     return t_lo, d_lo, gap, dgap, eff, deff
 
 
-def width(i1: float, cfg: DomainMapConfig):
+def width(i1, cfg: DomainMapConfig):
     """Effective band width ``sqrt(gap^2 + delta^2)`` and its I1-derivative."""
-    i1 = _check_i1(i1, cfg)
-    _, _, _, _, eff, deff = _band(i1, cfg)
-    return eff, deff
+    i1, scalar = points(i1)
+    _, _, _, _, eff, deff = _band(_check_i1(i1, cfg), cfg)
+    return unbatch(eff, scalar), unbatch(deff, scalar)
 
 
-def map_forward(i1: float, i2: float, cfg: DomainMapConfig):
-    """Map an admissible point (I1, I2) to unit-square coordinates (xi, eta).
+def _relative(t: np.ndarray, t_lo: np.ndarray, eff: np.ndarray) -> np.ndarray:
+    """Position (t - t_lo) / eff across the band; 0 where the band is empty."""
+    return np.where(eff > 0.0, (t - t_lo) / np.where(eff > 0.0, eff, 1.0), 0.0)
+
+
+def map_forward(i1, i2, cfg: DomainMapConfig):
+    """Map admissible points (I1, I2) to unit-square coordinates (xi, eta).
 
     Admissibility is checked with a relative tolerance of 1e-9 on the
     second invariant; within that tolerance eta is clamped to [0, 1],
     beyond it the point is rejected.
     """
+    i1, i2, scalar = pairs(i1, i2)
     i1 = _check_i1(i1, cfg)
     t, tp = _transform(i2, cfg)
     t_lo, _, _, _, eff, _ = _band(i1, cfg)
-    tol = 1e-9 * (1.0 + abs(i2)) * max(tp, 1.0)
-    if t < t_lo - tol or t > t_lo + eff + tol:
-        raise ValueError(f"point (I1, I2) = ({i1!r}, {i2!r}) is not admissible")
+    tol = 1e-9 * (1.0 + np.abs(i2)) * np.maximum(tp, 1.0)
+    bad = (t < t_lo - tol) | (t > t_lo + eff + tol)
+    if bad.any():
+        k = first(bad)
+        raise ValueError(f"point (I1, I2) = ({float(i1[k])!r}, {float(i2[k])!r}) "
+                         "is not admissible")
     xi = (i1 - cfg.u_min) / (cfg.u_max - cfg.u_min)
-    eta = (t - t_lo) / eff if eff > 0.0 else 0.0
-    return min(max(xi, 0.0), 1.0), min(max(eta, 0.0), 1.0)
+    eta = _relative(t, t_lo, eff)
+    return (unbatch(np.clip(xi, 0.0, 1.0), scalar),
+            unbatch(np.clip(eta, 0.0, 1.0), scalar))
 
 
-def map_inverse(xi: float, eta: float, cfg: DomainMapConfig):
+def map_inverse(xi, eta, cfg: DomainMapConfig):
     """Map unit-square coordinates back to invariants (I1, I2)."""
-    xi = float(xi)
-    eta = float(eta)
-    if not -1e-12 <= xi <= 1.0 + 1e-12:
-        raise ValueError(f"xi = {xi!r} outside [0, 1]")
-    if not -1e-12 <= eta <= 1.0 + 1e-12:
-        raise ValueError(f"eta = {eta!r} outside [0, 1]")
-    xi = min(max(xi, 0.0), 1.0)
-    eta = min(max(eta, 0.0), 1.0)
+    xi, eta, scalar = pairs(xi, eta)
+    for name, v in (("xi", xi), ("eta", eta)):
+        bad = ~((v >= -1e-12) & (v <= 1.0 + 1e-12))
+        if bad.any():
+            raise ValueError(f"{name} = {float(v[first(bad)])!r} outside [0, 1]")
+    xi = np.clip(xi, 0.0, 1.0)
+    eta = np.clip(eta, 0.0, 1.0)
     i1 = cfg.u_min + xi * (cfg.u_max - cfg.u_min)
     t_lo, _, _, _, eff, _ = _band(i1, cfg)
     i2 = _transform_inverse(t_lo + eta * eff, cfg)
-    return i1, max(i2, 3.0)
+    return unbatch(i1, scalar), unbatch(np.maximum(i2, 3.0), scalar)
 
 
-def map_jacobian(i1: float, i2: float, cfg: DomainMapConfig) -> MapJacobian:
+def map_jacobian(i1, i2, cfg: DomainMapConfig) -> MapJacobian:
     """Partial derivatives of (xi, eta) with respect to (I1, I2)."""
+    i1, i2, scalar = pairs(i1, i2)
     i1 = _check_i1(i1, cfg)
     t, tp = _transform(i2, cfg)
     t_lo, d_lo, _, _, eff, deff = _band(i1, cfg)
-    if eff <= 0.0:
+    if (eff <= 0.0).any():
         raise ValueError("zero band width; use delta > 0 to evaluate at the apex")
-    dxi = 1.0 / (cfg.u_max - cfg.u_min)
+    dxi = np.full(i1.shape, 1.0 / (cfg.u_max - cfg.u_min))
     deta_di2 = tp / eff
     deta_di1 = (-d_lo * eff - (t - t_lo) * deff) / (eff * eff)
-    return MapJacobian(dxi_di1=dxi, deta_di1=deta_di1, deta_di2=deta_di2)
+    return MapJacobian(dxi_di1=unbatch(dxi, scalar), deta_di1=unbatch(deta_di1, scalar),
+                       deta_di2=unbatch(deta_di2, scalar))
 
 
-def chain_rule(w_xi: float, w_eta: float, jac: MapJacobian):
+def chain_rule(w_xi, w_eta, jac: MapJacobian):
     """Convert unit-square energy gradients to invariant-space gradients."""
+    w_xi, w_eta, scalar = pairs(w_xi, w_eta)
     w1 = w_xi * jac.dxi_di1 + w_eta * jac.deta_di1
     w2 = w_eta * jac.deta_di2
-    return float(w1), float(w2)
+    return unbatch(w1, scalar), unbatch(w2, scalar)

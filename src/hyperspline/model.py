@@ -16,6 +16,14 @@ derivatives and those are linear in theta, each measured sample
 contributes one linear equation; ``assemble_design`` builds the weighted
 system whose least-squares misfit equals the mode-averaged mean squared
 stress error.
+
+Evaluation is batched: the evaluators take one stretch (or invariant pair)
+or a 1-D array of them, and callers pass one array per deformation mode.
+Design rows of the surfaces are row-wise outer products of the two axes'
+value rows.  Predictions never build rows: they evaluate the energy in
+coefficient form, a span index and an (N, 4) basis block per axis against
+the coefficient grid binv_u @ Theta @ binv_v^T.  A scalar argument returns
+Python floats.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import splines
+from ._batch import first, pairs, points, unbatch
 from .domain import (DomainMapConfig, map_forward, map_inverse,
-                     map_jacobian, _band, _transform)
-from .kinematics import DeformationMode, Sample, max_invariants, stress_coefficients, invariants
+                     map_jacobian, _band, _relative, _transform)
+from .kinematics import (DeformationMode, Sample, invariants, max_invariants,
+                         mode_groups, stress_coefficients)
 
 
 class ModelKind(Enum):
@@ -111,84 +121,113 @@ def default_spec(kind: ModelKind, samples, n1: int = 20, n2: int = 5, *,
                      sites2=tuple(np.linspace(0.0, 1.0, n2)))
 
 
-def _axis2_coord(spec: ModelSpec, i2: float):
-    """Normalised second-axis coordinate and its dI2-derivative."""
-    t, tp = _transform(i2, spec.domain)
-    t0, _ = _transform(3.0, spec.domain)
-    x = (t - t0) / spec.i2_axis_max
-    return x, tp / spec.i2_axis_max
+def _beyond(x: np.ndarray, tol: float) -> np.ndarray:
+    return (x < -tol) | (x > 1.0 + tol)
 
 
-def _clip_unit(x: float, clamp: bool, what: str) -> float:
-    if clamp:
-        return min(max(x, 0.0), 1.0)
-    if x < -1e-9 or x > 1.0 + 1e-9:
-        raise ValueError(f"{what} = {x!r} outside the calibrated domain")
-    return min(max(x, 0.0), 1.0)
+def _clip_unit(x: np.ndarray, clamp: bool, what: str) -> np.ndarray:
+    bad = _beyond(x, 1e-9)
+    if not clamp and bad.any():
+        raise ValueError(f"{what} = {float(x[first(bad)])!r} outside the calibrated domain")
+    return np.clip(x, 0.0, 1.0)
 
 
-def sensitivity_derivatives(spec: ModelSpec, i1: float, i2: float, *,
-                            clamp: bool = False):
-    """Gradients of (dW/dI1, dW/dI2) with respect to theta at one point.
-
-    Returns two length-``n_params`` vectors.  With ``clamp=True``
-    out-of-range coordinates are projected onto the domain instead of
-    raising, which is what extrapolating predictions use.
-    """
-    ops = spec_ops(spec)
+def _axes_coords(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
+    """Normalised (I1, T(I2)) axes of the separable and surface kinds:
+    ``(x1, x2, dx2/dI2, outside)``."""
     cfg = spec.domain
-    L1 = cfg.u_max - cfg.u_min
+    x1 = (i1 - cfg.u_min) / (cfg.u_max - cfg.u_min)
+    x1c = _clip_unit(x1, clamp, "normalised I1")
+    t, tp = _transform(i2, cfg)
+    t0, _ = _transform(np.array([3.0]), cfg)
+    x2 = (t - t0) / spec.i2_axis_max
+    x2c = _clip_unit(x2, clamp, "normalised transformed I2")
+    return x1c, x2c, tp / spec.i2_axis_max, _beyond(x1, 1e-9) | _beyond(x2, 1e-9)
 
+
+def _loose_forward(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
+    """Unit-square coordinates without admissibility rejection (for clamping)."""
+    cfg = spec.domain
+    i1c = np.clip(i1, cfg.u_min, cfg.u_max)
+    xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
+    t, _ = _transform(np.maximum(i2, 3.0), cfg)
+    t_lo, _, _, _, eff, _ = _band(i1c, cfg)
+    return xi, _relative(t, t_lo, eff)
+
+
+def _coordinates(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
+    """Spline coordinates of invariant points and the chain rule back to them.
+
+    Returns ``(x, y, d1x, d1y, d2y, outside)``: at the spline coordinates
+    (x, y) the energy gradient is dW/dI1 = d1x W_x + d1y W_y and dW/dI2 =
+    d2y W_y.  Out-of-range points raise, or with ``clamp=True`` are
+    projected onto the domain and marked in ``outside``.
+    """
+    cfg = spec.domain
     if spec.kind is ModelKind.MAPPED_SURFACE:
         if clamp:
+            tol = 1e-9
             xi, eta = _loose_forward(spec, i1, i2)
-            xi = min(max(xi, 0.0), 1.0)
-            eta = min(max(eta, 0.0), 1.0)
-            i1c, i2c = map_inverse(xi, eta, cfg)
-            jac = map_jacobian(i1c, i2c, cfg)
+            outside = ((i1 > cfg.u_max * (1 + tol)) | (i1 < cfg.u_min - tol)
+                       | _beyond(eta, tol) | _beyond(xi, tol))
+            xi, eta = np.clip(xi, 0.0, 1.0), np.clip(eta, 0.0, 1.0)
+            jac = map_jacobian(*map_inverse(xi, eta, cfg), cfg)
         else:
             xi, eta = map_forward(i1, i2, cfg)
             jac = map_jacobian(i1, i2, cfg)
-        s_xi = np.kron(ops.u.value_row(xi, 1), ops.v.value_row(eta, 0))
-        s_eta = np.kron(ops.u.value_row(xi, 0), ops.v.value_row(eta, 1))
-        dw1 = s_xi * jac.dxi_di1 + s_eta * jac.deta_di1
-        dw2 = s_eta * jac.deta_di2
-        return dw1, dw2
+            outside = np.zeros(i1.shape, dtype=bool)
+        return xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2, outside
 
-    x1 = _clip_unit((i1 - cfg.u_min) / L1, clamp, "normalised I1")
-    x2_raw, dx2 = _axis2_coord(spec, i2)
-    x2 = _clip_unit(x2_raw, clamp, "normalised transformed I2")
+    x1, x2, dx2, outside = _axes_coords(spec, i1, i2, clamp)
+    d1x = np.full(i1.shape, 1.0 / (cfg.u_max - cfg.u_min))
+    return x1, x2, d1x, np.zeros(i1.shape), dx2, outside
 
+
+def _partial_rows(spec: ModelSpec, x: np.ndarray, y: np.ndarray):
+    """Rows mapping theta to the spline partials W_x and W_y at the points;
+    surface rows are row-wise outer products of the two axes' value rows."""
+    ops = spec_ops(spec)
     if spec.kind is ModelKind.SEPARABLE:
-        dw1 = np.concatenate([ops.u.value_row(x1, 1) / L1, np.zeros(spec.n2)])
-        dw2 = np.concatenate([np.zeros(spec.n1), ops.v.value_row(x2, 1) * dx2])
-        return dw1, dw2
+        zu, zv = np.zeros((x.size, spec.n1)), np.zeros((x.size, spec.n2))
+        return (np.hstack([ops.u.value_row(x, 1), zv]),
+                np.hstack([zu, ops.v.value_row(y, 1)]))
 
-    dw1 = np.kron(ops.u.value_row(x1, 1), ops.v.value_row(x2, 0)) / L1
-    dw2 = np.kron(ops.u.value_row(x1, 0), ops.v.value_row(x2, 1)) * dx2
-    return dw1, dw2
+    def outer(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(x.size, -1)
 
-
-def _loose_forward(spec: ModelSpec, i1: float, i2: float):
-    """Unit-square coordinates without admissibility rejection (for clamping)."""
-    cfg = spec.domain
-    i1c = min(max(float(i1), cfg.u_min), cfg.u_max)
-    xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
-    t, _ = _transform(max(float(i2), 3.0), cfg)
-    t_lo, _, _, _, eff, _ = _band(i1c, cfg)
-    eta = (t - t_lo) / eff if eff > 0.0 else 0.0
-    return xi, eta
+    return (outer(ops.u.value_row(x, 1), ops.v.value_row(y, 0)),
+            outer(ops.u.value_row(x, 0), ops.v.value_row(y, 1)))
 
 
-def stress_row(spec: ModelSpec, mode: DeformationMode, lam: float, *,
+def sensitivity_derivatives(spec: ModelSpec, i1, i2, *, clamp: bool = False):
+    """Gradients of (dW/dI1, dW/dI2) with respect to theta.
+
+    Returns two length-``n_params`` vectors at one point, or two
+    (N, n_params) arrays at N points.  With ``clamp=True`` out-of-range
+    coordinates are projected onto the domain instead of raising, as
+    extrapolating predictions do.
+    """
+    i1, i2, scalar = pairs(i1, i2)
+    x, y, d1x, d1y, d2y, _ = _coordinates(spec, i1, i2, clamp)
+    sx, sy = _partial_rows(spec, x, y)
+    dw1 = d1x[:, None] * sx + d1y[:, None] * sy
+    dw2 = d2y[:, None] * sy
+    return (dw1[0], dw2[0]) if scalar else (dw1, dw2)
+
+
+def stress_row(spec: ModelSpec, mode: DeformationMode, lam, *,
                clamp: bool = False) -> np.ndarray:
-    """Row a with predicted stress a @ theta for one mode/stretch pair."""
+    """Row a with predicted stress a @ theta for one mode/stretch pair;
+    (N, n_params) rows for N stretches."""
+    lam, scalar = points(lam)
     sc = stress_coefficients(mode, lam)
-    if sc.alpha == 0.0 and sc.beta == 0.0:
-        return np.zeros(spec.n_params)
-    i1, i2 = invariants(mode, lam)
-    dw1, dw2 = sensitivity_derivatives(spec, i1, i2, clamp=clamp)
-    return sc.alpha * dw1 + sc.beta * dw2
+    rows = np.zeros((lam.size, spec.n_params))
+    live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 has an exact zero row
+    if live.any():
+        i1, i2 = invariants(mode, lam[live])
+        dw1, dw2 = sensitivity_derivatives(spec, i1, i2, clamp=clamp)
+        rows[live] = sc.alpha[live, None] * dw1 + sc.beta[live, None] * dw2
+    return rows[0] if scalar else rows
 
 
 def assemble_design(spec: ModelSpec, samples):
@@ -196,23 +235,27 @@ def assemble_design(spec: ModelSpec, samples):
 
     Each row is scaled by 1/sqrt(N_mode) so that the squared residual norm
     equals the sum over modes of the per-mode mean squared stress error.
+    The rows of each mode are built in one batch; if a batch fails, the
+    error names the first sample that cannot be assembled.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("empty dataset")
-    counts = {}
-    for s in samples:
-        counts[s.mode] = counts.get(s.mode, 0) + 1
     A = np.zeros((len(samples), spec.n_params))
     y = np.zeros(len(samples))
-    for k, s in enumerate(samples):
-        w = 1.0 / math.sqrt(counts[s.mode])
-        try:
-            A[k] = w * stress_row(spec, s.mode, s.stretch)
-        except ValueError as exc:
-            raise ValueError(f"sample {k} ({s.mode.value}, stretch {s.stretch})"
-                             f" cannot be assembled: {exc}") from exc
-        y[k] = w * s.stress
+    try:
+        for mode, idx in mode_groups([s.mode for s in samples]).items():
+            w = 1.0 / math.sqrt(idx.size)
+            A[idx] = w * stress_row(spec, mode, [samples[k].stretch for k in idx])
+            y[idx] = w * np.array([samples[k].stress for k in idx])
+    except ValueError:
+        for k, s in enumerate(samples):
+            try:
+                stress_row(spec, s.mode, s.stretch)
+            except ValueError as exc:
+                raise ValueError(f"sample {k} ({s.mode.value}, stretch {s.stretch})"
+                                 f" cannot be assembled: {exc}") from exc
+        raise
     return A, y
 
 
@@ -232,53 +275,68 @@ class ModelState:
                 raise ValueError("pinned parameters must be exactly zero")
 
 
-def predict_stress(state: ModelState, mode: DeformationMode, lam: float) -> float:
-    """Nominal stress at one stretch; raises for out-of-domain stretches."""
-    return float(stress_row(state.spec, mode, lam) @ state.theta)
+def _energy_splines(state: ModelState):
+    """The calibrated energy in coefficient form: the curves (W1, W2) of the
+    separable split, or the surface on the coefficient grid
+    binv_u @ Theta @ binv_v^T."""
+    spec = state.spec
+    ops = spec_ops(spec)
+    if spec.kind is ModelKind.SEPARABLE:
+        return (splines.Curve(ops.u.kv, ops.u.binv @ state.theta[: spec.n1], ops.u.sites),
+                splines.Curve(ops.v.kv, ops.v.binv @ state.theta[spec.n1 :], ops.v.sites))
+    grid = ops.u.binv @ state.theta.reshape(spec.n1, spec.n2) @ ops.v.binv.T
+    return splines.Surface(ops.u.kv, ops.v.kv, grid)
 
 
-def predict_stress_clamped(state: ModelState, mode: DeformationMode, lam: float):
+def _predict(state: ModelState, mode: DeformationMode, lam: np.ndarray, clamp: bool):
+    """Stresses at an array of stretches and the mask of clamped points."""
+    sc = stress_coefficients(mode, lam)
+    value = np.zeros(lam.size)
+    outside = np.zeros(lam.size, dtype=bool)
+    live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 is exactly stress-free
+    if live.any():
+        i1, i2 = invariants(mode, lam[live])
+        x, y, d1x, d1y, d2y, outside[live] = _coordinates(state.spec, i1, i2, clamp)
+        w = _energy_splines(state)
+        if state.spec.kind is ModelKind.SEPARABLE:
+            wx, wy = w[0](x, 1), w[1](y, 1)
+        else:
+            wx, wy = w.eval(x, y, 1, 0), w.eval(x, y, 0, 1)
+        value[live] = sc.alpha[live] * (d1x * wx + d1y * wy) + sc.beta[live] * (d2y * wy)
+    return value, outside
+
+
+def predict_stress(state: ModelState, mode: DeformationMode, lam):
+    """Nominal stress at a stretch, or at an array of stretches; raises for
+    out-of-domain stretches."""
+    lam, scalar = points(lam)
+    return unbatch(_predict(state, mode, lam, clamp=False)[0], scalar)
+
+
+def predict_stress_clamped(state: ModelState, mode: DeformationMode, lam):
     """Stress with out-of-domain invariants projected onto the domain.
 
     Returns ``(stress, extrapolated)``; the flag is True whenever the
-    evaluation point had to be clamped.
+    evaluation point had to be clamped.  For an array of stretches both
+    are arrays.
     """
+    lam, scalar = points(lam)
+    value, outside = _predict(state, mode, lam, clamp=True)
+    return (float(value[0]), bool(outside[0])) if scalar else (value, outside)
+
+
+def energy(state: ModelState, i1, i2):
+    """Strain-energy density at an admissible invariant pair (or pairs)."""
+    i1, i2, scalar = pairs(i1, i2)
     spec = state.spec
-    sc = stress_coefficients(mode, lam)
-    if sc.alpha == 0.0 and sc.beta == 0.0:
-        return 0.0, False
-    i1, i2 = invariants(mode, lam)
-    tol = 1e-9
     if spec.kind is ModelKind.MAPPED_SURFACE:
-        xi, eta = _loose_forward(spec, i1, i2)
-        outside = (i1 > spec.domain.u_max * (1 + tol) or i1 < spec.domain.u_min - tol
-                   or eta < -tol or eta > 1.0 + tol or xi < -tol or xi > 1.0 + tol)
+        x, y = map_forward(i1, i2, spec.domain)
     else:
-        x1 = (i1 - spec.domain.u_min) / (spec.domain.u_max - spec.domain.u_min)
-        x2, _ = _axis2_coord(spec, i2)
-        outside = not (-tol <= x1 <= 1.0 + tol and -tol <= x2 <= 1.0 + tol)
-    value = float(stress_row(spec, mode, lam, clamp=True) @ state.theta)
-    return value, bool(outside)
-
-
-def energy(state: ModelState, i1: float, i2: float) -> float:
-    """Strain-energy density at an admissible invariant pair."""
-    spec = state.spec
-    ops = spec_ops(spec)
-    cfg = spec.domain
-    if spec.kind is ModelKind.MAPPED_SURFACE:
-        xi, eta = map_forward(i1, i2, cfg)
-        row = np.kron(ops.u.value_row(xi, 0), ops.v.value_row(eta, 0))
-        return float(row @ state.theta)
-    x1 = _clip_unit((i1 - cfg.u_min) / (cfg.u_max - cfg.u_min), False, "normalised I1")
-    x2_raw, _ = _axis2_coord(spec, i2)
-    x2 = _clip_unit(x2_raw, False, "normalised transformed I2")
+        x, y, _, _ = _axes_coords(spec, i1, i2, clamp=False)
+    w = _energy_splines(state)
     if spec.kind is ModelKind.SEPARABLE:
-        w1 = float(ops.u.value_row(x1, 0) @ state.theta[: spec.n1])
-        w2 = float(ops.v.value_row(x2, 0) @ state.theta[spec.n1 :])
-        return w1 + w2
-    row = np.kron(ops.u.value_row(x1, 0), ops.v.value_row(x2, 0))
-    return float(row @ state.theta)
+        return unbatch(w[0](x) + w[1](y), scalar)
+    return unbatch(w.eval(x, y), scalar)
 
 
 @dataclass
@@ -316,17 +374,15 @@ def metrics(state: ModelState, samples) -> FitMetrics:
     Modes with fewer than two samples (or zero stress variance) report no
     R^2.  The combined figure is the Euclidean norm of the per-mode MSEs.
     """
-    groups = {}
-    for s in samples:
-        groups.setdefault(s.mode, []).append(s)
+    samples = list(samples)
     mse = {}
     r2 = {}
-    for mode, group in groups.items():
-        exp = np.array([s.stress for s in group])
-        pred = np.array([predict_stress(state, mode, s.stretch) for s in group])
+    for mode, idx in mode_groups([s.mode for s in samples]).items():
+        exp = np.array([samples[k].stress for k in idx])
+        pred = predict_stress(state, mode, [samples[k].stretch for k in idx])
         resid = pred - exp
         mse[mode] = float(np.mean(resid ** 2))
-        if len(group) >= 2:
+        if idx.size >= 2:
             ss_tot = float(np.sum((exp - exp.mean()) ** 2))
             if ss_tot > 0.0:
                 r2[mode] = 1.0 - float(np.sum(resid ** 2)) / ss_tot

@@ -63,27 +63,23 @@ def curvature_operator(spec: ModelSpec, quad_order: int = 4) -> PenaltyOperator:
     xu, wu = _gauss_points(ops.u.kv, quad_order)
     xv, wv = _gauss_points(ops.v.kv, quad_order)
 
-    rows = []
     if spec.kind is ModelKind.SEPARABLE:
-        for x, w in zip(xu, wu):
-            row = np.zeros(spec.n_params)
-            row[: spec.n1] = np.sqrt(w) * ops.u.value_row(x, 2)
-            rows.append(row)
-        for x, w in zip(xv, wv):
-            row = np.zeros(spec.n_params)
-            row[spec.n1 :] = np.sqrt(w) * ops.v.value_row(x, 2)
-            rows.append(row)
-    else:
-        ru2 = [ops.u.value_row(x, 2) for x in xu]
-        ru0 = [ops.u.value_row(x, 0) for x in xu]
-        rv2 = [ops.v.value_row(y, 2) for y in xv]
-        rv0 = [ops.v.value_row(y, 0) for y in xv]
-        for i, (wx, x) in enumerate(zip(wu, xu)):
-            for j, (wy, y) in enumerate(zip(wv, xv)):
-                s = np.sqrt(wx * wy)
-                rows.append(s * np.kron(ru2[i], rv0[j]))
-                rows.append(s * np.kron(ru0[i], rv2[j]))
-    return PenaltyOperator(rows=np.vstack(rows), quad_order=quad_order)
+        rows = np.zeros((xu.size + xv.size, spec.n_params))
+        rows[: xu.size, : spec.n1] = np.sqrt(wu)[:, None] * ops.u.value_row(xu, 2)
+        rows[xu.size :, spec.n1 :] = np.sqrt(wv)[:, None] * ops.v.value_row(xv, 2)
+        return PenaltyOperator(rows=rows, quad_order=quad_order)
+
+    s = np.sqrt(wu[:, None] * wv[None, :])
+
+    def outer(a, b):
+        """Rows s_ij * kron(a_i, b_j) for every pair of quadrature nodes."""
+        return s[:, :, None, None] * (a[:, None, :, None] * b[None, :, None, :])
+
+    ru0, ru2 = ops.u.value_row(xu, 0), ops.u.value_row(xu, 2)
+    rv0, rv2 = ops.v.value_row(xv, 0), ops.v.value_row(xv, 2)
+    # node pair (i, j) contributes its W_xixi row, then its W_etaeta row
+    rows = np.stack([outer(ru2, rv0), outer(ru0, rv2)], axis=2)
+    return PenaltyOperator(rows=rows.reshape(-1, spec.n_params), quad_order=quad_order)
 
 
 def _dedup_unit_rows(rows: np.ndarray) -> np.ndarray:

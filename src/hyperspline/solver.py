@@ -329,11 +329,26 @@ def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None,
                     wall_time=time.perf_counter() - t_start)
 
 
+def _nnls(B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimise ||B mu - b|| over mu >= 0 with the active-set loop above.
+
+    Every mu starts pinned at zero, as in Lawson & Hanson's NNLS, and
+    ridge rows sqrt(eps) * ||B|| * I keep a degenerate set of columns (more
+    near-active rows than the rank) well posed.
+    """
+    k = B.shape[1]
+    ridge = RIDGE * max(float(np.linalg.norm(B, 2)), np.finfo(float).tiny)
+    R, c = _reduce(np.vstack([B, ridge * np.eye(k)]), np.concatenate([b, np.zeros(k)]))
+    mu, *_ = _active_set_lsq(R, c, -np.eye(k), np.zeros(k), list(range(k)), 10 * k + 100)
+    return mu
+
+
 def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
     """Residual norms (stationarity, feasibility, complementarity) at theta.
 
-    Multipliers are estimated on the active rows by least squares and
-    projected onto the nonnegative orthant.
+    The multipliers of the near-active rows are the nonnegative least-squares
+    fit of the negated gradient, so stationarity is the smallest residual
+    that any admissible multipliers leave.
     """
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen must be numeric for a KKT check")
@@ -347,13 +362,12 @@ def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
         G = problem.A_ineq[:, free]
         slack = G @ th
         scale = 1e-8 * (1.0 + float(np.linalg.norm(th)))
-        act = [j for j in range(G.shape[0]) if slack[j] >= -scale]
+        act = np.flatnonzero(slack >= -scale)
         feas = float(max(0.0, slack.max()))
-        if act:
-            mu, *_ = np.linalg.lstsq(G[act].T, -g, rcond=None)
-            mu = np.clip(mu, 0.0, None)
+        if act.size:
+            mu = _nnls(G[act].T, -g)
             stat = float(np.linalg.norm(g + G[act].T @ mu))
-            comp = float(np.max(np.abs(mu * slack[act]))) if len(act) else 0.0
+            comp = float(np.max(np.abs(mu * slack[act])))
         else:
             stat = float(np.linalg.norm(g))
             comp = 0.0

@@ -6,18 +6,25 @@ interior knots follow the site-averaging rule, so the Schoenberg-Whitney
 condition holds and every collocation system is nonsingular.  Because
 interpolation is linear, the value of the spline (and of any derivative)
 at any point is a linear functional of the site values; the sensitivity
-machinery at the bottom of this module exposes those functionals as dense
-rows and matrices for use in calibration.
+machinery at the bottom of this module exposes those functionals as rows
+for use in calibration.
 
-Basis evaluation follows the classic Cox-de Boor algorithms (A2.1, A2.2
-and A2.3 of Piegl & Tiller, "The NURBS Book").
+Evaluation is batched: every evaluator takes one point or a 1-D array of
+points.  Basis values come as a span index per point plus an (N, 4)
+block of the nonzero basis functions, computed by the Cox-de Boor
+derivative algorithm (A2.3 of Piegl & Tiller, "The NURBS Book") run over
+all points at once; a scalar point is a batch of one and gets Python
+scalars back.  The scalar form of A2.3 is kept for the collocation matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._batch import first, pairs, points, unbatch
 
 DEGREE = 3
 
@@ -75,26 +82,7 @@ def make_knots(sites, degree: int = DEGREE) -> KnotVector:
 
 def find_span(kv: KnotVector, x: float) -> int:
     """Index i with knots[i] <= x < knots[i+1]; the right end maps to the last span."""
-    t = kv.knots
-    p = kv.degree
-    n = kv.n
-    lo, hi = kv.domain
-    grace = 1e-12 * (1.0 + abs(lo) + abs(hi))
-    if x < lo - grace or x > hi + grace:
-        raise ValueError(f"evaluation point {x!r} outside spline domain [{lo}, {hi}]")
-    if x >= t[n]:
-        return n - 1
-    if x <= t[p]:
-        return p
-    low, high = p, n
-    mid = (low + high) // 2
-    while x < t[mid] or x >= t[mid + 1]:
-        if x < t[mid]:
-            high = mid
-        else:
-            low = mid
-        mid = (low + high) // 2
-    return mid
+    return int(_spans(kv, np.array([float(x)]))[0])
 
 
 def _basis_and_derivatives(kv: KnotVector, x: float, nderiv: int):
@@ -159,30 +147,104 @@ def _basis_and_derivatives(kv: KnotVector, x: float, nderiv: int):
     return span, ders
 
 
-def basis_at(kv: KnotVector, x: float, r: int = 0):
+def _spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
+    """``find_span`` over an array of points, with the same domain check."""
+    p, n = kv.degree, kv.n
+    lo, hi = kv.domain
+    grace = 1e-12 * (1.0 + abs(lo) + abs(hi))
+    bad = ~((x >= lo - grace) & (x <= hi + grace))
+    if bad.any():
+        raise ValueError(f"evaluation point {float(x[first(bad)])!r} outside spline "
+                         f"domain [{lo}, {hi}]")
+    return np.clip(np.searchsorted(kv.array(), x, side="right") - 1, p, n - 1)
+
+
+def _basis_block(kv: KnotVector, x: np.ndarray, r: int):
+    """A2.3 over an array of points: span indices and the (N, degree + 1)
+    block of r-th derivatives of basis functions ``span - degree + j``.
+
+    The arithmetic is that of ``_basis_and_derivatives``, point by point.
+    """
+    p = kv.degree
+    t = kv.array()
+    span = _spans(kv, x)
+    x = np.clip(x, *kv.domain)
+    ndu = np.empty((p + 1, p + 1, x.size))
+    left = np.empty((p + 1, x.size))
+    right = np.empty((p + 1, x.size))
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - t[span + 1 - j]
+        right[j] = t[span + j] - x
+        saved = 0.0
+        for q in range(j):
+            ndu[j, q] = right[q + 1] + left[j - q]
+            temp = ndu[q, j - 1] / ndu[j, q]
+            ndu[q, j] = saved + right[q + 1] * temp
+            saved = left[j - q] * temp
+        ndu[j, j] = saved
+    if r == 0:
+        return span, ndu[:, p].T.copy()
+
+    ders = np.empty((p + 1, x.size))
+    a = np.zeros((2, p + 1, x.size))
+    for q in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, r + 1):
+            d = 0.0
+            qk = q - k
+            pk = p - k
+            if q >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, qk]
+                d = a[s2, 0] * ndu[qk, pk]
+            j1 = 1 if qk >= -1 else -qk
+            j2 = k - 1 if q - 1 <= pk else p - q
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, qk + j]
+                d = d + a[s2, j] * ndu[qk + j, pk]
+            if q <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, q]
+                d = d + a[s2, k] * ndu[q, pk]
+            s1, s2 = s2, s1
+        ders[q] = d
+    return span, (ders * math.perm(p, r)).T
+
+
+def basis_at(kv: KnotVector, x, r: int = 0):
     """Span index and the ``degree + 1`` nonzero basis values at x.
 
-    ``r`` selects the derivative order (0, 1 or 2).
+    ``r`` selects the derivative order (0, 1 or 2).  For an array of N
+    points: the N span indices and an (N, degree + 1) block.
     """
     if r < 0 or r > 2:
         raise ValueError("derivative order must be 0, 1 or 2")
-    span, ders = _basis_and_derivatives(kv, x, r)
-    return span, ders[r].copy()
+    pts, scalar = points(x)
+    span, vals = _basis_block(kv, pts, r)
+    return (int(span[0]), vals[0]) if scalar else (span, vals)
 
 
-def basis_row(kv: KnotVector, x: float, r: int = 0) -> np.ndarray:
-    """Dense length-n row of basis (derivative) values at x."""
-    span, vals = basis_at(kv, x, r)
-    row = np.zeros(kv.n)
-    row[span - kv.degree : span + 1] = vals
-    return row
+def _block_index(kv: KnotVector, span: np.ndarray) -> np.ndarray:
+    """(N, degree + 1) indices of the basis functions nonzero on each span."""
+    return span[:, None] - kv.degree + np.arange(kv.degree + 1)
+
+
+def basis_row(kv: KnotVector, x, r: int = 0) -> np.ndarray:
+    """Dense length-n row of basis (derivative) values at x; (N, n) for N points."""
+    pts, scalar = points(x)
+    span, vals = basis_at(kv, pts, r)
+    rows = np.zeros((pts.size, kv.n))
+    np.put_along_axis(rows, _block_index(kv, span), vals, axis=1)
+    return rows[0] if scalar else rows
 
 
 def collocation_matrix(kv: KnotVector, sites) -> np.ndarray:
+    """Basis values at the sites, one row per site (scalar A2.3)."""
     s = np.asarray(sites, dtype=float)
     B = np.zeros((s.size, kv.n))
     for k, x in enumerate(s):
-        B[k] = basis_row(kv, x)
+        span, ders = _basis_and_derivatives(kv, float(x), 0)
+        B[k, span - kv.degree : span + 1] = ders[0]
     return B
 
 
@@ -206,10 +268,13 @@ def derivative_operator(kv: KnotVector):
     return D, KnotVector(knots=kv.knots[1:-1], degree=p - 1)
 
 
-def eval_coeffs(kv: KnotVector, coeffs: np.ndarray, x: float, r: int = 0) -> float:
-    """Evaluate a spline (or derivative) given its raw coefficients."""
-    span, vals = basis_at(kv, x, r)
-    return float(vals @ np.asarray(coeffs, dtype=float)[span - kv.degree : span + 1])
+def eval_coeffs(kv: KnotVector, coeffs: np.ndarray, x, r: int = 0):
+    """Evaluate a spline (or derivative) given its raw coefficients, at a
+    point or an array of points."""
+    pts, scalar = points(x)
+    span, vals = basis_at(kv, pts, r)
+    c = np.asarray(coeffs, dtype=float)[_block_index(kv, span)]
+    return unbatch(np.sum(vals * c, axis=1), scalar)
 
 
 class Curve:
@@ -220,9 +285,8 @@ class Curve:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.sites = np.asarray(sites, dtype=float)
 
-    def __call__(self, x: float, r: int = 0) -> float:
-        span, vals = basis_at(self.kv, x, r)
-        return float(vals @ self.coeffs[span - self.kv.degree : span + 1])
+    def __call__(self, x, r: int = 0):
+        return eval_coeffs(self.kv, self.coeffs, x, r)
 
 
 def interpolate_curve(sites, values) -> Curve:
@@ -264,16 +328,19 @@ class Surface:
         self.kw = kw
         self.coeffs = np.asarray(coeffs, dtype=float)
 
-    def eval(self, x: float, y: float, rx: int = 0, ry: int = 0) -> float:
-        su, bu = basis_at(self.ku, x, rx)
-        sv, bv = basis_at(self.kw, y, ry)
-        block = self.coeffs[su - self.ku.degree : su + 1, sv - self.kw.degree : sv + 1]
-        return float(bu @ block @ bv)
+    def eval(self, x, y, rx: int = 0, ry: int = 0):
+        """Value (or partial derivative) at (x, y), or at N point pairs."""
+        xs, ys, scalar = pairs(x, y)
+        su, bu = basis_at(self.ku, xs, rx)
+        sv, bv = basis_at(self.kw, ys, ry)
+        block = self.coeffs[_block_index(self.ku, su)[:, :, None],
+                            _block_index(self.kw, sv)[:, None, :]]
+        return unbatch(np.einsum("na,nab,nb->n", bu, block, bv), scalar)
 
     def eval_grid(self, xs, ys, rx: int = 0, ry: int = 0) -> np.ndarray:
         """Evaluate on the tensor grid xs x ys; returns shape (len(xs), len(ys))."""
-        Ru = np.vstack([basis_row(self.ku, float(x), rx) for x in np.atleast_1d(xs)])
-        Rv = np.vstack([basis_row(self.kw, float(y), ry) for y in np.atleast_1d(ys)])
+        Ru = basis_row(self.ku, np.atleast_1d(xs), rx)
+        Rv = basis_row(self.kw, np.atleast_1d(ys), ry)
         return Ru @ self.coeffs @ Rv.T
 
 
@@ -317,9 +384,20 @@ class DirectionOps:
     def n(self) -> int:
         return self.kv.n
 
-    def value_row(self, x: float, r: int = 0) -> np.ndarray:
-        """Row mapping site values to the r-th derivative of the spline at x."""
-        return basis_row(self.kv, x, r) @ self.binv
+    def value_row(self, x, r: int = 0) -> np.ndarray:
+        """Row mapping site values to the r-th derivative of the spline at x;
+        (N, n) rows for N points.
+
+        Each row combines the ``degree + 1`` rows of ``binv`` on the span,
+        in a fixed order, so it does not depend on the batch it is in.
+        """
+        pts, scalar = points(x)
+        span, vals = basis_at(self.kv, pts, r)
+        idx = _block_index(self.kv, span)
+        rows = vals[:, :1] * self.binv[idx[:, 0]]
+        for j in range(1, self.kv.degree + 1):
+            rows += vals[:, j : j + 1] * self.binv[idx[:, j]]
+        return rows[0] if scalar else rows
 
 
 @dataclass

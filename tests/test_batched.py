@@ -1,0 +1,287 @@
+"""Batched evaluation: array calls against the per-point reference code.
+
+The references are the scalar Cox-de Boor pass (NURBS Book A2.3, kept in
+``splines._basis_and_derivatives``), dense value rows and ``np.kron``
+evaluated one stretch at a time, and ``scipy.interpolate.BSpline``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hyperspline as hs
+from hyperspline import splines
+from hyperspline.cli import load_model, main, model_to_dict
+from hyperspline.model import spec_ops, stress_row
+
+UT, BT, PS = hs.DeformationMode.UT, hs.DeformationMode.BT, hs.DeformationMode.PS
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+KIND_FILES = ("separable", "surface", "mapped")
+
+
+def _knot_vectors():
+    rng = np.random.default_rng(5)
+    out = [splines.make_knots(np.linspace(0.0, 1.0, m)) for m in (4, 5, 20)]
+    for m in (6, 11):
+        sites = np.sort(rng.uniform(-1.0, 4.0, m))
+        while np.any(np.diff(sites) < 1e-2):
+            sites = np.sort(rng.uniform(-1.0, 4.0, m))
+        out.append(splines.make_knots(sites))
+    return out
+
+
+def _points(kv, rng):
+    lo, hi = kv.domain
+    return np.concatenate([rng.uniform(lo, hi, 200), np.unique(kv.array()), [lo, hi]])
+
+
+def _scalar_row(kv, x, r):
+    span, ders = splines._basis_and_derivatives(kv, float(x), r)
+    row = np.zeros(kv.n)
+    row[span - kv.degree : span + 1] = ders[r]
+    return span, row
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_batched_basis_matches_scalar_cox_de_boor(r):
+    rng = np.random.default_rng(11 + r)
+    for kv in _knot_vectors():
+        x = _points(kv, rng)
+        spans, block = splines.basis_at(kv, x, r)
+        rows = splines.basis_row(kv, x, r)
+        assert block.shape == (x.size, kv.degree + 1) and rows.shape == (x.size, kv.n)
+        for k, xk in enumerate(x):
+            span, ref = _scalar_row(kv, xk, r)
+            assert spans[k] == span
+            # the same arithmetic point by point: equal to the last bit
+            np.testing.assert_array_equal(rows[k], ref)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_batched_basis_matches_scipy(r):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(23 + r)
+    for kv in _knot_vectors():
+        x = _points(kv, rng)
+        t = kv.array()
+        if r == 0:
+            ref = interpolate.BSpline.design_matrix(x, t, kv.degree).toarray()
+        else:
+            ref = interpolate.BSpline(t, np.eye(kv.n), kv.degree)(x, nu=r)
+        scale = max(1.0, float(np.abs(ref).max()))
+        np.testing.assert_allclose(splines.basis_row(kv, x, r), ref, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_batched_value_rows_match_scalar_rows(r):
+    rng = np.random.default_rng(31 + r)
+    for sites in (np.linspace(0.0, 1.0, 20), np.linspace(0.0, 1.0, 5)):
+        ops = splines.DirectionOps(sites)
+        x = _points(ops.kv, rng)
+        rows = ops.value_row(x, r)
+        ref = np.array([_scalar_row(ops.kv, xk, r)[1] @ ops.binv for xk in x])
+        np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        # a row does not depend on the batch it is computed in
+        for k in (0, 7, x.size - 1):
+            np.testing.assert_array_equal(ops.value_row(float(x[k]), r), rows[k])
+
+
+def _scalar_reference(state, mode, lam):
+    """Per-point reference of ``predict_stress_clamped``: one stretch at a
+    time, scalar A2.3 value rows combined with ``np.kron``."""
+    spec = state.spec
+    cfg = spec.domain
+    ops = spec_ops(spec)
+    sc = hs.stress_coefficients(mode, lam)
+    if sc.alpha == 0.0 and sc.beta == 0.0:
+        return 0.0, False
+
+    def row(direction, x, r):
+        return _scalar_row(direction.kv, x, r)[1] @ direction.binv
+
+    def transform(i2):
+        return hs.poly_transform(i2) if cfg.use_polyconvex else (i2, 1.0)
+
+    i1, i2 = hs.invariants(mode, lam)
+    tol = 1e-9
+    if spec.kind is hs.ModelKind.MAPPED_SURFACE:
+        i1c = min(max(i1, cfg.u_min), cfg.u_max)
+        xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
+        t_lo, _ = transform(max(hs.boundary(i1c).i2_lo, 3.0))
+        eff, _ = hs.width(i1c, cfg)
+        eta = (transform(max(i2, 3.0))[0] - t_lo) / eff
+        outside = (i1 > cfg.u_max * (1 + tol) or i1 < cfg.u_min - tol
+                   or not -tol <= eta <= 1.0 + tol or not -tol <= xi <= 1.0 + tol)
+        xi, eta = min(max(xi, 0.0), 1.0), min(max(eta, 0.0), 1.0)
+        jac = hs.map_jacobian(*hs.map_inverse(xi, eta, cfg), cfg)
+        s_xi = np.kron(row(ops.u, xi, 1), row(ops.v, eta, 0))
+        s_eta = np.kron(row(ops.u, xi, 0), row(ops.v, eta, 1))
+        dw1 = s_xi * jac.dxi_di1 + s_eta * jac.deta_di1
+        dw2 = s_eta * jac.deta_di2
+    else:
+        L1 = cfg.u_max - cfg.u_min
+        x1 = (i1 - cfg.u_min) / L1
+        t, tp = transform(i2)
+        x2 = (t - transform(3.0)[0]) / spec.i2_axis_max
+        dx2 = tp / spec.i2_axis_max
+        outside = not (-tol <= x1 <= 1.0 + tol and -tol <= x2 <= 1.0 + tol)
+        x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
+        if spec.kind is hs.ModelKind.SEPARABLE:
+            dw1 = np.concatenate([row(ops.u, x1, 1) / L1, np.zeros(spec.n2)])
+            dw2 = np.concatenate([np.zeros(spec.n1), row(ops.v, x2, 1) * dx2])
+        else:
+            dw1 = np.kron(row(ops.u, x1, 1), row(ops.v, x2, 0)) / L1
+            dw2 = np.kron(row(ops.u, x1, 0), row(ops.v, x2, 1)) * dx2
+    return float((sc.alpha * dw1 + sc.beta * dw2) @ state.theta), outside
+
+
+@pytest.mark.parametrize("kind", KIND_FILES)
+def test_batched_prediction_matches_the_scalar_path(kind):
+    """A 1e-4 stretch grid over [1, 1.1] (the near-apex band where the map
+    is least well conditioned), then 200 stretches up to 1.25x the largest
+    Treloar stretch of the mode, so part of each grid extrapolates."""
+    state, _ = load_model(FIXTURES / f"{kind}.json")
+    reference = json.loads((FIXTURES / "reference.json").read_text())
+    windows = reference["predict_flag_windows"].get(kind, {})
+    largest = {UT: 7.61, BT: 4.45, PS: 4.96}
+    for mode in (UT, BT, PS):
+        lam = np.concatenate([1.0 + 1e-4 * np.arange(1001),
+                              np.linspace(1.1, 1.25 * largest[mode], 201)[1:]])
+        value, flag = hs.predict_stress_clamped(state, mode, lam)
+        ref = [_scalar_reference(state, mode, float(x)) for x in lam]
+        ref_value = np.array([v for v, _ in ref])
+        ref_flag = np.array([f for _, f in ref])
+        assert value[0] == 0.0 and not flag[0]  # stretch 1 is exactly stress-free
+        checked = lam > windows.get(mode.value, 1.0)
+        assert checked.sum() > 1100
+        np.testing.assert_array_equal(flag[checked], ref_flag[checked])
+        scale = np.abs(ref_value[checked]).max()
+        np.testing.assert_allclose(value[checked], ref_value[checked],
+                                   rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", KIND_FILES)
+def test_batch_and_single_calls_agree(kind):
+    state, _ = load_model(FIXTURES / f"{kind}.json")
+    lam = np.array([1.0, 1.02, 1.5, 2.5, 4.0, 9.0])
+    for mode in (UT, BT, PS):
+        value, flag = hs.predict_stress_clamped(state, mode, lam)
+        rows = stress_row(state.spec, mode, lam, clamp=True)
+        for k, x in enumerate(lam.tolist()):
+            one, one_flag = hs.predict_stress_clamped(state, mode, x)
+            assert (one, one_flag) == (value[k], flag[k])
+            np.testing.assert_array_equal(stress_row(state.spec, mode, x, clamp=True), rows[k])
+
+
+def _assert_floats(*values):
+    for v in values:
+        assert type(v) is float, (v, type(v))
+
+
+def test_scalar_calls_return_python_floats():
+    cfg = hs.DomainMapConfig(u_max=20.0)
+    _assert_floats(*hs.invariants(BT, 1.7))
+    sc = hs.stress_coefficients(PS, np.float64(1.7))
+    _assert_floats(sc.alpha, sc.beta)
+    be = hs.boundary(5.0)
+    _assert_floats(be.i2_lo, be.i2_hi, be.d_lo, be.d_hi)
+    _assert_floats(*hs.boundary(3.0).__dict__.values())
+    _assert_floats(hs.cubic_residual(5.0, 4.0), *hs.poly_transform(4.0),
+                   hs.poly_transform_inverse(2.0), *hs.width(5.0, cfg))
+    xi, eta = hs.map_forward(5.0, 4.5, cfg)
+    _assert_floats(xi, eta, *hs.map_inverse(xi, eta, cfg))
+    jac = hs.map_jacobian(5.0, 4.5, cfg)
+    _assert_floats(jac.dxi_di1, jac.deta_di1, jac.deta_di2, *hs.chain_rule(1.0, 2.0, jac))
+
+    kv = splines.make_knots(np.linspace(0.0, 1.0, 6))
+    span, vals = splines.basis_at(kv, 0.3, 1)
+    assert type(span) is int and vals.shape == (4,)
+    assert splines.basis_row(kv, 0.3).shape == (kv.n,)
+    _assert_floats(splines.eval_coeffs(kv, np.arange(6.0), 0.3))
+    curve = hs.interpolate_curve(np.linspace(0.0, 1.0, 6), np.arange(6.0))
+    _assert_floats(curve(0.3), curve(0.3, 2))
+    grid = splines.InterpolationGrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4),
+                                     np.ones((5, 4)))
+    _assert_floats(hs.interpolate_surface(grid).eval(0.3, 0.6, 1, 0))
+    assert splines.DirectionOps(np.linspace(0.0, 1.0, 6)).value_row(0.3).shape == (6,)
+
+    for name in KIND_FILES:
+        state, _ = load_model(FIXTURES / f"{name}.json")
+        _assert_floats(hs.predict_stress(state, UT, 2.0), hs.energy(state, 5.0, 4.5))
+        value, flag = hs.predict_stress_clamped(state, UT, 2.0)
+        _assert_floats(value)
+        assert type(flag) is bool
+        assert stress_row(state.spec, BT, 1.5).shape == (state.spec.n_params,)
+        dw1, dw2 = hs.sensitivity_derivatives(state.spec, 5.0, 4.5)
+        assert dw1.shape == dw2.shape == (state.spec.n_params,)
+
+
+def test_array_calls_return_arrays():
+    lam = np.array([1.0, 1.5, 2.0])
+    i1, i2 = hs.invariants(UT, lam)
+    assert i1.shape == i2.shape == (3,)
+    assert hs.boundary(i1).i2_hi.shape == (3,)
+    state, _ = load_model(FIXTURES / "mapped.json")
+    value, flag = hs.predict_stress_clamped(state, UT, list(lam))
+    assert value.shape == (3,) and flag.dtype == bool
+    assert hs.energy(state, i1, i2).shape == (3,)
+    with pytest.raises(ValueError):
+        hs.invariants(UT, np.ones((2, 2)))
+
+
+def test_scalar_errors_are_unchanged():
+    cfg = hs.DomainMapConfig(u_max=20.0)
+    kv = splines.make_knots(np.linspace(0.0, 1.0, 5))
+    cases = [
+        (lambda: hs.invariants(UT, -1.0), "stretch must be positive, got -1.0"),
+        (lambda: hs.boundary(2.5), "I1 must be at least 3, got 2.5"),
+        (lambda: hs.poly_transform(2.5), "I2 must be at least 3, got 2.5"),
+        (lambda: hs.map_forward(25.0, 30.0, cfg), "I1 = 25.0 outside [3.0, 20.0]"),
+        (lambda: hs.map_forward(5.0, 3.0, cfg), "point (I1, I2) = (5.0, 3.0) is not admissible"),
+        (lambda: hs.map_inverse(0.5, 1.5, cfg), "eta = 1.5 outside [0, 1]"),
+        (lambda: splines.basis_row(kv, 1.5), "evaluation point 1.5 outside spline domain"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value).startswith(message), str(err.value)
+    # an array names its first offending entry
+    with pytest.raises(ValueError, match=r"got -2\.0$"):
+        hs.invariants(UT, [1.0, -2.0, -3.0])
+
+
+def test_assemble_design_names_the_first_failing_sample():
+    samples = [hs.Sample(mode, float(lam), 0.0)
+               for mode in (UT, BT, PS) for lam in np.linspace(1.0, 3.0, 6)]
+    spec = hs.default_spec(hs.ModelKind.SURFACE, samples, 8, 4)
+    # modes are batched separately: the UT batch fails first, at sample 4,
+    # but sample 3 (BT) is the first that cannot be assembled
+    bad = [hs.Sample(UT, 2.0, 1.0), hs.Sample(UT, 1.5, 1.0), hs.Sample(BT, 1.5, 1.0),
+           hs.Sample(BT, 9.0, 1.0), hs.Sample(UT, 9.0, 1.0)]
+    with pytest.raises(ValueError, match=r"^sample 3 \(BT, stretch 9\.0\) cannot be assembled: "
+                                         r"normalised I1 = .* outside the calibrated domain"):
+        hs.assemble_design(spec, bad)
+
+
+def test_predict_reports_the_line_of_a_failing_row(tmp_path, capsys):
+    # a mapped model without the apex width floor cannot be evaluated where
+    # I1 rounds to exactly 3: stretch 1 + 1e-9 gives a zero band width
+    samples = [hs.Sample(mode, float(lam), 0.0)
+               for mode in (UT, BT, PS) for lam in np.linspace(1.0, 3.0, 6)]
+    spec = hs.default_spec(hs.ModelKind.MAPPED_SURFACE, samples, 6, 4, delta=0.0)
+    theta = np.linspace(0.0, 1.0, spec.n_params)
+    state = hs.ModelState(spec=spec, theta=theta)
+    doc = model_to_dict(state, 0.0, hs.metrics(state, samples), {})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    at = tmp_path / "at.csv"
+    at.write_text("mode,stretch\nUT,2.0\n# comment\nBT,1.5\nUT,1.000000001\nPS,1.2\n")
+    args = ["predict", "--model", str(model), "--at", str(at), "--output", str(tmp_path / "p")]
+    assert main(args) == 3
+    assert f"{at}:5: zero band width" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+    at.write_text("mode,stretch\nUT,2.0\n\nUT,abc\n")
+    assert main(args) == 2
+    assert f"{at}:4: bad mode or stretch" in capsys.readouterr().err

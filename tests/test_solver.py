@@ -484,3 +484,64 @@ def test_solution_reporting_fields():
     assert sol.iterations >= 1
     assert sol.wall_time >= 0.0
     assert isinstance(sol.active_set, tuple)
+
+
+def _near_active_system(problem, theta):
+    """Gradient and near-active constraint rows as ``kkt_check`` forms them."""
+    free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
+    M, d = _stacked(problem, free, float(problem.lambda_pen))
+    g = 2.0 * M.T @ (M @ theta[free] - d)
+    G = problem.A_ineq[:, free]
+    act = G @ theta[free] >= -1e-8 * (1.0 + np.linalg.norm(theta[free]))
+    return g, G[act]
+
+
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_kkt_check_multipliers_are_nonnegative_least_squares(treloar_fit, kind):
+    """Stationarity is the residual of the best nonnegative multipliers on
+    the near-active rows; ``scipy.optimize.nnls`` is the cross-check."""
+    optimize = pytest.importorskip("scipy.optimize")
+    fit = treloar_fit(kind)
+    g0 = float(np.linalg.norm(2.0 * fit.A.T @ fit.y))
+    rng = np.random.default_rng(71)
+    noise = rng.normal(size=fit.sol.theta.size)
+    noise[list(fit.problem.fixed_zero)] = 0.0
+    for theta in (fit.sol.theta, 0.9 * fit.sol.theta,
+                  fit.sol.theta + 1e-3 * np.abs(fit.sol.theta).max() * noise):
+        g, Ga = _near_active_system(fit.problem, theta)
+        mu = solver._nnls(Ga.T, -g)
+        assert np.all(mu >= 0.0)
+        _, rnorm = optimize.nnls(Ga.T, -g, maxiter=50 * Ga.shape[0])
+        stat, _, _ = kkt_check(fit.problem, theta)
+        assert stat == pytest.approx(float(np.linalg.norm(g + Ga.T @ mu)), rel=1e-12)
+        assert abs(stat - rnorm) <= 1e-9 * g0
+
+
+def test_nnls_matches_scipy_on_random_problems():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(73)
+    for _ in range(50):
+        m, k = rng.integers(3, 12), rng.integers(1, 15)  # k > m: more columns than rank
+        B = rng.normal(size=(m, k))
+        b = rng.normal(size=m)
+        mu = solver._nnls(B, b)
+        ref, rnorm = optimize.nnls(B, b)
+        assert np.all(mu >= 0.0)
+        assert np.linalg.norm(B @ mu - b) == pytest.approx(rnorm, rel=1e-6, abs=1e-9)
+        if k <= m:  # full column rank: the minimiser is unique
+            np.testing.assert_allclose(mu, ref, atol=1e-6 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_kkt_check_reports_a_perturbed_fit(treloar_fit, kind):
+    """Nonnegative multipliers on the near-active rows cannot absorb a real
+    departure from the optimum: the fit reads near roundoff, a perturbed
+    theta well above the 1e-2 * ||2 A^T y|| a fit gate allows."""
+    fit = treloar_fit(kind)
+    g0 = float(np.linalg.norm(2.0 * fit.A.T @ fit.y))
+    assert kkt_check(fit.problem, fit.sol.theta)[0] <= 1e-8 * g0
+    assert kkt_check(fit.problem, 0.5 * fit.sol.theta)[0] >= 10 * 1e-2 * g0
+    noise = np.random.default_rng(79).normal(size=fit.sol.theta.size)
+    noise[list(fit.problem.fixed_zero)] = 0.0
+    noisy = fit.sol.theta + 1e-2 * np.abs(fit.sol.theta).max() * noise
+    assert kkt_check(fit.problem, noisy)[0] >= 10 * 1e-2 * g0
