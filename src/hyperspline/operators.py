@@ -83,20 +83,19 @@ def curvature_operator(spec: ModelSpec, quad_order: int = 4) -> PenaltyOperator:
 
 
 def _dedup_unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale rows to unit norm, drop zero rows and exact duplicates."""
-    out = []
-    seen = set()
-    for row in rows:
-        nrm = np.linalg.norm(row)
-        if nrm == 0.0:
-            continue
-        unit = row / nrm
-        key = np.round(unit, 12).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(unit)
-    return np.vstack(out) if out else np.zeros((0, rows.shape[1]))
+    """Scale rows to unit norm, drop zero rows and exact duplicates.
+
+    Rows are duplicates when their bytes agree after rounding to 12
+    decimals; the first of each is kept and the order is preserved.  Each
+    norm is the row's own dot product, as ``np.linalg.norm`` of the row.
+    """
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+    nonzero = norms != 0.0
+    units = rows[nonzero] / norms[nonzero, None]
+    keys = np.ascontiguousarray(np.round(units, 12))
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return units[np.sort(first)]
 
 
 def inequality_operator(spec: ModelSpec, *, monotone_1: bool = True,

@@ -6,18 +6,23 @@ The calibration problem is
     s.t. A_ineq theta <= 0,  theta[fixed] = 0,
 
 a convex QP solved with a primal active-set method in the least-squares
-(stacked) form; the normal equations are never formed.  The stacked matrix
-is reduced once per solve to its triangular factor R (with Q^T d), so
-iterations work on n rows whatever the number of samples.  Each iteration
-takes the null space Z of the working rows from a complete QR of their
-transpose, solves the subproblem by a QR of R Z and reuses the first
-factor for the multipliers (Lawson & Hanson, Solving Least Squares
-Problems, 1974, ch. 23).  From a feasible start, steps stay feasible, the
-blocking row at the shortest step is added (ties go to the smallest index)
-and the row with the most negative multiplier is dropped.  The working set
-stays linearly independent: a warm start seeds it with an independent
-subset of its near-active rows, and a blocking row is never a combination
-of working rows.  Feasibility is judged relative to max|theta|: the rows
+(stacked) form; the normal equations are never formed.  The penalty block
+is reduced to its triangular factor once per problem (``solve``) or sweep
+(``lcurve``), and the stacked matrix once per solve to its triangular
+factor R (with Q^T d), so iterations work on n rows whatever the number of
+samples.  A solve keeps the complete orthogonal factor of the working
+rows' transpose, G_W^T = Q[:, :k] T, and updates it on each add and drop
+instead of refactoring (Gill, Golub, Murray & Saunders, Methods for
+modifying matrix factorizations, 1974).  Each iteration solves the
+subproblem on the null space Z = Q[:, k:] by a QR of R Z, and the
+multipliers reuse T (Lawson & Hanson, Solving Least Squares Problems,
+1974, ch. 23).  From a feasible start, steps stay feasible, the blocking
+row at the shortest step is added (ties go to the smallest index) and the
+row with the most negative multiplier is dropped.  The working set stays
+linearly independent: a warm start seeds it with its near-active rows in
+index order through the add path, which skips a row within INDEP_TOL of
+the span of those before it, and a blocking row is never a combination of
+working rows.  Feasibility is judged relative to max|theta|: the rows
 of ``inequality_operator`` are unit-normalised, so G @ theta carries the
 units of theta.  A loop that reaches its iteration cap raises.
 
@@ -95,6 +100,8 @@ class Solution:
     active_set: tuple
     kkt_residual: float
     iterations: int
+    adds: int  # working-set changes made by the iterations (a seed is not counted)
+    drops: int
     wall_time: float
 
 
@@ -128,38 +135,42 @@ def _feas_tol(x: np.ndarray) -> float:
     return FEAS_TOL * max(1.0, float(np.max(np.abs(x))))
 
 
-def _independent(G: np.ndarray, rows: list) -> list:
-    """Greedy subset of ``rows`` whose rows of G are linearly independent."""
-    basis = np.zeros((0, G.shape[1]))
-    keep = []
-    for j in rows:
-        r = G[j] - basis.T @ (basis @ G[j])
-        r -= basis.T @ (basis @ r)  # second Gram-Schmidt pass
-        norm = float(np.linalg.norm(r))
-        if norm > INDEP_TOL * float(np.linalg.norm(G[j])):
-            keep.append(j)
-            basis = np.vstack([basis, r / norm])
-    return keep
+def _free(problem: CalibrationProblem) -> np.ndarray:
+    return np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero],
+                    dtype=int)
+
+
+def _reduce_penalty(problem: CalibrationProblem) -> CalibrationProblem:
+    """The problem with a penalty block taller than its free columns
+    replaced by the triangular QR factor of those columns (zero on the
+    pinned ones): an exact norm-preserving step for every theta with the
+    pinned parameters at zero.  A block that is not taller is kept."""
+    if problem.A_pen is None:
+        return problem
+    free = _free(problem)
+    P = problem.A_pen[:, free]
+    if P.shape[0] <= P.shape[1]:
+        return problem
+    A_pen = np.zeros((free.size, problem.n_params))
+    A_pen[:, free] = np.linalg.qr(P, mode="r")
+    return replace(problem, A_pen=A_pen)
 
 
 def _stacked(problem: CalibrationProblem, free: np.ndarray, lam: float):
     """Stacked least-squares matrix on the free parameters, with ridge fallback.
 
-    Penalty blocks taller than the parameter count are reduced to their
-    triangular QR factor first (an exact norm-preserving step), keeping
-    each subproblem small.  A numerically rank-deficient stack gets
-    micro-ridge rows sqrt(eps) * ||A|| * I, with a warning: eps * ||A||^2 on
-    the normal matrix, the perturbation that forming A^T A in double
-    precision already makes.  It damps only the directions whose singular
-    value is below sqrt(eps) * ||A||.
+    The penalty block enters as its triangular factor, at most one row per
+    free parameter (``_reduce_penalty``; ``solve`` and ``lcurve`` reduce it
+    once per problem, so here it is already reduced).  A numerically
+    rank-deficient stack gets micro-ridge rows sqrt(eps) * ||A|| * I, with a
+    warning: eps * ||A||^2 on the normal matrix, the perturbation that
+    forming A^T A in double precision already makes.  It damps only the
+    directions whose singular value is below sqrt(eps) * ||A||.
     """
     Af = problem.A[:, free]
     parts = [Af]
     if problem.A_pen is not None and lam > 0.0:
-        Pf = problem.A_pen[:, free]
-        if Pf.shape[0] > Pf.shape[1]:
-            Pf = np.linalg.qr(Pf, mode="r")
-        parts.append(math.sqrt(lam) * Pf)
+        parts.append(math.sqrt(lam) * _reduce_penalty(problem).A_pen[:, free])
     M = np.vstack(parts)
     d = np.concatenate([problem.y, np.zeros(M.shape[0] - Af.shape[0])])
     sv = np.linalg.svd(M, compute_uv=False)
@@ -182,26 +193,75 @@ def _reduce(M: np.ndarray, d: np.ndarray):
     return Rc[:, :-1], Rc[:, -1]
 
 
-def _subproblem(R: np.ndarray, c: np.ndarray, Gw: np.ndarray):
-    """Minimise ||R t - c|| subject to Gw t = 0.
-
-    The complete QR Gw^T = [Y Z] [T; 0] gives the null space Z of the
-    working rows; t = Z z with z from a QR of R Z.  Returns t, Y and T.
+class _WorkingFactor:
+    """Working rows of G and the complete orthogonal factor of their
+    transpose, G_W^T = Q[:, :k] T with T upper triangular; Q[:, k:] spans
+    their null space.  Adding a row applies one Householder reflector to
+    the null-space columns; dropping one restores T from a small QR of its
+    Hessenberg block (Gill, Golub, Murray & Saunders, Methods for modifying
+    matrix factorizations, 1974).  ``rows`` and the columns of T follow the
+    order of the adds.
     """
-    k = Gw.shape[0]
-    Q, T = np.linalg.qr(Gw.T, mode="complete")
-    Z = Q[:, k:]
-    t = np.zeros(R.shape[1])
-    if Z.shape[1]:
-        Qz, Rz = np.linalg.qr(R @ Z)
-        t = Z @ np.linalg.solve(Rz, Qz.T @ c)
-    return t, Q[:, :k], T[:k]
 
+    def __init__(self, G: np.ndarray):
+        n = G.shape[1]
+        self.G = G
+        self.Q = np.eye(n)
+        self.T = np.zeros((n, n))
+        self.rows: list = []
+        self.mask = np.zeros(G.shape[0], dtype=bool)
 
-def _multipliers(R, c, Y, T, theta) -> np.ndarray:
-    """Working-row multipliers at theta: solve Gw^T mu = -g with Gw^T = Y T."""
-    g = 2.0 * R.T @ (R @ theta - c)
-    return np.linalg.solve(T, -(Y.T @ g))
+    def add(self, j: int, tol: float = 0.0) -> bool:
+        """Append row j unless its part outside the working span is at most
+        ``tol``; returns whether it was added."""
+        k = len(self.rows)
+        w = self.Q.T @ self.G[j]
+        x = w[k:]
+        alpha = math.sqrt(float(x @ x))
+        if alpha <= tol:
+            return False
+        # H = I - tau v v^T with v[0] = 1 maps x to beta e_1, scaled as
+        # LAPACK's dlarfg: on rows of -I (``_nnls``) Q stays a signed
+        # permutation, so pinned entries of a step are exactly zero
+        beta = -math.copysign(alpha, x[0])
+        v = x / (x[0] - beta)
+        v[0] = 1.0
+        Zq = self.Q[:, k:]
+        Zq -= (((beta - x[0]) / beta) * (Zq @ v))[:, None] * v
+        self.T[:k, k] = w[:k]
+        self.T[k, k] = beta
+        self.rows.append(j)
+        self.mask[j] = True
+        return True
+
+    def drop(self, p: int) -> None:
+        """Remove the working row at position p."""
+        k = len(self.rows)
+        if p < k - 1:
+            Qh, Rh = np.linalg.qr(self.T[p:k, p + 1:k], mode="complete")
+            self.Q[:, p:k] = self.Q[:, p:k] @ Qh
+            self.T[:p, p:k - 1] = self.T[:p, p + 1:k]
+            self.T[p:k, p:k - 1] = Rh
+        self.T[:k, k - 1] = 0.0
+        self.T[k - 1, :k] = 0.0
+        self.mask[self.rows.pop(p)] = False
+
+    def step(self, R: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Minimise ||R t - c|| subject to G_W t = 0: t = Z z with z from
+        the triangular factor of [R Z | c]."""
+        Z = self.Q[:, len(self.rows):]
+        m = Z.shape[1]
+        if not m:
+            return np.zeros(R.shape[1])
+        Rz, cz = _reduce(R @ Z, c)
+        return Z @ np.linalg.solve(Rz[:m], cz[:m])
+
+    def multipliers(self, R: np.ndarray, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Working-row multipliers at theta: solve G_W^T mu = -g with
+        G_W^T = Q[:, :k] T."""
+        k = len(self.rows)
+        g = 2.0 * R.T @ (R @ theta - c)
+        return np.linalg.solve(self.T[:k, :k], -(self.Q[:, :k].T @ g))
 
 
 def _ratio_test(G, theta, step, work):
@@ -217,30 +277,40 @@ def _ratio_test(G, theta, step, work):
 
 
 def _active_set_lsq(R, c, G, theta0, work0, max_iter):
-    """Primal active-set loop on ||R theta - c||; returns (theta, working
-    rows, their multipliers, iterations)."""
+    """Primal active-set loop on ||R theta - c||.
+
+    The rows ``work0`` seed the working set through the add path, in order;
+    a row within INDEP_TOL of the span of those before it is skipped, so
+    the working set starts linearly independent.  Returns (theta, working
+    rows, their multipliers, iterations, adds, drops); adds and drops count
+    the loop's changes of the working set, not the seed.
+    """
     theta = theta0.copy()
-    work = np.zeros(G.shape[0], dtype=bool)
-    work[work0] = True
+    work = _WorkingFactor(G)
+    for j in work0:
+        work.add(j, INDEP_TOL * float(np.linalg.norm(G[j])))
+    adds = drops = 0
     for it in range(1, max_iter + 1):
-        trial, Y, T = _subproblem(R, c, G[work])
+        trial = work.step(R, c)
         if np.all(G @ trial <= _feas_tol(trial)):
             theta = trial
-            mu = _multipliers(R, c, Y, T, theta)
+            mu = work.multipliers(R, c, theta)
             if np.all(mu >= -MULT_TOL):
-                return theta, np.flatnonzero(work), mu, it
-            work[np.flatnonzero(work)[np.argmin(mu)]] = False
+                return theta, work.rows, mu, it, adds, drops
+            work.drop(int(np.argmin(mu)))
+            drops += 1
             continue
         step = trial - theta
-        t_best, j = _ratio_test(G, theta, step, work)
+        t_best, j = _ratio_test(G, theta, step, work.mask)
         theta = theta + t_best * step
         if j >= 0:
-            work[j] = True
+            work.add(j)
+            adds += 1
         elif np.linalg.norm(step) < STEP_TOL:
             # no progress and nothing to add: treat as converged
-            mu = _multipliers(R, c, Y, T, theta)
+            mu = work.multipliers(R, c, theta)
             if np.all(mu >= -MULT_TOL):
-                return theta, np.flatnonzero(work), mu, it
+                return theta, work.rows, mu, it, adds, drops
     raise RuntimeError(f"active-set solver failed to converge in {max_iter} iterations")
 
 
@@ -248,22 +318,26 @@ def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
           max_iter: int | None = None) -> Solution:
     """Solve the calibration QP.
 
-    ``theta0`` may supply a feasible warm start (the working set is seeded
-    with a linearly independent subset of its near-active rows, taken in
-    index order); the default start is theta = 0, which is always
-    feasible for the homogeneous constraints.  Cold starts on heavily
-    constrained penalised problems first solve at 1e4x and 1e2x the target
-    weight — smoother solutions have small active sets, so each stage warm
-    starts the next and the total iteration count drops severalfold.
+    ``theta0`` may supply a feasible warm start (its near-active rows seed
+    the working set in index order, each one skipped that is within
+    INDEP_TOL of the span of those before it); the default start is
+    theta = 0, which is always feasible for the homogeneous constraints.
+    Cold starts on heavily constrained penalised problems first solve at
+    1e4x and 1e2x the target weight — smoother solutions have small active
+    sets, so each stage warm starts the next and the total iteration count
+    drops severalfold.  The stages share one triangular factor of the
+    penalty block.  ``iterations``, ``adds`` and ``drops`` sum over the
+    stages.
     """
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen is 'auto'; run lcurve() first and solve "
                          "with the chosen numeric weight")
     t_start = time.perf_counter()
+    problem = _reduce_penalty(problem)
     lam = float(problem.lambda_pen)
     n_ineq = problem.A_ineq.shape[0] if problem.A_ineq is not None else 0
     warm = theta0
-    pre_iters = 0
+    stages = []
     if (theta0 is None and lam > 0.0 and problem.A_pen is not None
             and n_ineq > 2 * problem.n_params):
         # Stage weights stay below the point where the penalty block drowns
@@ -274,14 +348,14 @@ def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
             for stage_lam in (1e4 * lam, 1e2 * lam):
                 if not lam < stage_lam < lam_cap:
                     continue
-                stage = _solve_once(replace(problem, lambda_pen=stage_lam),
-                                    warm, max_iter)
-                warm = stage.theta
-                pre_iters += stage.iterations
+                stages.append(_solve_once(replace(problem, lambda_pen=stage_lam),
+                                          warm, max_iter))
+                warm = stages[-1].theta
         except RuntimeError:
-            warm, pre_iters = theta0, 0
-    sol = _solve_once(problem, warm, max_iter)
-    return replace(sol, iterations=sol.iterations + pre_iters,
+            warm, stages = theta0, []
+    stages.append(_solve_once(problem, warm, max_iter))
+    return replace(stages[-1], iterations=sum(s.iterations for s in stages),
+                   adds=sum(s.adds for s in stages), drops=sum(s.drops for s in stages),
                    wall_time=time.perf_counter() - t_start)
 
 
@@ -289,7 +363,7 @@ def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None,
                 max_iter: int | None) -> Solution:
     t_start = time.perf_counter()
     n = problem.n_params
-    free = np.array([i for i in range(n) if i not in problem.fixed_zero], dtype=int)
+    free = _free(problem)
     if free.size == 0:
         raise ValueError("all parameters are pinned")
     M, d = _stacked(problem, free, float(problem.lambda_pen))
@@ -310,11 +384,11 @@ def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None,
         tol = _feas_tol(start)
         if viol.size and np.max(viol) > tol:
             raise ValueError("theta0 is infeasible")
-        work0 = _independent(G, [j for j in range(G.shape[0]) if viol[j] >= -tol])
+        work0 = np.flatnonzero(viol >= -tol)
 
     cap = max_iter if max_iter is not None else 10 * free.size + 100
     R, c = _reduce(M, d)
-    th_free, work, mu, iters = _active_set_lsq(R, c, G, start, work0, cap)
+    th_free, work, mu, iters, adds, drops = _active_set_lsq(R, c, G, start, work0, cap)
 
     theta = np.zeros(n)
     theta[free] = th_free
@@ -324,8 +398,8 @@ def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None,
     obj = float(np.sum((problem.A @ theta - problem.y) ** 2))
     if problem.A_pen is not None and float(problem.lambda_pen) > 0.0:
         obj += float(problem.lambda_pen) * float(np.sum((problem.A_pen @ theta) ** 2))
-    return Solution(theta=theta, objective=obj, active_set=tuple(int(j) for j in work),
-                    kkt_residual=kkt, iterations=iters,
+    return Solution(theta=theta, objective=obj, active_set=tuple(sorted(int(j) for j in work)),
+                    kkt_residual=kkt, iterations=iters, adds=adds, drops=drops,
                     wall_time=time.perf_counter() - t_start)
 
 
@@ -353,8 +427,7 @@ def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen must be numeric for a KKT check")
     theta = np.asarray(theta, dtype=float).ravel()
-    n = problem.n_params
-    free = np.array([i for i in range(n) if i not in problem.fixed_zero], dtype=int)
+    free = _free(problem)
     M, d = _stacked(problem, free, float(problem.lambda_pen))
     th = theta[free]
     g = 2.0 * M.T @ (M @ th - d)
@@ -421,8 +494,9 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     seminorms = np.zeros(grid.size)
     thetas = np.zeros((grid.size, problem.n_params))
     theta_prev = None
+    reduced = _reduce_penalty(problem)  # one factor for every weight
     for idx in range(grid.size - 1, -1, -1):
-        sub = replace(problem, lambda_pen=float(grid[idx]))
+        sub = replace(reduced, lambda_pen=float(grid[idx]))
         try:
             sol = solve(sub, theta0=theta_prev)
         except ValueError:

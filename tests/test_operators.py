@@ -14,6 +14,8 @@ from hyperspline import (
     inequality_operator,
     sensitivity_set,
 )
+from hyperspline.model import spec_ops
+from hyperspline.operators import _dedup_unit_rows
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 
@@ -104,6 +106,46 @@ def test_inequality_rows_are_unit_norm_and_deduplicated():
     np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
     keys = {np.round(r, 12).tobytes() for r in rows}
     assert len(keys) == rows.shape[0]
+
+
+def _loop_dedup_unit_rows(rows):
+    """Reference: the row-by-row deduplication the vectorised one replaced."""
+    out, seen = [], set()
+    for row in rows:
+        nrm = np.linalg.norm(row)
+        if nrm == 0.0:
+            continue
+        unit = row / nrm
+        key = np.round(unit, 12).tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(unit)
+    return np.vstack(out) if out else np.zeros((0, rows.shape[1]))
+
+
+def test_dedup_matches_the_row_loop():
+    """Same rows, bytes and order as the loop: zero rows, scaled and exact
+    copies, copies within the rounding, signed zeros and the real operators."""
+    rng = np.random.default_rng(137)
+    signed = np.array([[0.0, 1.0], [-1e-20, 1.0], [0.0, 2.0]])  # keys (0, 1), (-0, 1), (0, 1)
+    assert _dedup_unit_rows(signed).shape == (2, 2)
+    cases = [np.zeros((0, 4)), np.zeros((3, 4)), signed]
+    for _ in range(200):
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        rows = rng.normal(size=(m, n)) * rng.integers(0, 2, size=(m, n))
+        picks = rng.integers(0, m, size=m // 2)
+        rows[rng.integers(0, m, size=picks.size)] = rows[picks] * rng.choice(
+            [1.0, 3.0, 1.0 + 1e-15, 1.0 + 1e-9], size=(picks.size, 1))
+        rows[rng.random(m) < 0.1] = 0.0
+        rows[rng.random(m) < 0.1, 0] = -1e-20  # rounds to -0.0, not 0.0
+        cases.append(rows)
+    ops = spec_ops(_spec(ModelKind.MAPPED_SURFACE))
+    cases.append(np.vstack([-np.kron(ops.u.c2, ops.v.binv), -np.kron(ops.u.binv, ops.v.c2),
+                            -np.kron(ops.u.c2, ops.v.binv)]))
+    for rows in cases:
+        out, ref = _dedup_unit_rows(rows), _loop_dedup_unit_rows(rows)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 def test_inequality_toggles_change_row_counts():

@@ -329,7 +329,8 @@ def _svd_step(M, d, Gw):
 
 @pytest.mark.parametrize("weight", ["chosen", "zero"])
 def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypatch):
-    """Every working set of a real Treloar surface solve gets the reference step.
+    """Every working set of a real Treloar surface solve gets the reference
+    step from its updated factor.
 
     Steps agree in the norm of the fit, ||M (step - ref)||.  At zero weight
     the ridge leaves cond(M Z) near 2e7, so the steps themselves are only
@@ -340,28 +341,85 @@ def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypa
     problem = treloar_fit(ModelKind.SURFACE).problem
     if weight == "zero":
         problem = replace(problem, lambda_pen=0.0)
-    working_sets = []
-    subproblem = solver._subproblem
+    steps = []
+    factor_step = solver._WorkingFactor.step
 
-    def record(R, c, Gw):
-        working_sets.append(Gw)
-        return subproblem(R, c, Gw)
+    def record(self, R, c):
+        step = factor_step(self, R, c)
+        steps.append((list(self.rows), step.copy()))
+        return step
 
-    monkeypatch.setattr(solver, "_subproblem", record)
+    monkeypatch.setattr(solver._WorkingFactor, "step", record)
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # at zero weight the ridge engages
         solve(problem, theta0=np.zeros(problem.n_params))  # one stage, from the origin
         M, d = _stacked(problem, free, float(problem.lambda_pen))
-    R, c = solver._reduce(M, d)
-    assert len(working_sets) > 100
-    for Gw in working_sets:
-        step, _, _ = subproblem(R, c, Gw)
+    G = problem.A_ineq[:, free]
+    assert len(steps) > 100
+    for rows, step in steps:
+        Gw = G[rows]
         ref = _svd_step(M, d, Gw)
         assert np.linalg.norm(M @ (step - ref)) <= 1e-8 * np.linalg.norm(M @ ref)
         if weight == "chosen":
             assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
         assert np.max(np.abs(Gw @ step), initial=0.0) <= 1e-9 * max(1.0, np.max(np.abs(step)))
+
+
+def _assert_matches_a_fresh_factor(work, G):
+    """The updated factor against np.linalg.qr of the working rows' transpose."""
+    k, n = len(work.rows), G.shape[1]
+    Q, T = work.Q, work.T
+    assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
+    assert np.all(np.tril(T[:k, :k], -1) == 0.0)
+    assert np.all(T[k:] == 0.0) and np.all(T[:, k:] == 0.0)
+    Gw = G[work.rows]
+    np.testing.assert_allclose(Q[:, :k] @ T[:k, :k], Gw.T, rtol=0.0, atol=1e-12)
+    Qref, _ = np.linalg.qr(Gw.T, mode="complete")
+    Z, Zref = Q[:, k:], Qref[:, k:]
+    assert np.abs(Z @ Z.T - Zref @ Zref.T).max() <= 1e-12
+    assert np.array_equal(np.flatnonzero(work.mask), np.sort(work.rows))
+
+
+@pytest.mark.parametrize("start", ["empty", "all pinned"])
+def test_factor_updates_match_a_fresh_qr(start):
+    """Long random sequences of adds and drops keep the factor of the
+    working rows: Q orthogonal, T upper triangular, the same null space."""
+    rng = np.random.default_rng(131)
+    n = 9
+    if start == "empty":
+        G = rng.normal(size=(40, n))
+        G /= np.linalg.norm(G, axis=1)[:, None]
+        seed = []
+    else:  # _nnls' start: every multiplier pinned at zero
+        G = np.vstack([-np.eye(n), rng.normal(size=(20, n)) / np.sqrt(n)])
+        seed = list(range(n))
+    work = solver._WorkingFactor(G)
+    for j in seed:
+        assert work.add(j, solver.INDEP_TOL)
+    _assert_matches_a_fresh_factor(work, G)
+    for _ in range(600):
+        k = len(work.rows)
+        if k and (k >= n - 1 or rng.random() < 0.45):
+            work.drop(int(rng.integers(k)))
+        else:
+            j = int(rng.choice(np.flatnonzero(~work.mask)))
+            _, s, _ = np.linalg.svd(G[work.rows + [j]])
+            if s[-1] < 1e-3:  # keep the working rows well conditioned
+                continue
+            assert work.add(j)
+        _assert_matches_a_fresh_factor(work, G)
+
+
+def test_seed_skips_rows_in_the_working_span():
+    """A seed row within INDEP_TOL of the span of those before it is skipped."""
+    g1, g2 = -np.eye(3)[:2]
+    G = np.vstack([g1, g2, (g1 + g2) / np.sqrt(2.0), g1 + 1e-12 * g2])
+    work = solver._WorkingFactor(G)
+    added = [work.add(j, solver.INDEP_TOL * float(np.linalg.norm(G[j]))) for j in range(4)]
+    assert added == [True, True, False, False]
+    assert work.rows == [0, 1]
+    _assert_matches_a_fresh_factor(work, G)
 
 
 def _loop_ratio_test(G, theta, step, work):
@@ -482,6 +540,7 @@ def test_lcurve_respects_a_custom_grid():
 def test_solution_reporting_fields():
     sol = solve(_nonneg_problem(np.eye(2), np.array([3.0, -1.0])))
     assert sol.iterations >= 1
+    assert (sol.adds, sol.drops) == (1, 0)  # one blocking row, then optimal
     assert sol.wall_time >= 0.0
     assert isinstance(sol.active_set, tuple)
 
