@@ -3,23 +3,27 @@
 For an incompressible material the isochoric invariants (I1, I2) cannot
 fill the whole quadrant: they are confined to a cusp-shaped region with
 apex at (3, 3) whose lower and upper boundaries are traced by uniaxial
-and equibiaxial deformation.  Both boundaries are roots in I2 of the
-cubic
+and equibiaxial deformation.  Both boundaries lie on the uniaxial curve
+I1 = lam^2 + 2/lam, I2 = 2 lam + 1/lam^2, the lower one at stretches
+lam > 1 and the upper one at lam < 1, so ``boundary`` solves for the
+stretch at the given I1 and reads I2 and its slope off the curve.  Both
+are also roots in I2 of the cubic
 
     C(I1, I2) = I2^3 - I1^2 I2^2 / 4 - 9 I1 I2 / 2 + I1^3 + 27/4 = 0,
 
-which has exactly one spurious real root below 3 for every I1 > 3.
+kept as ``cubic_residual`` for checking.
 
 The map below sends this curved band to the unit square: the abscissa is
 an affine rescaling of I1 and the ordinate measures the relative position
 between the two boundaries, optionally after a monotone transform of I2
 whose convexity is compatible with polyconvex energies.  A small width
 floor ``delta`` keeps the map well defined at the apex, where the band
-collapses to a point.
+collapses to a point.  One admissibility rule, a relative tolerance of
+1e-9 on I2 in the transformed coordinate, decides which points the map
+rejects and which clamped predictions are flagged.
 
 Every function here is elementwise: it takes one point or a 1-D array of
-points (the trigonometric cubic is solved for all of them at once) and
-returns Python floats for a scalar point.
+points and returns Python floats for a scalar point.
 """
 
 from __future__ import annotations
@@ -31,8 +35,13 @@ import numpy as np
 
 from ._batch import first, pairs, points, unbatch
 
-_SQRT3 = math.sqrt(3.0)
-_SHIFT = 3.0 * _SQRT3  # value of I2^(3/2) at the undeformed state
+_SHIFT = 3.0 * math.sqrt(3.0)  # value of I2^(3/2) at the undeformed state
+# Newton on a boundary stretch lam stops once a step is below this fraction
+# of lam - 1 (the error left is then about its square) or below the
+# resolution of lam itself; a loop that reaches the cap raises.
+_NEWTON_RTOL = 1e-9
+_NEWTON_CAP = 30
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class DomainMapConfig:
 
 @dataclass(frozen=True)
 class BoundaryEval:
-    """Boundary roots of the admissibility cubic and their I1-derivatives
+    """Lower/upper admissible I2 at an I1 and their I1-derivatives
     (floats at one I1, arrays at an array of them)."""
 
     i2_lo: float
@@ -85,79 +94,58 @@ def cubic_residual(i1, i2):
                    + i1 ** 3 + 6.75, scalar)
 
 
-def _shifted_cubic(i1: np.ndarray):
-    """Coefficients of C(I1, 3 + y) = y^3 + q2 y^2 + q1 y + q0.
+def _stretch(e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Root of g(lam) = (lam - 1)^2 (lam + 2) - e lam by Newton from a start
+    with g > 0.
 
-    The factored forms of q1 and q0 avoid the catastrophic cancellation
-    the monomial expansion suffers near the apex, which is what lets one
-    Newton step reach machine-precision roots there.
+    g is convex on lam > 0, so from such a start the iterates move
+    monotonically onto the root.  Each point stops on its own, so its
+    result does not depend on the batch it is solved in.
     """
-    q2 = (36.0 - i1 * i1) / 4.0
-    q1 = -1.5 * (i1 - 3.0) * (i1 + 6.0)
-    q0 = (i1 - 3.0) ** 2 * (i1 + 3.75)
-    return q2, q1, q0
-
-
-def _cubic_val_d2(i1: np.ndarray, i2: np.ndarray):
-    """C and dC/dI2 evaluated through the shifted, factored form."""
-    q2, q1, q0 = _shifted_cubic(i1)
-    y = i2 - 3.0
-    val = ((y + q2) * y + q1) * y + q0
-    d2 = (3.0 * y + 2.0 * q2) * y + q1
-    return val, d2
-
-
-def _cubic_d1(i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
-    """dC/dI1 in the shifted form (equals -I1*I2^2/2 - 9*I2/2 + 3*I1^2)."""
-    y = i2 - 3.0
-    return (-0.5 * i1) * y * y - 1.5 * (2.0 * i1 + 3.0) * y + (i1 - 3.0) * (3.0 * i1 + 4.5)
-
-
-def _slope(i1: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """Implicit I1-derivative -(dC/dI1) / (dC/dI2) of a boundary root; 1 where
-    dC/dI2 vanishes (the apex tangent)."""
-    _, d2 = _cubic_val_d2(i1, root)
-    flat = np.abs(d2) < 1e-30
-    return np.where(flat, 1.0, -_cubic_d1(i1, root) / np.where(flat, 1.0, d2))
+    lam = lam.copy()
+    live = np.ones(lam.shape, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        x, ex = lam[live], e[live]
+        s = x - 1.0
+        step = (s * s * (x + 2.0) - ex * x) / (3.0 * s * (x + 1.0) - ex)
+        lam[live] = x - step
+        live[live] = np.abs(step) > np.maximum(_NEWTON_RTOL * np.abs(s), _EPS * x)
+        if not live.any():
+            return lam
+    raise RuntimeError(f"boundary stretch failed to converge in {_NEWTON_CAP} iterations")
 
 
 def boundary(i1) -> BoundaryEval:
     """Lower/upper admissible bounds on I2 at the given I1, with derivatives.
 
-    Solves the monic cubic by the trigonometric three-real-root method,
-    polishes each root with one Newton step, discards the spurious root
-    below 3, and differentiates the remaining roots implicitly:
-    I2' = -(dC/dI1) / (dC/dI2).  At the apex both bounds equal 3 and the
-    common tangent slope is 1.  Takes one I1 or an array of them.
+    Both bounds lie on the uniaxial curve I1 = lam^2 + 2/lam,
+    I2 = 2 lam + 1/lam^2: the lower one at a stretch lam > 1, the upper
+    (equibiaxial) one at lam < 1.  With e = I1 - 3 and s = lam - 1 the
+    stretch solves (lam - 1)^2 (lam + 2) = e lam, and
+
+        I2 - 3 = s^2 (2 lam + 1) / lam^2,    dI2/dI1 = 1 / lam.
+
+    The lower stretch lies in (1 + sqrt(e/3), 1 + sqrt(e)) and the upper
+    one in (max(1 - sqrt(e/3), 0), 1); Newton starts from the outer end of
+    each bracket.  Near the apex lam - 1 is exact, so no term cancels
+    there; at the apex both bounds equal 3 and the common slope is 1.
+    Takes one I1 or an array of them.
     """
     x, scalar = points(i1)
     small = x < 3.0 - 1e-9
     if small.any():
         raise ValueError(f"I1 must be at least 3, got {float(x[first(small)])!r}")
-    lo, hi = np.full((2, x.size), 3.0)  # the apex values
-    d_lo, d_hi = np.ones((2, x.size))
-    inner = x > 3.0
+    e = x - 3.0
+    inner = e > 0.0
+    lam_lo, lam_hi = np.ones((2, x.size))  # the apex
     if inner.any():
-        i1 = x[inner]
-        a = -0.25 * i1 * i1
-        b = -4.5 * i1
-        c = i1 ** 3 + 6.75
-        p = b - a * a / 3.0
-        q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-        m = 2.0 * np.sqrt(-p / 3.0)
-        phi = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
-        roots = m * np.cos(phi - 2.0 * math.pi * np.arange(3)[:, None] / 3.0) - a / 3.0
-        val, d2 = _cubic_val_d2(i1, roots)
-        steep = np.abs(d2) > 1e-30
-        roots = np.where(steep, roots - val / np.where(steep, d2, 1.0), roots)
-        kept = roots >= 3.0 - 1e-9
-        none = ~kept.any(axis=0)  # round-off collapse immediately next to the apex
-        r_lo = np.where(none, 3.0, np.where(kept, roots, np.inf).min(axis=0))
-        r_hi = np.where(none, 3.0, np.where(kept, roots, -np.inf).max(axis=0))
-        lo[inner], hi[inner] = r_lo, r_hi
-        d_lo[inner], d_hi[inner] = _slope(i1, r_lo), _slope(i1, r_hi)
-    return BoundaryEval(i2_lo=unbatch(lo, scalar), i2_hi=unbatch(hi, scalar),
-                        d_lo=unbatch(d_lo, scalar), d_hi=unbatch(d_hi, scalar))
+        e = e[inner]
+        lam_lo[inner] = _stretch(e, 1.0 + np.sqrt(e))
+        lam_hi[inner] = _stretch(e, np.maximum(1.0 - np.sqrt(e / 3.0), 0.0))
+    i2_lo, i2_hi = ((lam - 1.0) ** 2 * (2.0 * lam + 1.0) / (lam * lam) + 3.0
+                    for lam in (lam_lo, lam_hi))
+    return BoundaryEval(i2_lo=unbatch(i2_lo, scalar), i2_hi=unbatch(i2_hi, scalar),
+                        d_lo=unbatch(1.0 / lam_lo, scalar), d_hi=unbatch(1.0 / lam_hi, scalar))
 
 
 def poly_transform(i2):
@@ -198,9 +186,14 @@ def _transform_inverse(value: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
     return value
 
 
-def _check_i1(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
+def _off_axis(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
+    """Points whose I1 leaves [u_min, u_max] by more than round-off."""
     grace = 1e-9 * (1.0 + np.abs(i1))
-    bad = (i1 < cfg.u_min - grace) | (i1 > cfg.u_max + grace)
+    return (i1 < cfg.u_min - grace) | (i1 > cfg.u_max + grace)
+
+
+def _check_i1(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
+    bad = _off_axis(i1, cfg)
     if bad.any():
         raise ValueError(f"I1 = {float(i1[first(bad)])!r} outside [{cfg.u_min}, {cfg.u_max}]")
     return np.clip(i1, cfg.u_min, cfg.u_max)
@@ -209,8 +202,8 @@ def _check_i1(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
 def _band(i1: np.ndarray, cfg: DomainMapConfig):
     """Transformed boundary values, their derivatives and effective width."""
     be = boundary(i1)
-    t_lo, tp_lo = _transform(np.maximum(be.i2_lo, 3.0), cfg)
-    t_hi, tp_hi = _transform(np.maximum(be.i2_hi, 3.0), cfg)
+    t_lo, tp_lo = _transform(be.i2_lo, cfg)
+    t_hi, tp_hi = _transform(be.i2_hi, cfg)
     d_lo = tp_lo * be.d_lo
     d_hi = tp_hi * be.d_hi
     gap = t_hi - t_lo
@@ -227,9 +220,22 @@ def width(i1, cfg: DomainMapConfig):
     return unbatch(eff, scalar), unbatch(deff, scalar)
 
 
-def _relative(t: np.ndarray, t_lo: np.ndarray, eff: np.ndarray) -> np.ndarray:
-    """Position (t - t_lo) / eff across the band; 0 where the band is empty."""
-    return np.where(eff > 0.0, (t - t_lo) / np.where(eff > 0.0, eff, 1.0), 0.0)
+def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
+    """Unit-square coordinates ``(xi, eta)`` of invariant points, projected
+    onto the square, and the mask of points outside the admissible domain.
+
+    A point is outside when its I1 leaves the axis, or when its transformed
+    I2 leaves the band by more than a relative tolerance of 1e-9 on the
+    second invariant.  This one rule serves the map and clamped predictions.
+    """
+    i1c = np.clip(i1, cfg.u_min, cfg.u_max)
+    t, tp = _transform(i2, cfg)
+    t_lo, _, _, _, eff, _ = _band(i1c, cfg)
+    tol = 1e-9 * (1.0 + np.abs(i2)) * np.maximum(tp, 1.0)
+    outside = _off_axis(i1, cfg) | (t < t_lo - tol) | (t > t_lo + eff + tol)
+    xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
+    eta = np.where(eff > 0.0, (t - t_lo) / np.where(eff > 0.0, eff, 1.0), 0.0)
+    return np.clip(xi, 0.0, 1.0), np.clip(eta, 0.0, 1.0), outside
 
 
 def map_forward(i1, i2, cfg: DomainMapConfig):
@@ -241,18 +247,12 @@ def map_forward(i1, i2, cfg: DomainMapConfig):
     """
     i1, i2, scalar = pairs(i1, i2)
     i1 = _check_i1(i1, cfg)
-    t, tp = _transform(i2, cfg)
-    t_lo, _, _, _, eff, _ = _band(i1, cfg)
-    tol = 1e-9 * (1.0 + np.abs(i2)) * np.maximum(tp, 1.0)
-    bad = (t < t_lo - tol) | (t > t_lo + eff + tol)
+    xi, eta, bad = _locate(i1, i2, cfg)
     if bad.any():
         k = first(bad)
         raise ValueError(f"point (I1, I2) = ({float(i1[k])!r}, {float(i2[k])!r}) "
                          "is not admissible")
-    xi = (i1 - cfg.u_min) / (cfg.u_max - cfg.u_min)
-    eta = _relative(t, t_lo, eff)
-    return (unbatch(np.clip(xi, 0.0, 1.0), scalar),
-            unbatch(np.clip(eta, 0.0, 1.0), scalar))
+    return unbatch(xi, scalar), unbatch(eta, scalar)
 
 
 def map_inverse(xi, eta, cfg: DomainMapConfig):

@@ -38,7 +38,7 @@ import numpy as np
 from . import splines
 from ._batch import first, pairs, points, unbatch
 from .domain import (DomainMapConfig, map_forward, map_inverse,
-                     map_jacobian, _band, _relative, _transform)
+                     map_jacobian, _locate, _transform)
 from .kinematics import (DeformationMode, Sample, invariants, max_invariants,
                          mode_groups, stress_coefficients)
 
@@ -145,16 +145,6 @@ def _axes_coords(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
     return x1c, x2c, tp / spec.i2_axis_max, _beyond(x1, 1e-9) | _beyond(x2, 1e-9)
 
 
-def _loose_forward(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
-    """Unit-square coordinates without admissibility rejection (for clamping)."""
-    cfg = spec.domain
-    i1c = np.clip(i1, cfg.u_min, cfg.u_max)
-    xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
-    t, _ = _transform(np.maximum(i2, 3.0), cfg)
-    t_lo, _, _, _, eff, _ = _band(i1c, cfg)
-    return xi, _relative(t, t_lo, eff)
-
-
 def _coordinates(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
     """Spline coordinates of invariant points and the chain rule back to them.
 
@@ -166,11 +156,7 @@ def _coordinates(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
     cfg = spec.domain
     if spec.kind is ModelKind.MAPPED_SURFACE:
         if clamp:
-            tol = 1e-9
-            xi, eta = _loose_forward(spec, i1, i2)
-            outside = ((i1 > cfg.u_max * (1 + tol)) | (i1 < cfg.u_min - tol)
-                       | _beyond(eta, tol) | _beyond(xi, tol))
-            xi, eta = np.clip(xi, 0.0, 1.0), np.clip(eta, 0.0, 1.0)
+            xi, eta, outside = _locate(i1, i2, cfg)
             jac = map_jacobian(*map_inverse(xi, eta, cfg), cfg)
         else:
             xi, eta = map_forward(i1, i2, cfg)

@@ -52,6 +52,46 @@ def test_boundary_matches_parametric_curves():
         assert be.i2_hi == pytest.approx(i2_bt, rel=1e-8)
 
 
+def _exact_bound(i1, lam, mp):
+    """The bound through (I1, lam) at 50 digits: Newton on the uniaxial
+    curve (lam - 1)^2 (lam + 2) = (I1 - 3) lam from the stretch that
+    generated I1, then I2 and dI2/dI1 from the parametric derivatives."""
+    e = mp.mpf(i1) - 3
+    lam = mp.mpf(lam)
+    for _ in range(50):
+        step = ((lam - 1) ** 2 * (lam + 2) - e * lam) / (3 * (lam - 1) * (lam + 1) - e)
+        lam -= step
+        if abs(step) <= mp.mpf(10) ** -45 * abs(lam - 1):
+            break
+    i2 = 2 * lam + 1 / lam ** 2
+    slope = (2 - 2 / lam ** 3) / (2 * lam - 2 / lam ** 2)
+    return i2, slope
+
+
+def test_boundary_matches_the_exact_curves():
+    """Both bounds against a 50-digit oracle at the float I1 boundary() is
+    given: a 1e-6 stretch grid over (1, 1.01], where the band closes at the
+    apex, and the 1.01-8 grid.  The lower bound is the uniaxial branch at
+    stretch lam, the upper the equibiaxial one at lam, i.e. the uniaxial
+    curve at 1/lam^2."""
+    mpmath = pytest.importorskip("mpmath")
+    near = 1.0 + 1e-6 * np.arange(1, 10001)
+    far = np.linspace(1.01, 8.0, 50)
+    with mpmath.workdps(50):
+        for grid, tol_i2, relative in ((near, 1e-12, False), (far, 1e-13, True)):
+            for mode, side in ((DeformationMode.UT, "lo"), (DeformationMode.BT, "hi")):
+                i1, _ = invariants(mode, grid)
+                be = boundary(i1)
+                i2, slope = getattr(be, f"i2_{side}"), getattr(be, f"d_{side}")
+                ut = grid if side == "lo" else grid ** -2.0
+                for k in range(grid.size):
+                    i2_x, slope_x = _exact_bound(float(i1[k]), float(ut[k]), mpmath)
+                    err = abs(mpmath.mpf(float(i2[k])) - i2_x)
+                    assert err <= tol_i2 * (i2_x if relative else 1), (mode, grid[k], float(err))
+                    assert abs(mpmath.mpf(float(slope[k])) - slope_x) <= 1e-8 * slope_x, \
+                        (mode, grid[k])
+
+
 def test_boundary_roots_annihilate_the_cubic():
     for i1 in np.linspace(3.001, 80.0, 60):
         be = boundary(i1)
@@ -73,9 +113,12 @@ def test_boundary_filters_the_spurious_root():
 
 
 def test_boundary_crude_bounds():
-    # sqrt(3 I1) <= I2- and I2+ <= I1^2/3 hold on the admissible band
-    for i1 in np.linspace(3.0, 100.0, 40):
+    # sqrt(3 I1) <= I2- and I2+ <= I1^2/3 hold on the admissible band; the
+    # extreme I1 must converge too (reaching the Newton cap raises)
+    for i1 in [3.0 + 1e-15, *np.linspace(3.0, 100.0, 40), 1e6]:
         be = boundary(i1)
+        assert np.isfinite([be.i2_lo, be.i2_hi, be.d_lo, be.d_hi]).all()
+        assert 3.0 <= be.i2_lo <= be.i2_hi
         assert be.i2_lo >= math.sqrt(3.0 * i1) - 1e-9
         assert be.i2_hi <= i1 * i1 / 3.0 + 1e-9
 
