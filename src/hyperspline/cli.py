@@ -1,19 +1,27 @@
 """Command-line workflows: calibrate, predict, lcurve and compare.
 
+One reader parses every CSV input (the ``mode,stretch,stress`` data and
+predict's ``mode,stretch`` request): blank lines and lines starting with
+'#' are skipped, cells are split on commas and stripped of whitespace,
+and the first other line is the header.  Data rows have exactly three
+cells; a request row needs two and may carry more, which are ignored.
+Modes are the exact names UT, BT and PS, numbers are read by ``float``,
+and an error names the first failing line of the file.
+
 All outputs are plain JSON/CSV written atomically (temp file plus rename)
 and byte-deterministic for identical inputs, except the measured
-``wall_time_s`` column of ``compare.csv``: floats are serialised with
-``repr``, which emits the shortest digit string that round-trips.  Exit
-codes: 0 success, 2 input/config error, 3 numerical failure.
+``wall_time_s`` column of ``compare.csv``.  One writer emits every CSV:
+a header line and one line per row, each ending in a newline, with no
+quoting; floats are serialised with ``repr``, which emits the shortest
+digit string that round-trips.  Exit codes: 0 success, 2 input/config
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -25,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._batch import first
 from .domain import DomainMapConfig
 from .kinematics import DeformationMode, Sample, mode_groups
 from .model import (ModelKind, ModelSpec, ModelState, activation,
@@ -37,6 +46,7 @@ SCHEMA_VERSION = 1
 STRETCH_MIN = 0.05
 STRETCH_MAX = 20.0
 
+_MODES = {m.value: m for m in DeformationMode}
 _KIND_NAMES = {
     "separable": ModelKind.SEPARABLE,
     "surface": ModelKind.SURFACE,
@@ -79,16 +89,23 @@ class RunConfig:
                              f"expected one of {sorted(_KIND_NAMES)}") from None
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_config(path) -> RunConfig:
     """Parse a flat JSON config; unknown keys are rejected."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
     allowed = set(RunConfig.__dataclass_fields__)
@@ -118,50 +135,88 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+def _read_csv(path, what: str, names: tuple, exact: bool = True):
+    """Data rows of a CSV file under the reader rules of the module
+    docstring; the header must be ``names``, or start with them unless
+    ``exact``.  Returns the line number and the cell count of each row, and
+    one column of strings per name (a short row reads "" where it ends)."""
+    text = _read_text(path, what)
+    n, expected = len(names), ",".join(names)
+    lines, rows = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append(lineno)
+            rows.append(stripped.split(","))
+    if not rows:
+        raise InputError(f"{path}: missing header '{expected}'")
+    header = [c.strip() for c in rows[0]]
+    if (header if exact else header[:n]) != list(names):
+        raise InputError(f"{path}:{lines[0]}: expected header '{expected}'")
+    lines, rows = lines[1:], rows[1:]
+    widths = np.array(list(map(len, rows)), dtype=int)
+    if (widths < n).any():
+        rows = [cells + [""] * n for cells in rows]
+    columns = [list(map(str.strip, c)) for c in list(zip(*rows))[:n]]
+    return lines, widths, columns or [[]] * n
+
+
+def _float(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _parsed(strings, parse) -> tuple:
+    """``parse`` of each string (None if it rejects it) and the rejected mask."""
+    values = list(map(parse, strings))
+    return values, np.array([v is None for v in values], dtype=bool)
+
+
+def _range_check(stretch: np.ndarray) -> tuple:
+    """The stretch-range check of ``_check_rows`` (NaN is out of range)."""
+    return (~((stretch >= STRETCH_MIN) & (stretch <= STRETCH_MAX)),
+            lambda k: f"stretch {float(stretch[k])} outside [{STRETCH_MIN}, {STRETCH_MAX}]")
+
+
+def _check_rows(path, lines, checks):
+    """Raise an InputError naming the first data row that fails a check.
+
+    ``checks`` lists ``(mask, message)`` pairs in the order a row is
+    checked, so a row failing several reports the first; ``message`` is a
+    string or a function of the row index.
+    """
+    failures = [(first(bad), order, message)
+                for order, (bad, message) in enumerate(checks) if bad.any()]
+    if failures:
+        k, _, message = min(failures)
+        raise InputError(f"{path}:{lines[k]}: {message(k) if callable(message) else message}")
+
+
 def ingest(path, stress_scale: float = 1.0):
-    """Read a ``mode,stretch,stress`` CSV; '#' lines are comments.
+    """Read a ``mode,stretch,stress`` CSV into samples.
 
     Duplicates are kept.  Stretches outside [0.05, 20] and unknown modes
     are rejected with the offending line number.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read data file {path}: {exc}") from exc
-    samples = []
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not header_seen:
-            if [c.strip() for c in stripped.split(",")] != ["mode", "stretch", "stress"]:
-                raise InputError(f"{path}:{lineno}: expected header 'mode,stretch,stress'")
-            header_seen = True
-            continue
-        parts = [c.strip() for c in stripped.split(",")]
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        try:
-            mode = DeformationMode(parts[0])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: unknown mode {parts[0]!r}") from None
-        try:
-            stretch = float(parts[1])
-            stress = float(parts[2])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-numeric stretch or stress") from None
-        if not (STRETCH_MIN <= stretch <= STRETCH_MAX):
-            raise InputError(f"{path}:{lineno}: stretch {stretch} outside "
-                             f"[{STRETCH_MIN}, {STRETCH_MAX}]")
-        if not np.isfinite(stress):
-            raise InputError(f"{path}:{lineno}: non-finite stress")
-        samples.append(Sample(mode=mode, stretch=stretch, stress=stress * stress_scale))
-    if not header_seen:
-        raise InputError(f"{path}: missing header 'mode,stretch,stress'")
-    if not samples:
+    lines, widths, (names, stretches, stresses) = _read_csv(
+        path, "data file", ("mode", "stretch", "stress"))
+    modes, unknown = _parsed(names, _MODES.get)
+    stretch, bad_stretch = _parsed(stretches, _float)
+    stress, bad_stress = _parsed(stresses, _float)
+    stretch, stress = np.array(stretch, dtype=float), np.array(stress, dtype=float)  # None -> NaN
+    _check_rows(path, lines, [
+        (widths != 3, lambda k: f"expected 3 columns, got {widths[k]}"),
+        (unknown, lambda k: f"unknown mode {names[k]!r}"),
+        (bad_stretch | bad_stress, "non-numeric stretch or stress"),
+        _range_check(stretch),
+        (~np.isfinite(stress), "non-finite stress"),
+    ])
+    if not lines:
         raise InputError(f"{path}: no data rows")
-    return samples
+    return [Sample(mode=m, stretch=x, stress=y * stress_scale)
+            for m, x, y in zip(modes, stretch.tolist(), stress.tolist())]
 
 
 def mode_counts(samples) -> dict:
@@ -177,9 +232,7 @@ def bundled_treloar_path() -> Path:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_atomic(path: Path, text: str):
@@ -190,20 +243,22 @@ def _write_atomic(path: Path, text: str):
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+def _cells(column) -> list:
+    """Text of one column: an array in one pass by dtype, a list by ``_fmt``."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return list(map(_fmt, column))
+
+
+def _write_csv(path: Path, columns: dict):
+    """Write named, equal-length columns as CSV, atomically."""
+    rows = zip(*map(_cells, columns.values()), strict=True)
+    _write_atomic(path, "".join(",".join(row) + "\n" for row in [columns, *rows]))
 
 
 def _provenance(data_path) -> dict:
@@ -261,15 +316,7 @@ def model_from_dict(data: dict) -> tuple:
 
 
 def load_model(path) -> tuple:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(_read_json(path, "model file"))
 
 
 @dataclass
@@ -341,66 +388,51 @@ def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> Calibratio
                              lcurve_result=lc, samples=samples)
 
 
-def _prediction_rows(result: CalibrationResult):
+def _prediction_columns(result: CalibrationResult) -> dict:
     samples = result.samples
     pred = np.zeros(len(samples))
     for mode, idx in mode_groups([s.mode for s in samples]).items():
         pred[idx] = predict_stress(result.state, mode, [samples[k].stretch for k in idx])
-    return [[s.mode.value, s.stretch, s.stress, p] for s, p in zip(samples, pred.tolist())]
+    return {"mode": [s.mode.value for s in samples],
+            "stretch": [s.stretch for s in samples],
+            "stress_exp": [s.stress for s in samples],
+            "stress_model": pred}
 
 
-def _activation_rows(result: CalibrationResult):
+def _activation_columns(result: CalibrationResult) -> dict:
+    """Site coordinates of each parameter and its column activation."""
     spec = result.state.spec
-    act = result.act
-    rows = []
-    if spec.kind is ModelKind.SEPARABLE:
+    n1, n2 = spec.n1, spec.n2
+    if spec.kind is ModelKind.MAPPED_SURFACE:
+        site1, site2 = list(spec.sites1), list(spec.sites2)
+    else:
         L1 = spec.domain.u_max - spec.domain.u_min
-        for i, s in enumerate(spec.sites1):
-            rows.append([i, "", spec.domain.u_min + s * L1, "",
-                         float(act.norms[i]), float(act.log10_relative[i])])
-        for j, s in enumerate(spec.sites2):
-            p = spec.n1 + j
-            rows.append(["", j, "", s * spec.i2_axis_max,
-                         float(act.norms[p]), float(act.log10_relative[p])])
-        return rows
-    for i, s1 in enumerate(spec.sites1):
-        for j, s2 in enumerate(spec.sites2):
-            p = i * spec.n2 + j
-            if spec.kind is ModelKind.MAPPED_SURFACE:
-                c1, c2 = s1, s2
-            else:
-                L1 = spec.domain.u_max - spec.domain.u_min
-                c1 = spec.domain.u_min + s1 * L1
-                c2 = s2 * spec.i2_axis_max
-            rows.append([i, j, c1, c2, float(act.norms[p]),
-                         float(act.log10_relative[p])])
-    return rows
+        site1 = [spec.domain.u_min + s * L1 for s in spec.sites1]
+        site2 = [s * spec.i2_axis_max for s in spec.sites2]
+    if spec.kind is ModelKind.SEPARABLE:  # n1 curve values, then n2
+        i, j = [*range(n1)] + [""] * n2, [""] * n1 + [*range(n2)]
+        site1, site2 = site1 + [""] * n2, [""] * n1 + site2
+    else:  # the n1 x n2 grid, row-major
+        i, j = [a for a in range(n1) for _ in range(n2)], [*range(n2)] * n1
+        site1, site2 = [c for c in site1 for _ in range(n2)], site2 * n1
+    return {"i": i, "j": j, "site1": site1, "site2": site2,
+            "a": result.act.norms, "log10_rel": result.act.log10_relative}
 
 
-def _lcurve_rows(lc):
-    rows = []
-    for i in range(lc.lambdas.size):
-        rows.append([float(lc.lambdas[i]), float(lc.misfits[i]),
-                     float(lc.seminorms[i]), float(lc.kappas[i]),
-                     1 if i == lc.corner_index else 0])
-    return rows
+def _lcurve_columns(lc) -> dict:
+    return {"lambda": lc.lambdas, "misfit": lc.misfits, "seminorm": lc.seminorms,
+            "kappa": lc.kappas,
+            "chosen": (np.arange(lc.lambdas.size) == lc.corner_index).astype(int)}
 
 
 def _write_calibration(result: CalibrationResult, outdir: Path, data_path):
-    outdir = Path(outdir)
     prov = _provenance(data_path)
     model = model_to_dict(result.state, result.lambda_pen, result.fit, prov)
     _write_atomic(outdir / "model.json", json.dumps(model, indent=2) + "\n")
-    _write_atomic(outdir / "predictions.csv",
-                  _csv_text(["mode", "stretch", "stress_exp", "stress_model"],
-                            _prediction_rows(result)))
-    _write_atomic(outdir / "activation.csv",
-                  _csv_text(["i", "j", "site1", "site2", "a", "log10_rel"],
-                            _activation_rows(result)))
+    _write_csv(outdir / "predictions.csv", _prediction_columns(result))
+    _write_csv(outdir / "activation.csv", _activation_columns(result))
     if result.lcurve_result is not None:
-        _write_atomic(outdir / "lcurve.csv",
-                      _csv_text(["lambda", "misfit", "seminorm", "kappa", "chosen"],
-                                _lcurve_rows(result.lcurve_result)))
+        _write_csv(outdir / "lcurve.csv", _lcurve_columns(result.lcurve_result))
 
 
 def _cmd_calibrate(args) -> int:
@@ -425,55 +457,34 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_predict(args) -> int:
     state, _ = load_model(args.model)
-    try:
-        text = Path(args.at).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read stretches file {args.at}: {exc}") from exc
-    requests = []  # (line number, mode, stretch)
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = [c.strip() for c in stripped.split(",")]
-        if not header_seen:
-            if parts[:2] != ["mode", "stretch"]:
-                raise InputError(f"{args.at}:{lineno}: expected header 'mode,stretch'")
-            header_seen = True
-            continue
-        if len(parts) < 2:
-            raise InputError(f"{args.at}:{lineno}: expected 2 columns")
-        try:
-            mode = DeformationMode(parts[0])
-            stretch = float(parts[1])
-        except ValueError:
-            raise InputError(f"{args.at}:{lineno}: bad mode or stretch") from None
-        if not (STRETCH_MIN <= stretch <= STRETCH_MAX):
-            raise InputError(f"{args.at}:{lineno}: stretch {stretch} outside "
-                             f"[{STRETCH_MIN}, {STRETCH_MAX}]")
-        requests.append((lineno, mode, stretch))
-    if not header_seen:
-        raise InputError(f"{args.at}: missing header 'mode,stretch'")
+    lines, widths, (names, stretches) = _read_csv(
+        args.at, "stretches file", ("mode", "stretch"), exact=False)
+    modes, unknown = _parsed(names, _MODES.get)
+    stretch, bad_stretch = _parsed(stretches, _float)
+    stretch = np.array(stretch, dtype=float)  # None -> NaN
+    _check_rows(args.at, lines, [
+        (widths < 2, "expected 2 columns"),
+        (unknown | bad_stretch, "bad mode or stretch"),
+        _range_check(stretch),
+    ])
 
-    values = np.zeros(len(requests))
-    flags = np.zeros(len(requests), dtype=bool)
+    values = np.zeros(len(lines))
+    flags = np.zeros(len(lines), dtype=bool)
     try:
-        for mode, idx in mode_groups([r[1] for r in requests]).items():
-            values[idx], flags[idx] = predict_stress_clamped(
-                state, mode, [requests[k][2] for k in idx])
+        for mode, idx in mode_groups(modes).items():
+            values[idx], flags[idx] = predict_stress_clamped(state, mode, stretch[idx])
     except (ValueError, np.linalg.LinAlgError) as exc:
-        for lineno, mode, stretch in requests:  # report the first row that fails alone
-            try:
-                predict_stress_clamped(state, mode, stretch)
+        for lineno, mode, x in zip(lines, modes, stretch.tolist()):
+            try:  # report the first row that fails alone
+                predict_stress_clamped(state, mode, x)
             except (ValueError, np.linalg.LinAlgError) as row_exc:
                 raise NumericalError(f"{args.at}:{lineno}: {row_exc}") from row_exc
         raise NumericalError(str(exc)) from exc
-    rows = [[mode.value, stretch, value, int(flag)]
-            for (_, mode, stretch), value, flag in zip(requests, values.tolist(), flags.tolist())]
     outdir = Path(args.output)
-    _write_atomic(outdir / "predictions.csv",
-                  _csv_text(["mode", "stretch", "stress_model", "extrapolated"], rows))
-    print(f"wrote {outdir}/predictions.csv ({len(rows)} rows)")
+    _write_csv(outdir / "predictions.csv",
+               {"mode": names, "stretch": stretch, "stress_model": values,
+                "extrapolated": flags.astype(int)})
+    print(f"wrote {outdir}/predictions.csv ({len(lines)} rows)")
     return 0
 
 
@@ -484,9 +495,7 @@ def _cmd_lcurve(args) -> int:
         _, problem = build_problem(cfg, cfg.model_kind(), samples, AUTO)
         lc = _sweep(cfg, problem)
     outdir = Path(args.output or cfg.output)
-    _write_atomic(outdir / "lcurve.csv",
-                  _csv_text(["lambda", "misfit", "seminorm", "kappa", "chosen"],
-                            _lcurve_rows(lc)))
+    _write_csv(outdir / "lcurve.csv", _lcurve_columns(lc))
     print(f"corner lambda={_fmt(lc.lambda_corner)} chosen={_fmt(lc.lambda_chosen)}")
     print(f"wrote {outdir}/lcurve.csv")
     return 0
@@ -497,34 +506,22 @@ def _cmd_compare(args) -> int:
     kind_names = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if len(kind_names) < 2:
         raise InputError("compare needs at least two kinds")
-    kinds = []
     for name in kind_names:
         if name not in _KIND_NAMES:
             raise InputError(f"unknown model kind {name!r}")
-        kinds.append(_KIND_NAMES[name])
     # Fit each distinct kind once so repeated kinds produce identical rows.
-    results = {}
-    for kind in kinds:
-        if kind not in results:
-            results[kind] = run_calibration(cfg, kind=kind)
-    rows = []
-    for name, kind in zip(kind_names, kinds):
-        result = results[kind]
-        fit = result.fit
-        def met(table, mode):
-            value = table.get(DeformationMode(mode))
-            return value if value is not None else ""
-        rows.append([name, result.state.spec.n_params,
-                     met(fit.mse, "UT"), met(fit.mse, "BT"), met(fit.mse, "PS"),
-                     met(fit.r2, "UT"), met(fit.r2, "BT"), met(fit.r2, "PS"),
-                     fit.mse_combined, result.sol.iterations,
-                     round(result.sol.wall_time, 6)])
+    results = {name: run_calibration(cfg, kind=_KIND_NAMES[name])
+               for name in dict.fromkeys(kind_names)}
+    fits = [results[name] for name in kind_names]
+    columns = {"kind": kind_names, "n_params": [r.state.spec.n_params for r in fits],
+               **{f"{metric}_{mode.value}": [getattr(r.fit, metric).get(mode, "") for r in fits]
+                  for metric in ("mse", "r2") for mode in DeformationMode},
+               "mse_combined": [r.fit.mse_combined for r in fits],
+               "iterations": [r.sol.iterations for r in fits],
+               "wall_time_s": [round(r.sol.wall_time, 6) for r in fits]}
     outdir = Path(args.output or cfg.output)
-    _write_atomic(outdir / "compare.csv",
-                  _csv_text(["kind", "n_params", "mse_UT", "mse_BT", "mse_PS",
-                             "r2_UT", "r2_BT", "r2_PS", "mse_combined",
-                             "iterations", "wall_time_s"], rows))
-    print(f"wrote {outdir}/compare.csv ({len(rows)} kinds)")
+    _write_csv(outdir / "compare.csv", columns)
+    print(f"wrote {outdir}/compare.csv ({len(fits)} kinds)")
     return 0
 
 

@@ -18,9 +18,9 @@ an affine rescaling of I1 and the ordinate measures the relative position
 between the two boundaries, optionally after a monotone transform of I2
 whose convexity is compatible with polyconvex energies.  A small width
 floor ``delta`` keeps the map well defined at the apex, where the band
-collapses to a point.  One admissibility rule, a relative tolerance of
-1e-9 on I2 in the transformed coordinate, decides which points the map
-rejects and which clamped predictions are flagged.
+collapses to a point.  One admissibility rule, a roundoff tolerance on
+I2 in the transformed coordinate, decides which points the map rejects
+and which clamped predictions are flagged.
 
 Every function here is elementwise: it takes one point or a 1-D array of
 points and returns Python floats for a scalar point.
@@ -42,6 +42,15 @@ _SHIFT = 3.0 * math.sqrt(3.0)  # value of I2^(3/2) at the undeformed state
 _NEWTON_RTOL = 1e-9
 _NEWTON_CAP = 30
 _EPS = np.finfo(float).eps
+# A point may leave the band by _ADMIT_TOL (1 + I2) max(T', 1) in the
+# transformed I2, 1024 roundoff units (about 2e-13 relative to I2), and
+# still count as on it.  The invariants of real UT, BT and PS stretches from
+# 0.05 to 20 land at most about 5 units outside; the rest is headroom for
+# invariants computed by other arithmetic (an I2 off by 1e-13 relative, as
+# at stretch 2, is about 365 units).  Near the apex the band is only
+# ~4 (lam - 1)^3 wide in I2: at stretch 1.0001 half its width is about 2250
+# units, so a looser tolerance would admit points off the band.
+_ADMIT_TOL = 1024.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -225,13 +234,13 @@ def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
     onto the square, and the mask of points outside the admissible domain.
 
     A point is outside when its I1 leaves the axis, or when its transformed
-    I2 leaves the band by more than a relative tolerance of 1e-9 on the
-    second invariant.  This one rule serves the map and clamped predictions.
+    I2 leaves the band by more than ``_ADMIT_TOL`` (1 + I2) max(T', 1).
+    This one rule serves the map and clamped predictions.
     """
     i1c = np.clip(i1, cfg.u_min, cfg.u_max)
     t, tp = _transform(i2, cfg)
     t_lo, _, _, _, eff, _ = _band(i1c, cfg)
-    tol = 1e-9 * (1.0 + np.abs(i2)) * np.maximum(tp, 1.0)
+    tol = _ADMIT_TOL * (1.0 + np.abs(i2)) * np.maximum(tp, 1.0)
     outside = _off_axis(i1, cfg) | (t < t_lo - tol) | (t > t_lo + eff + tol)
     xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
     eta = np.where(eff > 0.0, (t - t_lo) / np.where(eff > 0.0, eff, 1.0), 0.0)
@@ -241,8 +250,8 @@ def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
 def map_forward(i1, i2, cfg: DomainMapConfig):
     """Map admissible points (I1, I2) to unit-square coordinates (xi, eta).
 
-    Admissibility is checked with a relative tolerance of 1e-9 on the
-    second invariant; within that tolerance eta is clamped to [0, 1],
+    Admissibility is checked with the roundoff tolerance ``_ADMIT_TOL`` on
+    the transformed second invariant; within it eta is clamped to [0, 1],
     beyond it the point is rejected.
     """
     i1, i2, scalar = pairs(i1, i2)

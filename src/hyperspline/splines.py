@@ -14,7 +14,7 @@ points.  Basis values come as a span index per point plus an (N, 4)
 block of the nonzero basis functions, computed by the Cox-de Boor
 derivative algorithm (A2.3 of Piegl & Tiller, "The NURBS Book") run over
 all points at once; a scalar point is a batch of one and gets Python
-scalars back.  The scalar form of A2.3 is kept for the collocation matrix.
+scalars back.
 """
 
 from __future__ import annotations
@@ -85,68 +85,6 @@ def find_span(kv: KnotVector, x: float) -> int:
     return int(_spans(kv, np.array([float(x)]))[0])
 
 
-def _basis_and_derivatives(kv: KnotVector, x: float, nderiv: int):
-    """Nonzero basis functions and derivatives at x (NURBS Book A2.3).
-
-    Returns ``(span, ders)`` where ``ders[r, j]`` is the r-th derivative of
-    basis function ``span - degree + j`` evaluated at x.
-    """
-    p = kv.degree
-    t = kv.knots
-    span = find_span(kv, x)
-    x = min(max(x, kv.domain[0]), kv.domain[1])
-    requested = nderiv
-    nderiv = min(nderiv, p)
-
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = x - t[span + 1 - j]
-        right[j] = t[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-
-    ders = np.zeros((nderiv + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-
-    a = np.zeros((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nderiv + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-
-    r = p
-    for k in range(1, nderiv + 1):
-        ders[k, :] *= r
-        r *= p - k
-    if requested > nderiv:
-        ders = np.vstack([ders, np.zeros((requested - nderiv, p + 1))])
-    return span, ders
-
-
 def _spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     """``find_span`` over an array of points, with the same domain check."""
     p, n = kv.degree, kv.n
@@ -163,7 +101,8 @@ def _basis_block(kv: KnotVector, x: np.ndarray, r: int):
     """A2.3 over an array of points: span indices and the (N, degree + 1)
     block of r-th derivatives of basis functions ``span - degree + j``.
 
-    The arithmetic is that of ``_basis_and_derivatives``, point by point.
+    Each point gets the arithmetic of the scalar algorithm, so its values
+    do not depend on the batch it is in.
     """
     p = kv.degree
     t = kv.array()
@@ -239,13 +178,8 @@ def basis_row(kv: KnotVector, x, r: int = 0) -> np.ndarray:
 
 
 def collocation_matrix(kv: KnotVector, sites) -> np.ndarray:
-    """Basis values at the sites, one row per site (scalar A2.3)."""
-    s = np.asarray(sites, dtype=float)
-    B = np.zeros((s.size, kv.n))
-    for k, x in enumerate(s):
-        span, ders = _basis_and_derivatives(kv, float(x), 0)
-        B[k, span - kv.degree : span + 1] = ders[0]
-    return B
+    """Basis values at the sites, one row per site."""
+    return basis_row(kv, np.atleast_1d(np.asarray(sites, dtype=float)), 0)
 
 
 def derivative_operator(kv: KnotVector):

@@ -1,7 +1,7 @@
 """Batched evaluation: array calls against the per-point reference code.
 
-The references are the scalar Cox-de Boor pass (NURBS Book A2.3, kept in
-``splines._basis_and_derivatives``), dense value rows and ``np.kron``
+The references are the scalar Cox-de Boor pass (NURBS Book A2.3,
+``_basis_and_derivatives`` below), dense value rows and ``np.kron``
 evaluated one stretch at a time, and ``scipy.interpolate.BSpline``.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hyperspline as hs
-from hyperspline import splines
+from hyperspline import domain, splines
 from hyperspline.cli import load_model, main, model_to_dict
 from hyperspline.model import spec_ops, stress_row
 
@@ -37,8 +37,70 @@ def _points(kv, rng):
     return np.concatenate([rng.uniform(lo, hi, 200), np.unique(kv.array()), [lo, hi]])
 
 
+def _basis_and_derivatives(kv: splines.KnotVector, x: float, nderiv: int):
+    """Nonzero basis functions and derivatives at x (NURBS Book A2.3).
+
+    Returns ``(span, ders)`` where ``ders[r, j]`` is the r-th derivative of
+    basis function ``span - degree + j`` evaluated at x.
+    """
+    p = kv.degree
+    t = kv.knots
+    span = splines.find_span(kv, x)
+    x = min(max(x, kv.domain[0]), kv.domain[1])
+    requested = nderiv
+    nderiv = min(nderiv, p)
+
+    ndu = np.zeros((p + 1, p + 1))
+    left = np.zeros(p + 1)
+    right = np.zeros(p + 1)
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - t[span + 1 - j]
+        right[j] = t[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((nderiv + 1, p + 1))
+    ders[0, :] = ndu[:, p]
+
+    a = np.zeros((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nderiv + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    r = p
+    for k in range(1, nderiv + 1):
+        ders[k, :] *= r
+        r *= p - k
+    if requested > nderiv:
+        ders = np.vstack([ders, np.zeros((requested - nderiv, p + 1))])
+    return span, ders
+
+
 def _scalar_row(kv, x, r):
-    span, ders = splines._basis_and_derivatives(kv, float(x), r)
+    span, ders = _basis_and_derivatives(kv, float(x), r)
     row = np.zeros(kv.n)
     row[span - kv.degree : span + 1] = ders[r]
     return span, row
@@ -107,14 +169,14 @@ def _scalar_reference(state, mode, lam):
     i1, i2 = hs.invariants(mode, lam)
     tol = 1e-9
     if spec.kind is hs.ModelKind.MAPPED_SURFACE:
-        # outside: I1 off the axis, or the transformed I2 off the band by
-        # more than a relative 1e-9 on I2
+        # outside: I1 off the axis by more than a relative 1e-9, or the
+        # transformed I2 off the band by more than the roundoff tolerance
         i1c = min(max(i1, cfg.u_min), cfg.u_max)
         xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
         t_lo, _ = transform(hs.boundary(i1c).i2_lo)
         eff, _ = hs.width(i1c, cfg)
         t, tp = transform(i2)
-        tol_t = tol * (1.0 + abs(i2)) * max(tp, 1.0)
+        tol_t = domain._ADMIT_TOL * (1.0 + abs(i2)) * max(tp, 1.0)
         grace = tol * (1.0 + abs(i1))
         outside = (not cfg.u_min - grace <= i1 <= cfg.u_max + grace
                    or not t_lo - tol_t <= t <= t_lo + eff + tol_t)

@@ -1,5 +1,7 @@
 """Command-line workflows: configs, ingestion, file formats, exit codes."""
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hyperspline import DeformationMode, stress_coefficients
 from hyperspline.cli import (
     InputError,
+    _write_csv,
     bundled_treloar_path,
     ingest,
     load_config,
@@ -106,6 +109,20 @@ def test_ingest_reports_line_numbers(tmp_path):
     p.write_text("mode,stretch,stress\n")
     with pytest.raises(InputError, match="no data rows"):
         ingest(p)
+    p.write_text("mode,stretch,stress\nUT,1.0,0.0,9\n")  # no extra columns
+    with pytest.raises(InputError, match=r":2: expected 3 columns, got 4$"):
+        ingest(p)
+    # rows failing different checks: the earlier line is reported, and a
+    # row failing several reports the first check it fails
+    p.write_text("mode,stretch,stress\nUT,1.0,0.0\nUT,25.0,1.0\nXX,1.2,0.4\n")
+    with pytest.raises(InputError, match=r":3: stretch 25\.0 outside"):
+        ingest(p)
+    p.write_text("mode,stretch,stress\nXX,1.0,0.0\nUT,25.0,1.0\n")
+    with pytest.raises(InputError, match=r":2: unknown mode 'XX'"):
+        ingest(p)
+    p.write_text("mode,stretch,stress\nUT,1.0,0.0\n\nXX,two\n")
+    with pytest.raises(InputError, match=r":4: expected 3 columns, got 2$"):
+        ingest(p)
 
 
 def test_ingest_keeps_duplicates_and_scales(tmp_path):
@@ -158,13 +175,27 @@ def test_calibrate_neo_hookean(nh_setup, capsys):
         assert float(pred) == pytest.approx(float(exp), abs=2e-3)
 
 
-def test_calibrate_outputs_are_byte_deterministic(nh_setup):
+@pytest.mark.parametrize("command", ["calibrate", "predict", "lcurve", "compare"])
+def test_calibrate_outputs_are_byte_deterministic(nh_setup, command):
     tmp_path, data, cfg = nh_setup
+    at = tmp_path / "at.csv"
+    at.write_text("mode,stretch\nUT,1.0\nBT,1.7\nPS,2.5\nUT,12.0\n")
+    argv = {"calibrate": ["calibrate", "--config", str(cfg)],
+            "predict": ["predict", "--model", str(tmp_path / "out" / "model.json"),
+                        "--at", str(at)],
+            "lcurve": ["lcurve", "--config", str(cfg)],
+            "compare": ["compare", "--config", str(cfg), "--kinds", "separable,mapped"]}[command]
+    if command == "predict":
+        assert main(["calibrate", "--config", str(cfg)]) == 0
     for sub in ("a", "b"):
-        assert main(["calibrate", "--config", str(cfg),
-                     "--output", str(tmp_path / sub)]) == 0
-    for name in ("model.json", "predictions.csv", "activation.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert main(argv + ["--output", str(tmp_path / sub)]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        a, b = ((tmp_path / sub / name).read_bytes() for sub in ("a", "b"))
+        if name == "compare.csv":  # its last column, wall_time_s, is measured
+            a, b = ([line.rsplit(b",", 1)[0] for line in text.splitlines()] for text in (a, b))
+        assert a == b, name
 
 
 def test_calibrate_empty_dataset_writes_nothing(tmp_path, capsys):
@@ -244,6 +275,19 @@ def test_predict_validates_request_rows(nh_setup, capsys):
     assert main(["predict", "--model", model, "--at", str(at),
                  "--output", str(tmp_path / "p")]) == 2
     capsys.readouterr()
+    # rows failing different checks: the earlier line is reported
+    args = ["predict", "--model", model, "--at", str(at), "--output", str(tmp_path / "p")]
+    at.write_text("mode,stretch\nUT,1.0\nUT,0.01\nXX,1.0\n")
+    assert main(args) == 2
+    assert ":3: stretch 0.01 outside" in capsys.readouterr().err
+    at.write_text("mode,stretch\nUT,1.0\nXX,1.0\nUT,0.01\n")
+    assert main(args) == 2
+    assert ":3: bad mode or stretch" in capsys.readouterr().err
+    # cells after the second, in the header and in a row, are ignored
+    at.write_text("mode,stretch,note\nUT,1.50,a,b\nBT, 2.0\n")
+    assert main(args) == 0
+    rows = (tmp_path / "p" / "predictions.csv").read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [["UT", "1.5"], ["BT", "2.0"]]
 
 
 # ------------------------------------------------------- lcurve / compare
@@ -296,3 +340,37 @@ def test_compare_two_kinds(tmp_path):
     assert rows[2].split(",")[0] == "mapped"
     assert int(rows[1].split(",")[1]) == 12   # 8 + 4 parameters
     assert int(rows[2].split(",")[1]) == 32   # 8 x 4 parameters
+
+
+# ------------------------------------------------------------- CSV writer
+
+
+def _csv_oracle(header, rows) -> str:
+    """The row writer the column writer replaced: ``csv.writer`` over cells
+    formatted one by one, floats by ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+def test_csv_writer_matches_the_csv_module(tmp_path):
+    floats = [1e-05, 1e16, -0.0, 0.1 + 0.2, math.nan, math.inf, -math.inf, 5e-324,
+              1.0, 2.5e-300, 123456789.125, -1e22]
+    n = len(floats)
+    columns = {
+        "mode": [("UT", "BT", "PS")[k % 3] for k in range(n)],
+        "float_list": floats,
+        "float_array": np.array(floats),
+        "int_list": list(range(-3, n - 3)),
+        "int_array": np.arange(n) % 2,
+        "mixed": ["" if k % 3 == 0 else k if k % 3 == 1 else floats[k] for k in range(n)],
+    }
+    path = tmp_path / "t.csv"
+    _write_csv(path, columns)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    assert path.read_bytes() == _csv_oracle(list(columns), rows).encode()
+    _write_csv(path, {"a": [], "b": np.zeros(0)})  # a header and no rows
+    assert path.read_bytes() == b"a,b\n"

@@ -212,6 +212,19 @@ def test_map_forward_clamps_roundoff_only():
         map_forward(i1, i2 * (1.0 - 1e-6), cfg)
 
 
+@pytest.mark.parametrize("lam", [1.001, 1.0001])
+def test_map_forward_rejects_half_a_band_off_near_the_apex(lam):
+    # near the apex the band is a few 1e-9 (or 1e-12) wide in I2: a point
+    # half a band width below its lower bound is outside, the bound is not
+    cfg = DomainMapConfig(u_max=9.0)
+    i1, _ = invariants(DeformationMode.UT, lam)
+    be = boundary(i1)
+    gap = be.i2_hi - be.i2_lo
+    with pytest.raises(ValueError, match="not admissible"):
+        map_forward(i1, be.i2_lo - 0.5 * gap, cfg)
+    assert map_forward(i1, be.i2_lo, cfg)[1] == 0.0
+
+
 def test_map_inverse_reference_points():
     cfg = DomainMapConfig(u_max=8.0625, delta=0.0)
     i1_0, i2_0 = map_inverse(0.0, 0.0, cfg)
