@@ -38,7 +38,8 @@ from .domain import DomainMapConfig
 from .kinematics import DeformationMode, Sample, mode_groups
 from .model import (ModelKind, ModelSpec, ModelState, activation,
                     assemble_design, fixed_zero_indices, default_spec,
-                    metrics, predict_stress, predict_stress_clamped)
+                    metrics, predict_stress_clamped)
+from .model import predict_stress  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .operators import curvature_operator, inequality_operator
 from .solver import (AUTO, CalibrationProblem, lcurve, solve)
 
@@ -390,13 +391,10 @@ def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> Calibratio
 
 def _prediction_columns(result: CalibrationResult) -> dict:
     samples = result.samples
-    pred = np.zeros(len(samples))
-    for mode, idx in mode_groups([s.mode for s in samples]).items():
-        pred[idx] = predict_stress(result.state, mode, [samples[k].stretch for k in idx])
     return {"mode": [s.mode.value for s in samples],
             "stretch": [s.stretch for s in samples],
             "stress_exp": [s.stress for s in samples],
-            "stress_model": pred}
+            "stress_model": result.fit.predictions}
 
 
 def _activation_columns(result: CalibrationResult) -> dict:

@@ -117,8 +117,8 @@ def default_spec(kind: ModelKind, samples, n1: int = 20, n2: int = 5, *,
     axis2 = i2t_max if use_polyconvex else i2_max - 3.0
     return ModelSpec(kind=kind, n1=n1, n2=n2, domain=cfg,
                      i2_axis_max=axis2 * (1.0 + 1e-6),
-                     sites1=tuple(np.linspace(0.0, 1.0, n1)),
-                     sites2=tuple(np.linspace(0.0, 1.0, n2)))
+                     sites1=tuple(np.linspace(0.0, 1.0, n1).tolist()),
+                     sites2=tuple(np.linspace(0.0, 1.0, n2).tolist()))
 
 
 def _beyond(x: np.ndarray, tol: float) -> np.ndarray:
@@ -347,11 +347,13 @@ def activation(A: np.ndarray) -> ActivationReport:
 
 @dataclass
 class FitMetrics:
-    """Per-mode fit quality and the combined error figure."""
+    """Per-mode fit quality, the combined error figure and the model's
+    prediction of each sample, in sample order."""
 
     mse: dict
     r2: dict
     mse_combined: float
+    predictions: np.ndarray
 
 
 def metrics(state: ModelState, samples) -> FitMetrics:
@@ -363,9 +365,10 @@ def metrics(state: ModelState, samples) -> FitMetrics:
     samples = list(samples)
     mse = {}
     r2 = {}
+    predictions = np.zeros(len(samples))
     for mode, idx in mode_groups([s.mode for s in samples]).items():
         exp = np.array([samples[k].stress for k in idx])
-        pred = predict_stress(state, mode, [samples[k].stretch for k in idx])
+        pred = predictions[idx] = predict_stress(state, mode, [samples[k].stretch for k in idx])
         resid = pred - exp
         mse[mode] = float(np.mean(resid ** 2))
         if idx.size >= 2:
@@ -373,4 +376,4 @@ def metrics(state: ModelState, samples) -> FitMetrics:
             if ss_tot > 0.0:
                 r2[mode] = 1.0 - float(np.sum(resid ** 2)) / ss_tot
     combined = math.sqrt(sum(v * v for v in mse.values()))
-    return FitMetrics(mse=mse, r2=r2, mse_combined=combined)
+    return FitMetrics(mse=mse, r2=r2, mse_combined=combined, predictions=predictions)

@@ -23,23 +23,26 @@ import numpy as np
 from .model import ModelKind, ModelSpec, spec_ops
 
 
+# Gauss-Legendre points per knot span: the integrand has degree <= 6 per
+# axis, and 4-point Gauss is exact to degree 7.
+QUAD_ORDER = 4
+
+
 @dataclass
 class PenaltyOperator:
     rows: np.ndarray
-    quad_order: int
 
 
 @dataclass
 class InequalityOperator:
-    """Rows G with the constraint G @ theta <= rhs (rhs is all zeros)."""
+    """Rows G with the constraint G @ theta <= 0."""
 
     rows: np.ndarray
-    rhs: np.ndarray
 
 
-def _gauss_points(kv, order: int):
+def _gauss_points(kv):
     """Gauss-Legendre nodes/weights over every nonempty knot span."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     t = kv.array()
     breaks = np.unique(t[kv.degree : kv.n + 1])
     xs, ws = [], []
@@ -50,24 +53,22 @@ def _gauss_points(kv, order: int):
     return np.array(xs), np.array(ws)
 
 
-def curvature_operator(spec: ModelSpec, quad_order: int = 4) -> PenaltyOperator:
+def curvature_operator(spec: ModelSpec) -> PenaltyOperator:
     """Least-squares rows of the curvature seminorm.
 
     For surfaces the seminorm is ``int (W_xixi^2 + W_etaeta^2)`` over the
     unit square; for the separable split it is the sum of the univariate
     ``int W''^2`` along each normalised axis.
     """
-    if quad_order < 1:
-        raise ValueError("quadrature order must be positive")
     ops = spec_ops(spec)
-    xu, wu = _gauss_points(ops.u.kv, quad_order)
-    xv, wv = _gauss_points(ops.v.kv, quad_order)
+    xu, wu = _gauss_points(ops.u.kv)
+    xv, wv = _gauss_points(ops.v.kv)
 
     if spec.kind is ModelKind.SEPARABLE:
         rows = np.zeros((xu.size + xv.size, spec.n_params))
         rows[: xu.size, : spec.n1] = np.sqrt(wu)[:, None] * ops.u.value_row(xu, 2)
         rows[xu.size :, spec.n1 :] = np.sqrt(wv)[:, None] * ops.v.value_row(xv, 2)
-        return PenaltyOperator(rows=rows, quad_order=quad_order)
+        return PenaltyOperator(rows=rows)
 
     s = np.sqrt(wu[:, None] * wv[None, :])
 
@@ -79,7 +80,7 @@ def curvature_operator(spec: ModelSpec, quad_order: int = 4) -> PenaltyOperator:
     rv0, rv2 = ops.v.value_row(xv, 0), ops.v.value_row(xv, 2)
     # node pair (i, j) contributes its W_xixi row, then its W_etaeta row
     rows = np.stack([outer(ru2, rv0), outer(ru0, rv2)], axis=2)
-    return PenaltyOperator(rows=rows.reshape(-1, spec.n_params), quad_order=quad_order)
+    return PenaltyOperator(rows=rows.reshape(-1, spec.n_params))
 
 
 def _dedup_unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -140,4 +141,4 @@ def inequality_operator(spec: ModelSpec, *, monotone_1: bool = True,
         rows = np.zeros((0, spec.n_params))
     else:
         rows = _dedup_unit_rows(np.vstack(blocks))
-    return InequalityOperator(rows=rows, rhs=np.zeros(rows.shape[0]))
+    return InequalityOperator(rows=rows)

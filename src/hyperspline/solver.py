@@ -6,25 +6,27 @@ The calibration problem is
     s.t. A_ineq theta <= 0,  theta[fixed] = 0,
 
 a convex QP solved with a primal active-set method in the least-squares
-(stacked) form; the normal equations are never formed.  The penalty block
-is reduced to its triangular factor once per problem (``solve``) or sweep
-(``lcurve``), and the stacked matrix once per solve to its triangular
-factor R (with Q^T d), so iterations work on n rows whatever the number of
-samples.  A solve keeps the complete orthogonal factor of the working
-rows' transpose, G_W^T = Q[:, :k] T, and updates it on each add and drop
-instead of refactoring (Gill, Golub, Murray & Saunders, Methods for
-modifying matrix factorizations, 1974).  Each iteration solves the
-subproblem on the null space Z = Q[:, k:] by a QR of R Z, and the
-multipliers reuse T (Lawson & Hanson, Solving Least Squares Problems,
-1974, ch. 23).  From a feasible start, steps stay feasible, the blocking
-row at the shortest step is added (ties go to the smallest index) and the
-row with the most negative multiplier is dropped.  The working set stays
-linearly independent: a warm start seeds it with its near-active rows in
-index order through the add path, which skips a row within INDEP_TOL of
-the span of those before it, and a blocking row is never a combination of
-working rows.  Feasibility is judged relative to max|theta|: the rows
-of ``inequality_operator`` are unit-normalised, so G @ theta carries the
-units of theta.  A loop that reaches its iteration cap raises.
+(stacked) form; the normal equations are never formed.  Each block taller
+than its free columns, the data block [A | y] and the penalty block, is
+reduced to its triangular factor once per problem (``solve``), sweep
+(``lcurve``) or check (``kkt_check``), and the stacked reduced blocks once
+per stage to the triangular factor R (with Q^T d), so iterations work on n
+rows whatever the number of samples.  A solve keeps the complete
+orthogonal factor of the working rows' transpose, G_W^T = Q[:, :k] T, and
+updates it on each add and drop instead of refactoring (Gill, Golub,
+Murray & Saunders, Methods for modifying matrix factorizations, 1974).
+Each iteration solves the subproblem on the null space Z = Q[:, k:] by a
+QR of R Z, and the multipliers reuse T (Lawson & Hanson, Solving Least
+Squares Problems, 1974, ch. 23).  From a feasible start, steps stay
+feasible, the blocking row at the shortest step is added (ties go to the
+smallest index) and the row with the most negative multiplier is dropped.
+The working set stays linearly independent: a warm start seeds it with its
+near-active rows in index order through the add path, which skips a row
+within INDEP_TOL of the span of those before it, and a blocking row is
+never a combination of working rows.  Feasibility is judged relative to
+max|theta|: the rows of ``inequality_operator`` are unit-normalised, so
+G @ theta carries the units of theta.  A loop that reaches its iteration
+cap raises.
 
 The penalty weight can be chosen from the discrete L-curve: solve over a
 grid of weights, locate the corner as the point of maximum discrete
@@ -52,8 +54,7 @@ class CalibrationProblem:
     y: np.ndarray
     A_pen: np.ndarray | None = None
     lambda_pen: float | str = 0.0
-    A_ineq: np.ndarray | None = None
-    b_ineq: np.ndarray | None = None
+    A_ineq: np.ndarray | None = None  # rows of A_ineq theta <= 0
     fixed_zero: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -70,14 +71,6 @@ class CalibrationProblem:
             self.A_ineq = np.atleast_2d(np.asarray(self.A_ineq, dtype=float))
             if self.A_ineq.shape[1] != n:
                 raise ValueError("A_ineq has the wrong number of columns")
-            if self.b_ineq is None:
-                self.b_ineq = np.zeros(self.A_ineq.shape[0])
-            else:
-                self.b_ineq = np.asarray(self.b_ineq, dtype=float).ravel()
-                if self.b_ineq.shape[0] != self.A_ineq.shape[0]:
-                    raise ValueError("b_ineq has the wrong length")
-                if np.any(self.b_ineq != 0.0):
-                    raise ValueError("only homogeneous inequality constraints are supported")
         if isinstance(self.lambda_pen, str):
             if self.lambda_pen != AUTO:
                 raise ValueError("lambda_pen must be a number or 'auto'")
@@ -140,37 +133,40 @@ def _free(problem: CalibrationProblem) -> np.ndarray:
                     dtype=int)
 
 
-def _reduce_penalty(problem: CalibrationProblem) -> CalibrationProblem:
-    """The problem with a penalty block taller than its free columns
-    replaced by the triangular QR factor of those columns (zero on the
-    pinned ones): an exact norm-preserving step for every theta with the
-    pinned parameters at zero.  A block that is not taller is kept."""
-    if problem.A_pen is None:
-        return problem
+def _reduce_blocks(problem: CalibrationProblem) -> CalibrationProblem:
+    """The problem with each block taller than its free columns replaced by
+    the triangular QR factor of those columns, zero on the pinned ones.  In
+    the data block [A | y], y counts as one more column.  Each step is exact
+    and norm-preserving for every theta with the pinned parameters at zero
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23), and a
+    block that is not taller is kept, so a second call changes nothing."""
     free = _free(problem)
-    P = problem.A_pen[:, free]
-    if P.shape[0] <= P.shape[1]:
-        return problem
-    A_pen = np.zeros((free.size, problem.n_params))
-    A_pen[:, free] = np.linalg.qr(P, mode="r")
-    return replace(problem, A_pen=A_pen)
+    A, y, A_pen = problem.A, problem.y, problem.A_pen
+    if A.shape[0] > free.size + 1:
+        R, y = _reduce(A[:, free], y)
+        A = np.zeros((free.size + 1, problem.n_params))
+        A[:, free] = R
+    if A_pen is not None and A_pen.shape[0] > free.size:
+        A_pen = np.zeros((free.size, problem.n_params))
+        A_pen[:, free] = np.linalg.qr(problem.A_pen[:, free], mode="r")
+    return replace(problem, A=A, y=y, A_pen=A_pen)
 
 
 def _stacked(problem: CalibrationProblem, free: np.ndarray, lam: float):
     """Stacked least-squares matrix on the free parameters, with ridge fallback.
 
-    The penalty block enters as its triangular factor, at most one row per
-    free parameter (``_reduce_penalty``; ``solve`` and ``lcurve`` reduce it
-    once per problem, so here it is already reduced).  A numerically
-    rank-deficient stack gets micro-ridge rows sqrt(eps) * ||A|| * I, with a
-    warning: eps * ||A||^2 on the normal matrix, the perturbation that
-    forming A^T A in double precision already makes.  It damps only the
-    directions whose singular value is below sqrt(eps) * ||A||.
+    The blocks enter as they are: ``solve``, ``lcurve`` and ``kkt_check``
+    pass them reduced (``_reduce_blocks``), and unreduced ones stack to the
+    same least-squares problem.  A numerically rank-deficient stack gets
+    micro-ridge rows sqrt(eps) * ||A|| * I, with a warning: eps * ||A||^2 on
+    the normal matrix, the perturbation that forming A^T A in double
+    precision already makes.  It damps only the directions whose singular
+    value is below sqrt(eps) * ||A||.
     """
     Af = problem.A[:, free]
     parts = [Af]
     if problem.A_pen is not None and lam > 0.0:
-        parts.append(math.sqrt(lam) * _reduce_penalty(problem).A_pen[:, free])
+        parts.append(math.sqrt(lam) * problem.A_pen[:, free])
     M = np.vstack(parts)
     d = np.concatenate([problem.y, np.zeros(M.shape[0] - Af.shape[0])])
     sv = np.linalg.svd(M, compute_uv=False)
@@ -325,15 +321,15 @@ def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
     Cold starts on heavily constrained penalised problems first solve at
     1e4x and 1e2x the target weight — smoother solutions have small active
     sets, so each stage warm starts the next and the total iteration count
-    drops severalfold.  The stages share one triangular factor of the
-    penalty block.  ``iterations``, ``adds`` and ``drops`` sum over the
-    stages.
+    drops severalfold.  The stages share one reduced problem
+    (``_reduce_blocks``).  ``iterations``, ``adds`` and ``drops`` sum over
+    the stages.
     """
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen is 'auto'; run lcurve() first and solve "
                          "with the chosen numeric weight")
     t_start = time.perf_counter()
-    problem = _reduce_penalty(problem)
+    problem = _reduce_blocks(problem)
     lam = float(problem.lambda_pen)
     n_ineq = problem.A_ineq.shape[0] if problem.A_ineq is not None else 0
     warm = theta0
@@ -427,6 +423,7 @@ def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen must be numeric for a KKT check")
     theta = np.asarray(theta, dtype=float).ravel()
+    problem = _reduce_blocks(problem)
     free = _free(problem)
     M, d = _stacked(problem, free, float(problem.lambda_pen))
     th = theta[free]
@@ -494,7 +491,7 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     seminorms = np.zeros(grid.size)
     thetas = np.zeros((grid.size, problem.n_params))
     theta_prev = None
-    reduced = _reduce_penalty(problem)  # one factor for every weight
+    reduced = _reduce_blocks(problem)  # one factor for every weight
     for idx in range(grid.size - 1, -1, -1):
         sub = replace(reduced, lambda_pen=float(grid[idx]))
         try:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperspline import DeformationMode, stress_coefficients
+from hyperspline import DeformationMode, ModelKind, stress_coefficients
 from hyperspline.cli import (
     InputError,
     _write_csv,
@@ -340,6 +340,39 @@ def test_compare_two_kinds(tmp_path):
     assert rows[2].split(",")[0] == "mapped"
     assert int(rows[1].split(",")[1]) == 12   # 8 + 4 parameters
     assert int(rows[2].split(",")[1]) == 32   # 8 x 4 parameters
+
+
+def test_every_csv_cell_is_a_plain_value(tmp_path):
+    """Each cell that calibrate, lcurve, compare and predict write is empty,
+    a mode or kind name, or a number ``float`` reads, whatever the numpy
+    version; never a typed repr such as ``np.float64(3.0)``."""
+    data = _neo_hookean_csv(tmp_path / "nh.csv", n=8)
+    cfg = str(_config(tmp_path / "cfg.json", kind="surface", data=str(data), n1=6, n2=4,
+                      lcurve_min=1e-8, lcurve_max=1e-2, lcurve_count=5))
+    at = tmp_path / "at.csv"
+    at.write_text("mode,stretch\nUT,1.0\nBT,1.7\nPS,2.5\nUT,12.0\n")
+    out = tmp_path / "out"
+    for argv in (["calibrate", "--config", cfg, "--output", str(out / "calibrate")],
+                 ["lcurve", "--config", cfg, "--output", str(out / "lcurve")],
+                 ["compare", "--config", cfg, "--kinds", "separable,surface,mapped",
+                  "--output", str(out / "compare")],
+                 ["predict", "--model", str(out / "calibrate" / "model.json"), "--at", str(at),
+                  "--output", str(out / "predict")]):
+        assert main(argv) == 0
+    names = {m.value for m in DeformationMode} | {k.value for k in ModelKind}
+    paths = sorted(out.rglob("*.csv"))
+    assert len(paths) == 6  # calibrate: 3, lcurve, compare, predict: 1 each
+    for path in paths:
+        header, *rows = csv.reader(io.StringIO(path.read_text()))
+        assert rows
+        for row in rows:
+            for name, cell in zip(header, row):
+                if cell == "" or cell in names:
+                    continue
+                try:
+                    float(cell)
+                except ValueError:
+                    pytest.fail(f"{path.relative_to(out)}: {name} cell {cell!r}")
 
 
 # ------------------------------------------------------------- CSV writer

@@ -14,6 +14,7 @@ from hyperspline import (
     inequality_operator,
     sensitivity_set,
 )
+from hyperspline import operators
 from hyperspline.model import spec_ops
 from hyperspline.operators import _dedup_unit_rows
 
@@ -61,13 +62,17 @@ def test_penalty_separable_axis_blocks():
     assert float(np.sum((pen.rows @ theta2) ** 2)) == pytest.approx(8.0, abs=1e-8)
 
 
-def test_penalty_gauss_order_is_already_exact():
+def test_penalty_gauss_order_is_already_exact(monkeypatch):
     """The integrand is piecewise polynomial; doubling the rule changes nothing."""
     spec = _spec(ModelKind.SURFACE, n1=8, n2=6)
     rng = np.random.default_rng(61)
     theta = rng.normal(size=spec.n_params)
-    p4 = float(np.sum((curvature_operator(spec, 4).rows @ theta) ** 2))
-    p8 = float(np.sum((curvature_operator(spec, 8).rows @ theta) ** 2))
+    rows4 = curvature_operator(spec).rows
+    monkeypatch.setattr(operators, "QUAD_ORDER", 2 * operators.QUAD_ORDER)
+    rows8 = curvature_operator(spec).rows
+    assert rows8.shape[0] == 4 * rows4.shape[0]  # twice the nodes on each axis
+    p4 = float(np.sum((rows4 @ theta) ** 2))
+    p8 = float(np.sum((rows8 @ theta) ** 2))
     assert p8 == pytest.approx(p4, rel=1e-10)
 
 
@@ -78,17 +83,11 @@ def test_penalty_gram_matrix_is_psd():
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
 
-def test_penalty_rejects_bad_order():
-    with pytest.raises(ValueError):
-        curvature_operator(_spec(ModelKind.SURFACE, 5, 4), quad_order=0)
-
-
 def test_inequality_accepts_convex_increasing_energy():
     spec = _spec(ModelKind.SURFACE)
     ineq = inequality_operator(spec)
     theta = _grid_theta(spec, lambda x, y: x ** 2 + y ** 2)
     assert float(np.max(ineq.rows @ theta)) <= 1e-12
-    assert np.all(ineq.rhs == 0.0)
 
 
 def test_inequality_flags_a_decreasing_step():

@@ -10,12 +10,20 @@ import pytest
 from hyperspline import (
     AUTO,
     CalibrationProblem,
+    DeformationMode,
     ModelKind,
+    Sample,
+    assemble_design,
+    curvature_operator,
     default_lambda_grid,
+    default_spec,
     discrete_curvature,
+    fixed_zero_indices,
+    inequality_operator,
     kkt_check,
     lcurve,
     solve,
+    stress_coefficients,
 )
 from hyperspline import solver
 from hyperspline.cli import RunConfig, bundled_treloar_path, run_calibration
@@ -38,10 +46,6 @@ def test_problem_validation():
         CalibrationProblem(A=np.eye(2), y=np.zeros(2), lambda_pen="later")
     with pytest.raises(ValueError):
         CalibrationProblem(A=np.eye(2), y=np.zeros(2), fixed_zero=(5,))
-    with pytest.raises(ValueError):
-        # only homogeneous right-hand sides are supported
-        CalibrationProblem(A=np.eye(2), y=np.zeros(2), A_ineq=np.eye(2),
-                           b_ineq=np.array([1.0, 0.0]))
 
 
 def test_two_variable_reference_problem():
@@ -604,3 +608,74 @@ def test_kkt_check_reports_a_perturbed_fit(treloar_fit, kind):
     noise[list(fit.problem.fixed_zero)] = 0.0
     noisy = fit.sol.theta + 1e-2 * np.abs(fit.sol.theta).max() * noise
     assert kkt_check(fit.problem, noisy)[0] >= 10 * 1e-2 * g0
+
+
+# ------------------------------------------------------- block reduction
+
+
+def test_reduce_blocks_preserves_both_norms(rng):
+    """A tall data block and a tall penalty become n_free + 1 and n_free
+    rows, zero on the pinned columns, and both norms stay put for every
+    theta with the pinned parameters at zero."""
+    m, n, fixed = 300, 12, (0, 5)
+    problem = CalibrationProblem(A=rng.normal(size=(m, n)), y=rng.normal(size=m),
+                                 A_pen=rng.normal(size=(40, n)), lambda_pen=1e-3,
+                                 A_ineq=-np.eye(n), fixed_zero=fixed)
+    reduced = solver._reduce_blocks(problem)
+    n_free = n - len(fixed)
+    assert reduced.A.shape == (n_free + 1, n) and reduced.y.shape == (n_free + 1,)
+    assert reduced.A_pen.shape == (n_free, n)
+    assert not np.any(reduced.A[:, fixed]) and not np.any(reduced.A_pen[:, fixed])
+    for _ in range(20):
+        theta = rng.normal(size=n)
+        theta[list(fixed)] = 0.0
+        for before, after in ((problem.A @ theta - problem.y, reduced.A @ theta - reduced.y),
+                              (problem.A_pen @ theta, reduced.A_pen @ theta)):
+            assert abs(np.linalg.norm(after) - np.linalg.norm(before)) <= (
+                1e-12 * np.linalg.norm(before))
+    again = solver._reduce_blocks(reduced)
+    for a, b in ((reduced.A, again.A), (reduced.y, again.y), (reduced.A_pen, again.A_pen)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_reduce_blocks_keeps_a_short_data_block(treloar_fit):
+    """Treloar's 56 samples are fewer than the free columns plus one, so
+    its data block passes through bit for bit; only the penalty shrinks."""
+    problem = treloar_fit(ModelKind.SURFACE).problem
+    reduced = solver._reduce_blocks(problem)
+    n_free = problem.n_params - len(problem.fixed_zero)
+    assert problem.A.shape[0] <= n_free + 1
+    assert reduced.A.tobytes() == problem.A.tobytes()
+    assert reduced.y.tobytes() == problem.y.tobytes()
+    assert reduced.A_pen.shape == (n_free, problem.n_params)
+
+
+def _dense_surface_problem():
+    """Surface problem on a dense noisy Mooney-Rivlin dataset, at a fixed weight."""
+    noise = np.random.default_rng(83)
+    samples = []
+    for mode, top in ((DeformationMode.UT, 7.6), (DeformationMode.BT, 4.4),
+                      (DeformationMode.PS, 5.0)):
+        lam = np.linspace(1.0, top, 400)
+        c = stress_coefficients(mode, lam)
+        stress = (150.0 * c.alpha + 20.0 * c.beta) * (1.0 + 0.01 * noise.normal(size=lam.size))
+        samples.extend(Sample(mode, float(a), float(p)) for a, p in zip(lam, stress))
+    spec = default_spec(ModelKind.SURFACE, samples, 20, 5)
+    A, y = assemble_design(spec, samples)
+    return CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows, lambda_pen=1e-4,
+                              A_ineq=inequality_operator(spec).rows,
+                              fixed_zero=fixed_zero_indices(spec))
+
+
+def test_kkt_check_on_reduced_blocks_matches_the_full_stack():
+    """On a dense problem ``kkt_check`` works on the reduced blocks; its
+    stationarity agrees with the one computed from the full, unreduced
+    stack."""
+    problem = _dense_surface_problem()
+    assert problem.A.shape[0] > problem.n_params
+    g0 = float(np.linalg.norm(2.0 * problem.A.T @ problem.y))
+    theta = solve(problem).theta
+    for point in (theta, 0.9 * theta):
+        g, Ga = _near_active_system(problem, point)
+        full = float(np.linalg.norm(g + Ga.T @ solver._nnls(Ga.T, -g)))
+        assert abs(kkt_check(problem, point)[0] - full) <= 1e-9 * g0
