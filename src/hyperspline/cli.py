@@ -376,12 +376,13 @@ def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> Calibratio
     samples = ingest(cfg.data, cfg.stress_scale)
     with _classified_errors():
         spec, problem = build_problem(cfg, kind, samples, _resolve_lambda(cfg, kind))
-        lc = theta0 = None
+        lc = theta0 = working = None
         if problem.lambda_pen == AUTO:
             lc = _sweep(cfg, problem)
-            problem.lambda_pen = lc.lambda_chosen
-            theta0 = lc.theta_near(lc.lambda_chosen)  # the sweep already solved it
-        sol = solve(problem, theta0=theta0)
+            problem.lambda_pen = lam = lc.lambda_chosen
+            # the sweep already solved it: start from its solution and working rows
+            theta0, working = lc.theta_near(lam), lc.active_set_near(lam)
+        sol = solve(problem, theta0=theta0, working=working)
     state = ModelState(spec=spec, theta=sol.theta)
     fit = metrics(state, samples)
     return CalibrationResult(state=state, lambda_pen=float(problem.lambda_pen),

@@ -12,21 +12,28 @@ reduced to its triangular factor once per problem (``solve``), sweep
 (``lcurve``) or check (``kkt_check``), and the stacked reduced blocks once
 per stage to the triangular factor R (with Q^T d), so iterations work on n
 rows whatever the number of samples.  A solve keeps the complete
-orthogonal factor of the working rows' transpose, G_W^T = Q[:, :k] T, and
-updates it on each add and drop instead of refactoring (Gill, Golub,
-Murray & Saunders, Methods for modifying matrix factorizations, 1974).
-Each iteration solves the subproblem on the null space Z = Q[:, k:] by a
-QR of R Z, and the multipliers reuse T (Lawson & Hanson, Solving Least
-Squares Problems, 1974, ch. 23).  From a feasible start, steps stay
-feasible, the blocking row at the shortest step is added (ties go to the
-smallest index) and the row with the most negative multiplier is dropped.
-The working set stays linearly independent: a warm start seeds it with its
-near-active rows in index order through the add path, which skips a row
-within INDEP_TOL of the span of those before it, and a blocking row is
-never a combination of working rows.  Feasibility is judged relative to
-max|theta|: the rows of ``inequality_operator`` are unit-normalised, so
-G @ theta carries the units of theta.  A loop that reaches its iteration
-cap raises.
+orthogonal factor of the working rows' transpose, F_W^T = Q[:, :k] T, and
+updates it on each add and drop (Gill, Golub, Murray & Saunders, Methods
+for modifying matrix factorizations, 1974); the multipliers reuse T.
+
+A stage whose stack has cond <= FEAS_TOL / eps, so that the roundoff R^-1
+adds to G theta stays under the feasibility tolerance, runs in the LDP
+form (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23): in
+u = R theta the rows are F = G R^-1, each subproblem is the projection
+u = Z Z^T c onto the null space Z = Q[:, k:] of F_W, and theta = R^-1 u
+plus one refinement step, with R^-1 taken once per stage.  Other stages
+(a ridged stack, and ``_nnls``, which needs exact zeros) keep F = G and a
+QR of R Z per iteration.  Feasibility and the ratio test are judged on G,
+relative to max|theta|: the rows of ``inequality_operator`` are
+unit-normalised, so G @ theta carries the units of theta.  From a feasible
+start, steps stay feasible, the blocking row at the shortest step is added
+(ties go to the smallest index) and the row with the most negative
+multiplier is dropped.  The working set stays linearly independent: rows
+handed over from an earlier solve (``working``) enter with one QR of their
+transpose, a bare warm start seeds its near-active rows in index order and
+skips each one within INDEP_TOL of the span of those before it, and a
+blocking row is never a combination of working rows.  A loop that reaches
+its iteration cap raises.
 
 The penalty weight can be chosen from the discrete L-curve: solve over a
 grid of weights, locate the corner as the point of maximum discrete
@@ -108,11 +115,19 @@ class LCurveResult:
     lambda_corner: float
     lambda_chosen: float
     thetas: np.ndarray  # the solution at each weight, one row per weight
+    active_sets: list  # the working rows of each weight's solution
+
+    def _nearest(self, lam: float) -> int:
+        return int(np.argmin(np.abs(np.log(self.lambdas / lam))))
 
     def theta_near(self, lam: float) -> np.ndarray:
         """Swept solution at the grid weight nearest ``lam`` (log scale): a
         feasible warm start for ``solve`` at ``lam``."""
-        return self.thetas[int(np.argmin(np.abs(np.log(self.lambdas / lam))))]
+        return self.thetas[self._nearest(lam)]
+
+    def active_set_near(self, lam: float) -> tuple:
+        """Working rows of that solution, for ``solve``'s ``working``."""
+        return self.active_sets[self._nearest(lam)]
 
 
 FEAS_TOL = 1e-9
@@ -131,6 +146,11 @@ def _feas_tol(x: np.ndarray) -> float:
 def _free(problem: CalibrationProblem) -> np.ndarray:
     return np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero],
                     dtype=int)
+
+
+def _ineq(problem: CalibrationProblem, free: np.ndarray) -> np.ndarray:
+    """Inequality rows on the free parameters (none without A_ineq)."""
+    return np.zeros((0, free.size)) if problem.A_ineq is None else problem.A_ineq[:, free]
 
 
 def _reduce_blocks(problem: CalibrationProblem) -> CalibrationProblem:
@@ -153,7 +173,8 @@ def _reduce_blocks(problem: CalibrationProblem) -> CalibrationProblem:
 
 
 def _stacked(problem: CalibrationProblem, free: np.ndarray, lam: float):
-    """Stacked least-squares matrix on the free parameters, with ridge fallback.
+    """Stacked least-squares system (M, d) on the free parameters, with
+    ridge fallback, and cond(M).
 
     The blocks enter as they are: ``solve``, ``lcurve`` and ``kkt_check``
     pass them reduced (``_reduce_blocks``), and unreduced ones stack to the
@@ -170,8 +191,9 @@ def _stacked(problem: CalibrationProblem, free: np.ndarray, lam: float):
     M = np.vstack(parts)
     d = np.concatenate([problem.y, np.zeros(M.shape[0] - Af.shape[0])])
     sv = np.linalg.svd(M, compute_uv=False)
+    sv = np.concatenate([sv, np.zeros(M.shape[1] - sv.size)])  # a wide stack's zeros
     smax = sv[0] if sv.size else 0.0
-    if M.shape[0] < M.shape[1] or (smax > 0 and sv[-1] < 1e-12 * smax):
+    if smax > 0 and sv[-1] < 1e-12 * smax:
         anorm = np.linalg.norm(Af, 2) if Af.size else 0.0
         if anorm > 0.0:
             warnings.warn("rank-deficient stacked system; adding micro-ridge "
@@ -180,7 +202,9 @@ def _stacked(problem: CalibrationProblem, free: np.ndarray, lam: float):
             ridge = RIDGE * anorm * np.eye(M.shape[1])
             M = np.vstack([M, ridge])
             d = np.concatenate([d, np.zeros(M.shape[1])])
-    return M, d
+            sv = np.sqrt(sv ** 2 + (RIDGE * anorm) ** 2)  # of M^T M + ridge^2 I
+    cond = sv[0] / sv[-1] if sv.size and sv[-1] > 0 else np.inf
+    return M, d, cond
 
 
 def _reduce(M: np.ndarray, d: np.ndarray):
@@ -190,18 +214,20 @@ def _reduce(M: np.ndarray, d: np.ndarray):
 
 
 class _WorkingFactor:
-    """Working rows of G and the complete orthogonal factor of their
-    transpose, G_W^T = Q[:, :k] T with T upper triangular; Q[:, k:] spans
-    their null space.  Adding a row applies one Householder reflector to
-    the null-space columns; dropping one restores T from a small QR of its
+    """Working rows of F and the complete orthogonal factor of their
+    transpose, F_W^T = Q[:, :k] T with T upper triangular; Q[:, k:] spans
+    their null space.  F is G itself, or with ``Rinv`` the LDP rows
+    G R^-1.  Adding a row applies one Householder reflector to the
+    null-space columns; dropping one restores T from a small QR of its
     Hessenberg block (Gill, Golub, Murray & Saunders, Methods for modifying
     matrix factorizations, 1974).  ``rows`` and the columns of T follow the
     order of the adds.
     """
 
-    def __init__(self, G: np.ndarray):
+    def __init__(self, G: np.ndarray, Rinv: np.ndarray | None = None):
         n = G.shape[1]
-        self.G = G
+        self.Rinv = Rinv
+        self.F = G if Rinv is None else G @ Rinv
         self.Q = np.eye(n)
         self.T = np.zeros((n, n))
         self.rows: list = []
@@ -211,7 +237,7 @@ class _WorkingFactor:
         """Append row j unless its part outside the working span is at most
         ``tol``; returns whether it was added."""
         k = len(self.rows)
-        w = self.Q.T @ self.G[j]
+        w = self.Q.T @ self.F[j]
         x = w[k:]
         alpha = math.sqrt(float(x @ x))
         if alpha <= tol:
@@ -230,6 +256,17 @@ class _WorkingFactor:
         self.mask[j] = True
         return True
 
+    def hand_over(self, rows) -> None:
+        """Start from independent rows (an earlier solve's working set) with
+        one QR of their transpose; raise ValueError if they are dependent."""
+        rows, k = list(rows), len(rows)
+        F = self.F[rows]
+        Q, T = np.linalg.qr(F.T, mode="complete")
+        if k > T.shape[0] or np.any(np.abs(np.diag(T)) <= INDEP_TOL * np.linalg.norm(F, axis=1)):
+            raise ValueError("working rows are linearly dependent")
+        self.Q, self.T[:k, :k], self.rows = Q, T[:k], rows
+        self.mask[rows] = True
+
     def drop(self, p: int) -> None:
         """Remove the working row at position p."""
         k = len(self.rows)
@@ -243,9 +280,15 @@ class _WorkingFactor:
         self.mask[self.rows.pop(p)] = False
 
     def step(self, R: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Minimise ||R t - c|| subject to G_W t = 0: t = Z z with z from
-        the triangular factor of [R Z | c]."""
+        """Minimise ||R t - c|| subject to G_W t = 0.  In the LDP form R t
+        is the projection Z Z^T c and t follows by R^-1 with one refinement
+        step; otherwise t = Z z with z from the triangular factor of
+        [R Z | c]."""
         Z = self.Q[:, len(self.rows):]
+        if self.Rinv is not None:
+            u = Z @ (Z.T @ c)
+            t = self.Rinv @ u
+            return t + self.Rinv @ (u - R @ t)
         m = Z.shape[1]
         if not m:
             return np.zeros(R.shape[1])
@@ -253,10 +296,13 @@ class _WorkingFactor:
         return Z @ np.linalg.solve(Rz[:m], cz[:m])
 
     def multipliers(self, R: np.ndarray, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Working-row multipliers at theta: solve G_W^T mu = -g with
-        G_W^T = Q[:, :k] T."""
+        """Working-row multipliers at theta: solve F_W^T mu = -g with
+        F_W^T = Q[:, :k] T and g the gradient in F's variable, 2 (R theta - c)
+        in the LDP form and R^T times that on G."""
         k = len(self.rows)
-        g = 2.0 * R.T @ (R @ theta - c)
+        g = 2.0 * (R @ theta - c)
+        if self.Rinv is None:
+            g = R.T @ g
         return np.linalg.solve(self.T[:k, :k], -(self.Q[:, :k].T @ g))
 
 
@@ -272,19 +318,13 @@ def _ratio_test(G, theta, step, work):
     return (float(t[j]), j) if t[j] < 1.0 else (1.0, -1)
 
 
-def _active_set_lsq(R, c, G, theta0, work0, max_iter):
-    """Primal active-set loop on ||R theta - c||.
-
-    The rows ``work0`` seed the working set through the add path, in order;
-    a row within INDEP_TOL of the span of those before it is skipped, so
-    the working set starts linearly independent.  Returns (theta, working
-    rows, their multipliers, iterations, adds, drops); adds and drops count
-    the loop's changes of the working set, not the seed.
+def _active_set_lsq(R, c, G, work, theta0, max_iter):
+    """Primal active-set loop on ||R theta - c|| subject to G theta <= 0,
+    from the seeded factor ``work``.  Returns (theta, working rows, their
+    multipliers, iterations, adds, drops); adds and drops count the loop's
+    changes of the working set, not the seed.
     """
     theta = theta0.copy()
-    work = _WorkingFactor(G)
-    for j in work0:
-        work.add(j, INDEP_TOL * float(np.linalg.norm(G[j])))
     adds = drops = 0
     for it in range(1, max_iter + 1):
         trial = work.step(R, c)
@@ -311,19 +351,20 @@ def _active_set_lsq(R, c, G, theta0, work0, max_iter):
 
 
 def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
-          max_iter: int | None = None) -> Solution:
+          max_iter: int | None = None, working=None) -> Solution:
     """Solve the calibration QP.
 
-    ``theta0`` may supply a feasible warm start (its near-active rows seed
-    the working set in index order, each one skipped that is within
-    INDEP_TOL of the span of those before it); the default start is
-    theta = 0, which is always feasible for the homogeneous constraints.
-    Cold starts on heavily constrained penalised problems first solve at
-    1e4x and 1e2x the target weight — smoother solutions have small active
-    sets, so each stage warm starts the next and the total iteration count
-    drops severalfold.  The stages share one reduced problem
-    (``_reduce_blocks``).  ``iterations``, ``adds`` and ``drops`` sum over
-    the stages.
+    ``theta0`` may supply a feasible warm start, and ``working`` the rows to
+    start from, e.g. the ``active_set`` of a solve at another weight that
+    ended at ``theta0``: independence of rows does not depend on the weight.
+    Without ``working`` the near-active rows of ``theta0`` seed the working
+    set.  The default start is theta = 0, which is always feasible for the
+    homogeneous constraints.  Cold starts on heavily constrained penalised
+    problems first solve at 1e4x and 1e2x the target weight — smoother
+    solutions have small active sets, so each stage hands its solution and
+    working rows to the next and the total iteration count drops
+    severalfold.  The stages share one reduced problem (``_reduce_blocks``).
+    ``iterations``, ``adds`` and ``drops`` sum over the stages.
     """
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen is 'auto'; run lcurve() first and solve "
@@ -331,11 +372,10 @@ def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
     t_start = time.perf_counter()
     problem = _reduce_blocks(problem)
     lam = float(problem.lambda_pen)
-    n_ineq = problem.A_ineq.shape[0] if problem.A_ineq is not None else 0
-    warm = theta0
+    warm, rows = theta0, working
     stages = []
-    if (theta0 is None and lam > 0.0 and problem.A_pen is not None
-            and n_ineq > 2 * problem.n_params):
+    if (theta0 is None and working is None and lam > 0.0 and problem.A_pen is not None
+            and problem.A_ineq is not None and problem.A_ineq.shape[0] > 2 * problem.n_params):
         # Stage weights stay below the point where the penalty block drowns
         # the misfit rows in roundoff; there the subproblems turn degenerate.
         lam_cap = 1e8 * float(np.sum(problem.A ** 2)) / max(
@@ -345,56 +385,57 @@ def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
                 if not lam < stage_lam < lam_cap:
                     continue
                 stages.append(_solve_once(replace(problem, lambda_pen=stage_lam),
-                                          warm, max_iter))
-                warm = stages[-1].theta
+                                          warm, rows, max_iter))
+                warm, rows = stages[-1].theta, stages[-1].active_set
         except RuntimeError:
-            warm, stages = theta0, []
-    stages.append(_solve_once(problem, warm, max_iter))
+            warm, rows, stages = theta0, working, []
+    stages.append(_solve_once(problem, warm, rows, max_iter))
     return replace(stages[-1], iterations=sum(s.iterations for s in stages),
                    adds=sum(s.adds for s in stages), drops=sum(s.drops for s in stages),
                    wall_time=time.perf_counter() - t_start)
 
 
-def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None,
+def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None, working,
                 max_iter: int | None) -> Solution:
     t_start = time.perf_counter()
     n = problem.n_params
     free = _free(problem)
     if free.size == 0:
         raise ValueError("all parameters are pinned")
-    M, d = _stacked(problem, free, float(problem.lambda_pen))
-    if problem.A_ineq is not None and problem.A_ineq.shape[0] > 0:
-        G = problem.A_ineq[:, free]
-    else:
-        G = np.zeros((0, free.size))
-
-    if theta0 is None:
-        start = np.zeros(free.size)
-        work0: list = []
-    else:
+    M, d, cond = _stacked(problem, free, float(problem.lambda_pen))
+    G = _ineq(problem, free)
+    start = np.zeros(free.size)
+    if theta0 is not None:
         theta0 = np.asarray(theta0, dtype=float).ravel()
         if theta0.shape[0] != n:
             raise ValueError("theta0 has the wrong length")
         start = theta0[free]
-        viol = G @ start if G.size else np.zeros(0)
-        tol = _feas_tol(start)
-        if viol.size and np.max(viol) > tol:
+        if np.any(G @ start > _feas_tol(start)):
             raise ValueError("theta0 is infeasible")
-        work0 = np.flatnonzero(viol >= -tol)
+    if working is not None and not all(0 <= j < G.shape[0] for j in working):
+        raise ValueError(f"working rows out of range 0..{G.shape[0] - 1}")
 
-    cap = max_iter if max_iter is not None else 10 * free.size + 100
     R, c = _reduce(M, d)
-    th_free, work, mu, iters, adds, drops = _active_set_lsq(R, c, G, start, work0, cap)
+    ldp = cond <= FEAS_TOL / np.finfo(float).eps  # the LDP form (module docstring)
+    if ldp:
+        R, c = R[:free.size], c[:free.size]  # a zero row and the fixed residual go
+    work = _WorkingFactor(G, np.linalg.inv(R) if ldp else None)
+    if working is not None:
+        work.hand_over(working)
+    elif theta0 is not None:  # near-active rows, each one within INDEP_TOL of the span skipped
+        for j in np.flatnonzero(G @ start >= -_feas_tol(start)):
+            work.add(j, INDEP_TOL * float(np.linalg.norm(work.F[j])))
+    cap = max_iter if max_iter is not None else 10 * free.size + 100
+    th_free, rows, mu, iters, adds, drops = _active_set_lsq(R, c, G, work, start, cap)
 
     theta = np.zeros(n)
     theta[free] = th_free
-    stat = 2.0 * R.T @ (R @ th_free - c) + G[work].T @ np.clip(mu, 0.0, None)
-    kkt = float(np.linalg.norm(stat))
+    kkt = float(np.linalg.norm(2.0 * R.T @ (R @ th_free - c) + G[rows].T @ np.clip(mu, 0.0, None)))
 
     obj = float(np.sum((problem.A @ theta - problem.y) ** 2))
     if problem.A_pen is not None and float(problem.lambda_pen) > 0.0:
         obj += float(problem.lambda_pen) * float(np.sum((problem.A_pen @ theta) ** 2))
-    return Solution(theta=theta, objective=obj, active_set=tuple(sorted(int(j) for j in work)),
+    return Solution(theta=theta, objective=obj, active_set=tuple(sorted(int(j) for j in rows)),
                     kkt_residual=kkt, iterations=iters, adds=adds, drops=drops,
                     wall_time=time.perf_counter() - t_start)
 
@@ -409,7 +450,10 @@ def _nnls(B: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = B.shape[1]
     ridge = RIDGE * max(float(np.linalg.norm(B, 2)), np.finfo(float).tiny)
     R, c = _reduce(np.vstack([B, ridge * np.eye(k)]), np.concatenate([b, np.zeros(k)]))
-    mu, *_ = _active_set_lsq(R, c, -np.eye(k), np.zeros(k), list(range(k)), 10 * k + 100)
+    work = _WorkingFactor(-np.eye(k))
+    for j in range(k):
+        work.add(j, INDEP_TOL)
+    mu, *_ = _active_set_lsq(R, c, work.F, work, np.zeros(k), 10 * k + 100)
     return mu
 
 
@@ -425,27 +469,16 @@ def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
     theta = np.asarray(theta, dtype=float).ravel()
     problem = _reduce_blocks(problem)
     free = _free(problem)
-    M, d = _stacked(problem, free, float(problem.lambda_pen))
+    M, d, _ = _stacked(problem, free, float(problem.lambda_pen))
     th = theta[free]
     g = 2.0 * M.T @ (M @ th - d)
-    if problem.A_ineq is not None and problem.A_ineq.shape[0]:
-        G = problem.A_ineq[:, free]
-        slack = G @ th
-        scale = 1e-8 * (1.0 + float(np.linalg.norm(th)))
-        act = np.flatnonzero(slack >= -scale)
-        feas = float(max(0.0, slack.max()))
-        if act.size:
-            mu = _nnls(G[act].T, -g)
-            stat = float(np.linalg.norm(g + G[act].T @ mu))
-            comp = float(np.max(np.abs(mu * slack[act])))
-        else:
-            stat = float(np.linalg.norm(g))
-            comp = 0.0
-    else:
-        feas = 0.0
-        comp = 0.0
-        stat = float(np.linalg.norm(g))
-    return stat, feas, comp
+    G = _ineq(problem, free)
+    slack = G @ th
+    act = np.flatnonzero(slack >= -1e-8 * (1.0 + float(np.linalg.norm(th))))
+    mu = _nnls(G[act].T, -g) if act.size else np.zeros(0)
+    stat = float(np.linalg.norm(g + G[act].T @ mu))
+    comp = float(np.max(np.abs(mu * slack[act]), initial=0.0))
+    return stat, float(slack.max(initial=0.0)), comp
 
 
 def discrete_curvature(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -459,13 +492,12 @@ def discrete_curvature(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
     kappa = np.zeros(x.size)
-    for i in range(1, x.size - 1):
-        ax, ay = x[i] - x[i - 1], y[i] - y[i - 1]
-        bx, by = x[i + 1] - x[i], y[i + 1] - y[i]
-        cx, cy = x[i + 1] - x[i - 1], y[i + 1] - y[i - 1]
-        area2 = abs(ax * by - ay * bx)  # twice the triangle area
-        denom = math.hypot(ax, ay) * math.hypot(bx, by) * math.hypot(cx, cy)
-        kappa[i] = area2 / denom if denom > 0.0 else 0.0
+    ax, ay = x[1:-1] - x[:-2], y[1:-1] - y[:-2]
+    bx, by = x[2:] - x[1:-1], y[2:] - y[1:-1]
+    cx, cy = x[2:] - x[:-2], y[2:] - y[:-2]
+    area2 = np.abs(ax * by - ay * bx)  # twice the triangle area
+    denom = np.hypot(ax, ay) * np.hypot(bx, by) * np.hypot(cx, cy)
+    np.divide(area2, denom, out=kappa[1:-1], where=denom > 0.0)
     return kappa
 
 
@@ -476,8 +508,10 @@ def default_lambda_grid(count: int = 25, low: float = 1e-10, high: float = 1e2) 
 def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     """Sweep penalty weights and pick one decade below the L-curve corner.
 
-    Solves are warm-started from the neighbouring weight (largest first);
-    misfit is ``||A theta - y||^2`` and seminorm ``||A_pen theta||^2``.
+    Solves run from the largest weight down; each weight starts from the
+    solution and working rows of the one above it (``solve``'s ``theta0``
+    and ``working``).  Misfit is ``||A theta - y||^2`` and seminorm
+    ``||A_pen theta||^2``.
     """
     if problem.A_pen is None:
         raise ValueError("lcurve requires a penalty operator")
@@ -490,15 +524,17 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     misfits = np.zeros(grid.size)
     seminorms = np.zeros(grid.size)
     thetas = np.zeros((grid.size, problem.n_params))
-    theta_prev = None
+    active_sets: list = [()] * grid.size
+    theta_prev = rows_prev = None
     reduced = _reduce_blocks(problem)  # one factor for every weight
     for idx in range(grid.size - 1, -1, -1):
         sub = replace(reduced, lambda_pen=float(grid[idx]))
         try:
-            sol = solve(sub, theta0=theta_prev)
+            sol = solve(sub, theta0=theta_prev, working=rows_prev)
         except ValueError:
             sol = solve(sub)
         theta_prev = thetas[idx] = sol.theta
+        rows_prev = active_sets[idx] = sol.active_set
         misfits[idx] = float(np.sum((problem.A @ sol.theta - problem.y) ** 2))
         seminorms[idx] = float(np.sum((problem.A_pen @ sol.theta) ** 2))
 
@@ -510,4 +546,4 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     return LCurveResult(lambdas=grid, misfits=misfits, seminorms=seminorms,
                         kappas=kappas, corner_index=corner,
                         lambda_corner=lam_corner, lambda_chosen=lam_corner / 10.0,
-                        thetas=thetas)
+                        thetas=thetas, active_sets=active_sets)

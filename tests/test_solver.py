@@ -1,6 +1,7 @@
 """Active-set least squares, KKT diagnostics and the L-curve sweep."""
 
 import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -284,7 +285,7 @@ def _lsi_objective(problem):
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        M, d = _stacked(problem, free, float(problem.lambda_pen))
+        M, d, _ = _stacked(problem, free, float(problem.lambda_pen))
     G = problem.A_ineq[:, free]
     Q, R = np.linalg.qr(M)
     f1 = Q.T @ d
@@ -334,7 +335,8 @@ def _svd_step(M, d, Gw):
 @pytest.mark.parametrize("weight", ["chosen", "zero"])
 def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypatch):
     """Every working set of a real Treloar surface solve gets the reference
-    step from its updated factor.
+    step from its updated factor, in theta, whichever form the stage takes:
+    the LDP form at the chosen weight, the R metric at zero weight.
 
     Steps agree in the norm of the fit, ||M (step - ref)||.  At zero weight
     the ridge leaves cond(M Z) near 2e7, so the steps themselves are only
@@ -345,12 +347,13 @@ def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypa
     problem = treloar_fit(ModelKind.SURFACE).problem
     if weight == "zero":
         problem = replace(problem, lambda_pen=0.0)
-    steps = []
+    steps, forms = [], set()
     factor_step = solver._WorkingFactor.step
 
     def record(self, R, c):
         step = factor_step(self, R, c)
         steps.append((list(self.rows), step.copy()))
+        forms.add("ldp" if self.Rinv is not None else "R metric")
         return step
 
     monkeypatch.setattr(solver._WorkingFactor, "step", record)
@@ -358,9 +361,10 @@ def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypa
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # at zero weight the ridge engages
         solve(problem, theta0=np.zeros(problem.n_params))  # one stage, from the origin
-        M, d = _stacked(problem, free, float(problem.lambda_pen))
+        M, d, _ = _stacked(problem, free, float(problem.lambda_pen))
     G = problem.A_ineq[:, free]
     assert len(steps) > 100
+    assert forms == {"ldp" if weight == "chosen" else "R metric"}
     for rows, step in steps:
         Gw = G[rows]
         ref = _svd_step(M, d, Gw)
@@ -368,6 +372,63 @@ def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypa
         if weight == "chosen":
             assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
         assert np.max(np.abs(Gw @ step), initial=0.0) <= 1e-9 * max(1.0, np.max(np.abs(step)))
+
+
+@pytest.mark.parametrize("lam, ldp", [(1e-13, False), (1e-10, True)])
+def test_stage_form_follows_the_conditioning_bound(lam, ldp, treloar_fit, monkeypatch):
+    """A stage whose stack has cond <= FEAS_TOL / eps takes the LDP step,
+    one above it the R-metric step, and both reach the LSI -> LDP -> NNLS
+    optimum.  Neither Treloar surface stack needs the ridge: cond is about
+    3.6e7 at 1e-13 and 1.2e6 at 1e-10."""
+    pytest.importorskip("scipy")
+    problem = replace(treloar_fit(ModelKind.SURFACE).problem, lambda_pen=lam)
+    free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the ridge's warning would raise
+        _, _, cond = _stacked(solver._reduce_blocks(problem), free, lam)
+    assert bool(cond <= solver.FEAS_TOL / np.finfo(float).eps) is ldp
+    forms = []
+    factor_step = solver._WorkingFactor.step
+
+    def record(self, R, c):
+        forms.append(self.Rinv is not None)
+        return factor_step(self, R, c)
+
+    monkeypatch.setattr(solver._WorkingFactor, "step", record)
+    sol = solve(problem)
+    assert forms[-1] is ldp  # the last stage is the one at lam
+    best, M, d, free = _lsi_objective(problem)
+    assert float(np.sum((M @ sol.theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, monkeypatch):
+    """Each weight of the default sweep starts from the working rows of the
+    weight above it, and every weight reaches the LSI -> LDP -> NNLS
+    optimum.  ``working`` must name rows of A_ineq, independent ones."""
+    pytest.importorskip("scipy")
+    fit = treloar_fit(kind)
+    handed = []
+    hand_over = solver._WorkingFactor.hand_over
+
+    def record(self, rows):
+        handed.append(len(rows))
+        return hand_over(self, rows)
+
+    monkeypatch.setattr(solver._WorkingFactor, "hand_over", record)
+    lc = lcurve(replace(fit.problem, lambda_pen=AUTO))
+    assert len(handed) >= lc.lambdas.size - 1 and sum(handed) > 0
+    assert lc.lambda_chosen == fit.lcurve.lambda_chosen
+    for lam, theta, rows in zip(lc.lambdas, lc.thetas, lc.active_sets):
+        best, M, d, free = _lsi_objective(replace(fit.problem, lambda_pen=float(lam)))
+        assert float(np.sum((M @ theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-9)
+        _assert_independent(fit.problem.A_ineq, rows)
+
+    n_rows = fit.problem.A_ineq.shape[0]
+    for bad, why in (((n_rows,), "out of range"), ((-1,), "out of range"),
+                     ((0, n_rows + 5), "out of range"), ((0, 0), "dependent")):
+        with pytest.raises(ValueError, match=why):
+            solve(fit.problem, theta0=fit.sol.theta, working=bad)
 
 
 def _assert_matches_a_fresh_factor(work, G):
@@ -476,6 +537,37 @@ def test_kkt_check_flags_bad_points():
     assert max(stat, feas, comp) < 1e-12
 
 
+def _loop_curvature(x, y):
+    """Reference: the vertex-by-vertex Menger curvature the vectorised one
+    replaced."""
+    kappa = np.zeros(x.size)
+    for i in range(1, x.size - 1):
+        ax, ay = x[i] - x[i - 1], y[i] - y[i - 1]
+        bx, by = x[i + 1] - x[i], y[i + 1] - y[i]
+        cx, cy = x[i + 1] - x[i - 1], y[i + 1] - y[i - 1]
+        area2 = abs(ax * by - ay * bx)  # twice the triangle area
+        denom = math.hypot(ax, ay) * math.hypot(bx, by) * math.hypot(cx, cy)
+        kappa[i] = area2 / denom if denom > 0.0 else 0.0
+    return kappa
+
+
+def test_discrete_curvature_matches_the_vertex_loop(treloar_fit):
+    """Random polylines, repeated and collinear points, and the Treloar
+    sweep's log-log curve give the loop's curvatures."""
+    rng = np.random.default_rng(137)
+    cases = []
+    for size in range(0, 12):
+        cases.append((rng.normal(size=size), rng.normal(size=size)))
+    x = rng.normal(size=9)
+    x[3:6] = x[3]  # a repeated point: zero denominators
+    cases.append((x, np.where(np.arange(9) < 6, 2.0 * x, x)))
+    lc = treloar_fit(ModelKind.SURFACE).lcurve
+    cases.append((np.log10(lc.misfits), np.log10(lc.seminorms)))
+    for x, y in cases:  # np.hypot and math.hypot may differ in the last bit
+        np.testing.assert_allclose(discrete_curvature(x, y), _loop_curvature(x, y),
+                                   rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
 def test_discrete_curvature_reference_values():
     # collinear points carry no curvature; a right angle gives 1/sqrt(2)
     x = np.array([0.0, 1.0, 2.0, 3.0])
@@ -552,7 +644,7 @@ def test_solution_reporting_fields():
 def _near_active_system(problem, theta):
     """Gradient and near-active constraint rows as ``kkt_check`` forms them."""
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
-    M, d = _stacked(problem, free, float(problem.lambda_pen))
+    M, d, _ = _stacked(problem, free, float(problem.lambda_pen))
     g = 2.0 * M.T @ (M @ theta[free] - d)
     G = problem.A_ineq[:, free]
     act = G @ theta[free] >= -1e-8 * (1.0 + np.linalg.norm(theta[free]))
