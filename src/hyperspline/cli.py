@@ -41,7 +41,7 @@ from .model import (ModelKind, ModelSpec, ModelState, activation,
                     metrics, predict_stress_clamped)
 from .model import predict_stress  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .operators import curvature_operator, inequality_operator
-from .solver import (AUTO, CalibrationProblem, lcurve, solve)
+from .solver import AUTO, CalibrationProblem, default_lambda_grid, lcurve, solve
 
 SCHEMA_VERSION = 1
 STRETCH_MIN = 0.05
@@ -70,7 +70,7 @@ class RunConfig:
     n1: int = 20
     n2: int = 5
     delta: float = 1e-6
-    lambda_pen: object = None  # None -> kind default, "auto" or a number
+    lambda_pen: float | str | None = None  # None -> kind default, "auto" or a number
     lcurve_min: float = 1e-10
     lcurve_max: float = 1e2
     lcurve_count: int = 25
@@ -104,8 +104,15 @@ def _read_json(path, what: str):
         raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+# The JSON value types each RunConfig annotation accepts; true and false only
+# where it is bool (to isinstance a bool is an int).
+_CONFIG_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                 "float | str | None": (int, float, str, type(None))}
+
+
 def load_config(path) -> RunConfig:
-    """Parse a flat JSON config; unknown keys are rejected."""
+    """Parse a flat JSON config; unknown keys and values of the wrong type
+    are rejected."""
     data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
@@ -116,15 +123,19 @@ def load_config(path) -> RunConfig:
     missing = [k for k in ("kind", "data") if k not in data]
     if missing:
         raise InputError(f"config is missing required keys: {', '.join(missing)}")
+    for key, value in data.items():
+        annotation = RunConfig.__dataclass_fields__[key].type
+        if (isinstance(value, bool) != (annotation == "bool")
+                or not isinstance(value, _CONFIG_TYPES[annotation])):
+            raise InputError(f"config key {key!r} must be {annotation}, got {json.dumps(value)}")
     cfg = RunConfig(**data)
     cfg.model_kind()
     if cfg.n1 < 4 or cfg.n2 < 4:
         raise InputError("n1 and n2 must be at least 4")
     if cfg.delta < 0:
         raise InputError("delta must be nonnegative")
-    if cfg.lambda_pen is not None and not isinstance(cfg.lambda_pen, (int, float)):
-        if cfg.lambda_pen != AUTO:
-            raise InputError("lambda_pen must be a number or 'auto'")
+    if isinstance(cfg.lambda_pen, str) and cfg.lambda_pen != AUTO:
+        raise InputError("lambda_pen must be a number or 'auto'")
     if isinstance(cfg.lambda_pen, (int, float)) and cfg.lambda_pen < 0:
         raise InputError("lambda_pen must be nonnegative")
     if not (cfg.lcurve_min > 0 and cfg.lcurve_max > cfg.lcurve_min):
@@ -365,9 +376,8 @@ def build_problem(cfg: RunConfig, kind: ModelKind, samples, lambda_pen):
 
 
 def _sweep(cfg: RunConfig, problem: CalibrationProblem):
-    grid = np.logspace(np.log10(cfg.lcurve_min), np.log10(cfg.lcurve_max),
-                       cfg.lcurve_count)
-    return lcurve(problem, grid)
+    return lcurve(problem, default_lambda_grid(cfg.lcurve_count, cfg.lcurve_min,
+                                               cfg.lcurve_max))
 
 
 def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> CalibrationResult:
@@ -376,13 +386,12 @@ def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> Calibratio
     samples = ingest(cfg.data, cfg.stress_scale)
     with _classified_errors():
         spec, problem = build_problem(cfg, kind, samples, _resolve_lambda(cfg, kind))
-        lc = theta0 = working = None
+        lc = None
         if problem.lambda_pen == AUTO:
             lc = _sweep(cfg, problem)
-            problem.lambda_pen = lam = lc.lambda_chosen
-            # the sweep already solved it: start from its solution and working rows
-            theta0, working = lc.theta_near(lam), lc.active_set_near(lam)
-        sol = solve(problem, theta0=theta0, working=working)
+            problem.lambda_pen, sol = lc.lambda_chosen, lc.solution
+        else:
+            sol = solve(problem)
     state = ModelState(spec=spec, theta=sol.theta)
     fit = metrics(state, samples)
     return CalibrationResult(state=state, lambda_pen=float(problem.lambda_pen),

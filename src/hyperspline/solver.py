@@ -28,17 +28,16 @@ relative to max|theta|: the rows of ``inequality_operator`` are
 unit-normalised, so G @ theta carries the units of theta.  From a feasible
 start, steps stay feasible, the blocking row at the shortest step is added
 (ties go to the smallest index) and the row with the most negative
-multiplier is dropped.  The working set stays linearly independent: rows
-handed over from an earlier solve (``working``) enter with one QR of their
-transpose, a bare warm start seeds its near-active rows in index order and
-skips each one within INDEP_TOL of the span of those before it, and a
-blocking row is never a combination of working rows.  A loop that reaches
-its iteration cap raises.
+multiplier is dropped.  The working set stays linearly independent: it
+starts empty, or with the rows handed over from an earlier solve
+(``working``) entered by one QR of their transpose (Lawson & Hanson's
+working-set continuation), and a blocking row is never a combination of
+working rows.  A loop that reaches its iteration cap raises.
 
 The penalty weight can be chosen from the discrete L-curve: solve over a
 grid of weights, locate the corner as the point of maximum discrete
-curvature of the log-log (misfit, seminorm) polyline, and step one decade
-below it.
+curvature of the log-log (misfit, seminorm) polyline, step one decade
+below it, and solve there warm from the nearest swept weight.
 """
 
 from __future__ import annotations
@@ -114,20 +113,7 @@ class LCurveResult:
     corner_index: int
     lambda_corner: float
     lambda_chosen: float
-    thetas: np.ndarray  # the solution at each weight, one row per weight
-    active_sets: list  # the working rows of each weight's solution
-
-    def _nearest(self, lam: float) -> int:
-        return int(np.argmin(np.abs(np.log(self.lambdas / lam))))
-
-    def theta_near(self, lam: float) -> np.ndarray:
-        """Swept solution at the grid weight nearest ``lam`` (log scale): a
-        feasible warm start for ``solve`` at ``lam``."""
-        return self.thetas[self._nearest(lam)]
-
-    def active_set_near(self, lam: float) -> tuple:
-        """Working rows of that solution, for ``solve``'s ``working``."""
-        return self.active_sets[self._nearest(lam)]
+    solution: Solution  # the fit at lambda_chosen
 
 
 FEAS_TOL = 1e-9
@@ -233,19 +219,15 @@ class _WorkingFactor:
         self.rows: list = []
         self.mask = np.zeros(G.shape[0], dtype=bool)
 
-    def add(self, j: int, tol: float = 0.0) -> bool:
-        """Append row j unless its part outside the working span is at most
-        ``tol``; returns whether it was added."""
+    def add(self, j: int) -> None:
+        """Append row j, which lies outside the working span."""
         k = len(self.rows)
         w = self.Q.T @ self.F[j]
         x = w[k:]
-        alpha = math.sqrt(float(x @ x))
-        if alpha <= tol:
-            return False
         # H = I - tau v v^T with v[0] = 1 maps x to beta e_1, scaled as
         # LAPACK's dlarfg: on rows of -I (``_nnls``) Q stays a signed
         # permutation, so pinned entries of a step are exactly zero
-        beta = -math.copysign(alpha, x[0])
+        beta = -math.copysign(math.sqrt(float(x @ x)), x[0])
         v = x / (x[0] - beta)
         v[0] = 1.0
         Zq = self.Q[:, k:]
@@ -254,7 +236,6 @@ class _WorkingFactor:
         self.T[k, k] = beta
         self.rows.append(j)
         self.mask[j] = True
-        return True
 
     def hand_over(self, rows) -> None:
         """Start from independent rows (an earlier solve's working set) with
@@ -357,14 +338,14 @@ def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
     ``theta0`` may supply a feasible warm start, and ``working`` the rows to
     start from, e.g. the ``active_set`` of a solve at another weight that
     ended at ``theta0``: independence of rows does not depend on the weight.
-    Without ``working`` the near-active rows of ``theta0`` seed the working
-    set.  The default start is theta = 0, which is always feasible for the
-    homogeneous constraints.  Cold starts on heavily constrained penalised
-    problems first solve at 1e4x and 1e2x the target weight — smoother
-    solutions have small active sets, so each stage hands its solution and
-    working rows to the next and the total iteration count drops
-    severalfold.  The stages share one reduced problem (``_reduce_blocks``).
-    ``iterations``, ``adds`` and ``drops`` sum over the stages.
+    Without ``working`` the working set starts empty.  The default start is
+    theta = 0, which is always feasible for the homogeneous constraints.
+    Cold starts on heavily constrained penalised problems first solve at
+    1e4x and 1e2x the target weight — smoother solutions have small active
+    sets, so each stage hands its solution and working rows to the next and
+    the total iteration count drops severalfold.  The stages share one
+    reduced problem (``_reduce_blocks``).  ``iterations``, ``adds`` and
+    ``drops`` sum over the stages.
     """
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen is 'auto'; run lcurve() first and solve "
@@ -422,9 +403,6 @@ def _solve_once(problem: CalibrationProblem, theta0: np.ndarray | None, working,
     work = _WorkingFactor(G, np.linalg.inv(R) if ldp else None)
     if working is not None:
         work.hand_over(working)
-    elif theta0 is not None:  # near-active rows, each one within INDEP_TOL of the span skipped
-        for j in np.flatnonzero(G @ start >= -_feas_tol(start)):
-            work.add(j, INDEP_TOL * float(np.linalg.norm(work.F[j])))
     cap = max_iter if max_iter is not None else 10 * free.size + 100
     th_free, rows, mu, iters, adds, drops = _active_set_lsq(R, c, G, work, start, cap)
 
@@ -451,8 +429,7 @@ def _nnls(B: np.ndarray, b: np.ndarray) -> np.ndarray:
     ridge = RIDGE * max(float(np.linalg.norm(B, 2)), np.finfo(float).tiny)
     R, c = _reduce(np.vstack([B, ridge * np.eye(k)]), np.concatenate([b, np.zeros(k)]))
     work = _WorkingFactor(-np.eye(k))
-    for j in range(k):
-        work.add(j, INDEP_TOL)
+    work.hand_over(range(k))
     mu, *_ = _active_set_lsq(R, c, work.F, work, np.zeros(k), 10 * k + 100)
     return mu
 
@@ -502,16 +479,18 @@ def discrete_curvature(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def default_lambda_grid(count: int = 25, low: float = 1e-10, high: float = 1e2) -> np.ndarray:
-    return np.logspace(math.log10(low), math.log10(high), count)
+    return np.logspace(np.log10(low), np.log10(high), count)
 
 
 def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
-    """Sweep penalty weights and pick one decade below the L-curve corner.
+    """Sweep penalty weights, pick one decade below the L-curve corner and
+    solve there.
 
     Solves run from the largest weight down; each weight starts from the
     solution and working rows of the one above it (``solve``'s ``theta0``
-    and ``working``).  Misfit is ``||A theta - y||^2`` and seminorm
-    ``||A_pen theta||^2``.
+    and ``working``), and the chosen weight from those of the swept weight
+    nearest it on a log scale.  Misfit is ``||A theta - y||^2`` and
+    seminorm ``||A_pen theta||^2``.
     """
     if problem.A_pen is None:
         raise ValueError("lcurve requires a penalty operator")
@@ -521,20 +500,23 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     if np.any(grid <= 0.0) or not np.all(np.diff(grid) > 0.0):
         raise ValueError("penalty weights must be positive and strictly increasing")
 
+    reduced = _reduce_blocks(problem)  # one factor for every weight
+
+    def solve_from(lam: float, start: Solution | None) -> Solution:
+        sub = replace(reduced, lambda_pen=lam)
+        if start is not None:
+            try:
+                return solve(sub, theta0=start.theta, working=start.active_set)
+            except ValueError:
+                pass
+        return solve(sub)
+
     misfits = np.zeros(grid.size)
     seminorms = np.zeros(grid.size)
-    thetas = np.zeros((grid.size, problem.n_params))
-    active_sets: list = [()] * grid.size
-    theta_prev = rows_prev = None
-    reduced = _reduce_blocks(problem)  # one factor for every weight
+    sols: list = [None] * grid.size
+    sol = None
     for idx in range(grid.size - 1, -1, -1):
-        sub = replace(reduced, lambda_pen=float(grid[idx]))
-        try:
-            sol = solve(sub, theta0=theta_prev, working=rows_prev)
-        except ValueError:
-            sol = solve(sub)
-        theta_prev = thetas[idx] = sol.theta
-        rows_prev = active_sets[idx] = sol.active_set
+        sols[idx] = sol = solve_from(float(grid[idx]), sol)
         misfits[idx] = float(np.sum((problem.A @ sol.theta - problem.y) ** 2))
         seminorms[idx] = float(np.sum((problem.A_pen @ sol.theta) ** 2))
 
@@ -543,7 +525,8 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
                                 np.log10(np.maximum(seminorms, tiny)))
     corner = int(np.argmax(kappas))
     lam_corner = float(grid[corner])
+    lam = lam_corner / 10.0
+    nearest = sols[int(np.argmin(np.abs(np.log(grid / lam))))]
     return LCurveResult(lambdas=grid, misfits=misfits, seminorms=seminorms,
-                        kappas=kappas, corner_index=corner,
-                        lambda_corner=lam_corner, lambda_chosen=lam_corner / 10.0,
-                        thetas=thetas, active_sets=active_sets)
+                        kappas=kappas, corner_index=corner, lambda_corner=lam_corner,
+                        lambda_chosen=lam, solution=solve_from(lam, nearest))

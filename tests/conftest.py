@@ -36,8 +36,7 @@ def treloar_fit(treloar):
     """Factory returning cached calibration products for one model kind.
 
     The separable split is solved without a penalty; the surface kinds
-    select their weight from the default L-curve sweep and start the final
-    solve from the sweep's solution and working rows there, matching the
+    take their weight and fit from the default L-curve sweep, matching the
     command-line defaults.
     """
     cache = {}
@@ -51,12 +50,11 @@ def treloar_fit(treloar):
             problem = CalibrationProblem(
                 A=A, y=y, A_pen=pen.rows, lambda_pen=0.0,
                 A_ineq=ineq.rows, fixed_zero=fixed_zero_indices(spec))
-            lc = theta0 = working = None
-            if kind is not ModelKind.SEPARABLE:
+            if kind is ModelKind.SEPARABLE:
+                lc, sol = None, solve(problem)
+            else:
                 lc = lcurve(problem)
-                problem.lambda_pen = lam = lc.lambda_chosen
-                theta0, working = lc.theta_near(lam), lc.active_set_near(lam)
-            sol = solve(problem, theta0=theta0, working=working)
+                problem.lambda_pen, sol = lc.lambda_chosen, lc.solution
             state = ModelState(spec=spec, theta=sol.theta)
             cache[kind] = SimpleNamespace(
                 spec=spec, A=A, y=y, pen=pen, ineq=ineq, problem=problem,

@@ -80,6 +80,24 @@ def test_load_config_validation(tmp_path):
         load_config(tmp_path / "list.json")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n1", 4.5), ("n1", "20"), ("n2", None),
+    ("delta", "x"), ("stress_scale", "2"), ("lcurve_min", None),
+    ("kind", ["surface"]), ("data", 5),
+    ("monotone_1", "no"), ("lambda_pen", True),
+])
+def test_config_values_of_the_wrong_type_exit_2(key, value, tmp_path, capsys):
+    """A value whose JSON type does not fit its field is an input error
+    naming the key, not a crash and not a silent reading."""
+    data = _neo_hookean_csv(tmp_path / "d.csv")
+    cfg = _config(tmp_path / "cfg.json", **{"kind": "separable", "data": str(data),
+                                            "n1": 6, "n2": 4,
+                                            "output": str(tmp_path / "out"), key: value})
+    assert main(["calibrate", "--config", str(cfg)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------- ingestion
 
 

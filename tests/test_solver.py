@@ -106,13 +106,30 @@ def test_warm_start_from_the_solution_is_cheap():
     y = rng.normal(size=15)
     problem = _nonneg_problem(A, y)
     first = solve(problem)
-    again = solve(problem, theta0=first.theta)
+    again = solve(problem, theta0=first.theta, working=first.active_set)
     np.testing.assert_allclose(again.theta, first.theta, atol=1e-10)
     assert again.iterations <= 2
     with pytest.raises(ValueError):
         solve(problem, theta0=np.full(6, -1.0))  # infeasible start
     with pytest.raises(ValueError):
         solve(problem, theta0=np.zeros(3))  # wrong length
+
+
+@pytest.mark.parametrize("kind", [None, ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_bare_warm_start_at_the_optimum_stays_there(kind, treloar_fit):
+    """A theta0 without working rows starts from an empty working set and
+    returns the optimum it started from: on a random nonnegative fit and on
+    the Treloar surface fits at their chosen weight."""
+    if kind is None:
+        rng = np.random.default_rng(67)
+        problem = _nonneg_problem(rng.normal(size=(15, 6)), rng.normal(size=15))
+        first = solve(problem)
+    else:
+        fit = treloar_fit(kind)
+        problem, first = fit.problem, fit.sol
+    assert first.active_set  # the start lies on active rows
+    again = solve(problem, theta0=first.theta)
+    assert np.linalg.norm(again.theta - first.theta) <= 1e-9 * np.linalg.norm(first.theta)
 
 
 def test_micro_ridge_warning_on_rank_deficiency():
@@ -240,7 +257,7 @@ def test_solution_scales_with_the_data_units(scale, treloar_fit):
         _assert_scales_with_the_data(problem, solve(problem), scale)
     sep = treloar_fit(ModelKind.SEPARABLE)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the unpenalised split engages the ridge
+        warnings.simplefilter("error")
         _assert_scales_with_the_data(sep.problem, sep.sol, scale)
 
 
@@ -404,25 +421,34 @@ def test_stage_form_follows_the_conditioning_bound(lam, ldp, treloar_fit, monkey
 @pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
 def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, monkeypatch):
     """Each weight of the default sweep starts from the working rows of the
-    weight above it, and every weight reaches the LSI -> LDP -> NNLS
-    optimum.  ``working`` must name rows of A_ineq, independent ones."""
+    weight above it, the chosen weight from those of its nearest swept
+    weight, and every weight reaches the LSI -> LDP -> NNLS optimum.
+    ``working`` must name rows of A_ineq, independent ones."""
     pytest.importorskip("scipy")
     fit = treloar_fit(kind)
-    handed = []
+    handed, solved = [], []
     hand_over = solver._WorkingFactor.hand_over
 
-    def record(self, rows):
+    def record_rows(self, rows):
         handed.append(len(rows))
         return hand_over(self, rows)
 
-    monkeypatch.setattr(solver._WorkingFactor, "hand_over", record)
+    def record_solution(problem, *args, **kwargs):  # lcurve looks solve up by module name
+        sol = solve(problem, *args, **kwargs)
+        solved.append((float(problem.lambda_pen), sol))
+        return sol
+
+    monkeypatch.setattr(solver._WorkingFactor, "hand_over", record_rows)
+    monkeypatch.setattr(solver, "solve", record_solution)
     lc = lcurve(replace(fit.problem, lambda_pen=AUTO))
-    assert len(handed) >= lc.lambdas.size - 1 and sum(handed) > 0
+    assert len(handed) >= lc.lambdas.size and sum(handed) > 0
     assert lc.lambda_chosen == fit.lcurve.lambda_chosen
-    for lam, theta, rows in zip(lc.lambdas, lc.thetas, lc.active_sets):
-        best, M, d, free = _lsi_objective(replace(fit.problem, lambda_pen=float(lam)))
-        assert float(np.sum((M @ theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-9)
-        _assert_independent(fit.problem.A_ineq, rows)
+    assert [lam for lam, _ in solved] == [*lc.lambdas[::-1].tolist(), lc.lambda_chosen]
+    assert solved[-1][1] is lc.solution
+    for lam, sol in solved:
+        best, M, d, free = _lsi_objective(replace(fit.problem, lambda_pen=lam))
+        assert float(np.sum((M @ sol.theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-9)
+        _assert_independent(fit.problem.A_ineq, sol.active_set)
 
     n_rows = fit.problem.A_ineq.shape[0]
     for bad, why in (((n_rows,), "out of range"), ((-1,), "out of range"),
@@ -455,13 +481,11 @@ def test_factor_updates_match_a_fresh_qr(start):
     if start == "empty":
         G = rng.normal(size=(40, n))
         G /= np.linalg.norm(G, axis=1)[:, None]
-        seed = []
-    else:  # _nnls' start: every multiplier pinned at zero
+    else:
         G = np.vstack([-np.eye(n), rng.normal(size=(20, n)) / np.sqrt(n)])
-        seed = list(range(n))
     work = solver._WorkingFactor(G)
-    for j in seed:
-        assert work.add(j, solver.INDEP_TOL)
+    if start == "all pinned":  # _nnls' start: every multiplier pinned at zero
+        work.hand_over(range(n))
     _assert_matches_a_fresh_factor(work, G)
     for _ in range(600):
         k = len(work.rows)
@@ -472,19 +496,8 @@ def test_factor_updates_match_a_fresh_qr(start):
             _, s, _ = np.linalg.svd(G[work.rows + [j]])
             if s[-1] < 1e-3:  # keep the working rows well conditioned
                 continue
-            assert work.add(j)
+            work.add(j)
         _assert_matches_a_fresh_factor(work, G)
-
-
-def test_seed_skips_rows_in_the_working_span():
-    """A seed row within INDEP_TOL of the span of those before it is skipped."""
-    g1, g2 = -np.eye(3)[:2]
-    G = np.vstack([g1, g2, (g1 + g2) / np.sqrt(2.0), g1 + 1e-12 * g2])
-    work = solver._WorkingFactor(G)
-    added = [work.add(j, solver.INDEP_TOL * float(np.linalg.norm(G[j]))) for j in range(4)]
-    assert added == [True, True, False, False]
-    assert work.rows == [0, 1]
-    _assert_matches_a_fresh_factor(work, G)
 
 
 def _loop_ratio_test(G, theta, step, work):
@@ -519,12 +532,25 @@ def test_ratio_test_matches_the_row_loop():
 
 
 def test_calibration_warm_starts_the_chosen_weight(treloar_fit):
-    """The automatic surface fit reuses the sweep's solution at its weight."""
+    """The automatic surface fit is the sweep's fit at its chosen weight."""
     result = run_calibration(RunConfig(kind="surface", data=str(bundled_treloar_path())))
     assert result.lambda_pen == result.lcurve_result.lambda_chosen
+    assert result.sol is result.lcurve_result.solution
     cold = solve(replace(treloar_fit(ModelKind.SURFACE).problem, lambda_pen=result.lambda_pen))
     assert result.sol.objective == pytest.approx(cold.objective, rel=1e-9)
     assert result.sol.iterations < 20
+
+
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_lcurve_returns_the_fit_at_its_chosen_weight(kind, treloar_fit):
+    """The sweep's ``solution`` is the cold solve at ``lambda_chosen``,
+    reached from the nearest swept weight in at most two iterations."""
+    fit = treloar_fit(kind)
+    lc = fit.lcurve
+    cold = solve(replace(fit.problem, lambda_pen=lc.lambda_chosen))
+    assert np.linalg.norm(lc.solution.theta - cold.theta) <= 1e-9 * np.linalg.norm(cold.theta)
+    assert lc.solution.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert lc.solution.iterations <= 2
 
 
 def test_kkt_check_flags_bad_points():
