@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -111,8 +112,8 @@ _CONFIG_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
 
 
 def load_config(path) -> RunConfig:
-    """Parse a flat JSON config; unknown keys and values of the wrong type
-    are rejected."""
+    """Parse a flat JSON config; unknown keys, values of the wrong type and
+    non-finite numbers (JSON's NaN and Infinity) are rejected."""
     data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
@@ -128,6 +129,8 @@ def load_config(path) -> RunConfig:
         if (isinstance(value, bool) != (annotation == "bool")
                 or not isinstance(value, _CONFIG_TYPES[annotation])):
             raise InputError(f"config key {key!r} must be {annotation}, got {json.dumps(value)}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"config key {key!r} must be finite, got {json.dumps(value)}")
     cfg = RunConfig(**data)
     cfg.model_kind()
     if cfg.n1 < 4 or cfg.n2 < 4:
@@ -355,10 +358,10 @@ def _classified_errors():
     """Map bad input to InputError and solver failures to NumericalError."""
     try:
         yield
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        raise NumericalError(str(exc)) from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(str(exc)) from exc
 
 
 def build_problem(cfg: RunConfig, kind: ModelKind, samples, lambda_pen):
@@ -569,12 +572,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperspline import DeformationMode, ModelKind, stress_coefficients
+from hyperspline import DeformationMode, ModelKind, cli, stress_coefficients
 from hyperspline.cli import (
     InputError,
     _write_csv,
@@ -96,6 +96,35 @@ def test_config_values_of_the_wrong_type_exit_2(key, value, tmp_path, capsys):
     assert main(["calibrate", "--config", str(cfg)]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["delta", "stress_scale", "lambda_pen", "lcurve_max"])
+def test_non_finite_config_numbers_exit_2(key, value, tmp_path, capsys):
+    """JSON's NaN, Infinity and -Infinity are input errors naming the key,
+    caught before any fit runs."""
+    data = _neo_hookean_csv(tmp_path / "d.csv")
+    cfg = _config(tmp_path / "cfg.json", **{"kind": "separable", "data": str(data),
+                                            "n1": 6, "n2": 4,
+                                            "output": str(tmp_path / "out"), key: value})
+    assert main(["calibrate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_linear_algebra_failure_exits_3(tmp_path, monkeypatch, capsys):
+    """np.linalg.LinAlgError subclasses ValueError, yet a failure of the
+    solver's linear algebra is numerical (exit 3), not bad input (exit 2)."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    data = _neo_hookean_csv(tmp_path / "d.csv")
+    cfg = _config(tmp_path / "cfg.json", kind="separable", data=str(data), n1=6, n2=4,
+                  output=str(tmp_path / "out"))
+    assert main(["calibrate", "--config", str(cfg)]) == 3
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- ingestion

@@ -151,6 +151,24 @@ def test_iteration_cap_raises():
         solve(problem, max_iter=1)
 
 
+def test_a_trial_stalled_at_the_tolerance_drops_a_row():
+    """A trial infeasible by a hair, with a step below STEP_TOL and no
+    blocking row, while a working row's multiplier is negative: the row is
+    dropped, as on a feasible trial, instead of the loop idling to its cap.
+
+    Row 1 (theta_1 <= 0) sits 4e-13 inside FEAS_TOL at the start and 4e-13
+    outside it at the trial, so the ratio test (threshold FEAS_TOL) finds no
+    blocking row; the working row 0 (theta_0 >= 0) has multiplier -2.
+    """
+    tol = solver.FEAS_TOL
+    problem = CalibrationProblem(A=np.eye(2), y=np.array([1.0, tol + 4e-13]),
+                                 A_ineq=np.array([[-1.0, 0.0], [0.0, 1.0]]))
+    sol = solve(problem, theta0=np.array([0.0, tol - 4e-13]), working=(0,))
+    np.testing.assert_allclose(sol.theta, [1.0, tol + 4e-13], rtol=0.0, atol=1e-15)
+    assert sol.drops == 1 and sol.active_set == ()
+    assert sol.iterations <= 4
+
+
 def test_determinism():
     rng = np.random.default_rng(71)
     A = rng.normal(size=(20, 7))
@@ -303,7 +321,7 @@ def _lsi_objective(problem):
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        M, d, _ = _stacked(problem, free, float(problem.lambda_pen))
+        M, d = _stacked(problem, free, float(problem.lambda_pen))
     G = problem.A_ineq[:, free]
     Q, R = np.linalg.qr(M)
     f1 = Q.T @ d
@@ -379,7 +397,7 @@ def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypa
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # at zero weight the ridge engages
         solve(problem, theta0=np.zeros(problem.n_params))  # one stage, from the origin
-        M, d, _ = _stacked(problem, free, float(problem.lambda_pen))
+        M, d = _stacked(problem, free, float(problem.lambda_pen))
     G = problem.A_ineq[:, free]
     assert len(steps) > 100
     assert forms == {"ldp" if weight == "chosen" else "R metric"}
@@ -392,19 +410,20 @@ def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypa
         assert np.max(np.abs(Gw @ step), initial=0.0) <= 1e-9 * max(1.0, np.max(np.abs(step)))
 
 
-@pytest.mark.parametrize("lam, ldp", [(1e-13, False), (1e-10, True)])
-def test_stage_form_follows_the_conditioning_bound(lam, ldp, treloar_fit, monkeypatch):
-    """A stage whose stack has cond <= FEAS_TOL / eps takes the LDP step,
-    one above it the R-metric step, and both reach the LSI -> LDP -> NNLS
-    optimum.  Neither Treloar surface stack needs the ridge: cond is about
-    3.6e7 at 1e-13 and 1.2e6 at 1e-10."""
+@pytest.mark.parametrize("pen_scale, ldp", [(1.0, True), (1e-6, False)])
+def test_stage_form_follows_the_conditioning_bound(pen_scale, ldp, treloar_fit, monkeypatch):
+    """A stage takes the LDP step where the factor R0 of [A; A_pen] has
+    cond <= FEAS_TOL / eps and the weight's scaling D keeps
+    cond(R0) * cond(D) <= 1 / RANK_TOL, the R-metric step elsewhere, and
+    both reach the LSI -> LDP -> NNLS optimum.  Both cases solve one
+    stack, the Treloar surface one at weight 1e-10 (cond 1.2e6, no ridge):
+    A_pen scaled by 1e-6 at weight 1e2 raises cond(R0) from 3.7e4 to 1.2e7."""
     pytest.importorskip("scipy")
-    problem = replace(treloar_fit(ModelKind.SURFACE).problem, lambda_pen=lam)
-    free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the ridge's warning would raise
-        _, _, cond = _stacked(solver._reduce_blocks(problem), free, lam)
-    assert bool(cond <= solver.FEAS_TOL / np.finfo(float).eps) is ldp
+    base = treloar_fit(ModelKind.SURFACE).problem
+    problem = replace(base, A_pen=pen_scale * base.A_pen, lambda_pen=1e-10 / pen_scale ** 2)
+    factor = solver._Factor(solver._reduce_blocks(problem))
+    assert factor.ldp is ldp
+    assert (factor.at(problem.lambda_pen)[2].Rinv is not None) is ldp
     forms = []
     factor_step = solver._WorkingFactor.step
 
@@ -413,7 +432,9 @@ def test_stage_form_follows_the_conditioning_bound(lam, ldp, treloar_fit, monkey
         return factor_step(self, R, c)
 
     monkeypatch.setattr(solver._WorkingFactor, "step", record)
-    sol = solve(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the ridge's warning would raise
+        sol = solve(problem)
     assert forms[-1] is ldp  # the last stage is the one at lam
     best, M, d, free = _lsi_objective(problem)
     assert float(np.sum((M @ sol.theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-9)
@@ -671,7 +692,7 @@ def test_solution_reporting_fields():
 def _near_active_system(problem, theta):
     """Gradient and near-active constraint rows as ``kkt_check`` forms them."""
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
-    M, d, _ = _stacked(problem, free, float(problem.lambda_pen))
+    M, d = _stacked(problem, free, float(problem.lambda_pen))
     g = 2.0 * M.T @ (M @ theta[free] - d)
     G = problem.A_ineq[:, free]
     act = G @ theta[free] >= -1e-8 * (1.0 + np.linalg.norm(theta[free]))
@@ -802,8 +823,7 @@ def test_kkt_check_on_reduced_blocks_matches_the_full_stack():
 
 # ------------------------------------------- seeded differential sweeps
 
-# Fixed before the per-sweep factor replaced the per-weight one, and never
-# re-drawn: a draw that fails is recorded, not replaced.
+# Fixed seeds, never re-drawn: a draw that fails is recorded, not replaced.
 SWEEP_SEEDS = tuple(range(1101, 1125))
 
 
