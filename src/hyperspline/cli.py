@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -277,10 +276,10 @@ def _write_csv(path: Path, columns: dict):
 
 
 def _provenance(data_path) -> dict:
+    """The data file by name and content digest, so that a fit of the same
+    bytes writes the same model.json whatever copy of the file it read."""
     p = Path(data_path)
-    digest = hashlib.sha256(p.read_bytes()).hexdigest()
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(p.stat().st_mtime))
-    return {"data_file": p.name, "data_sha256": digest, "timestamp": stamp}
+    return {"data_file": p.name, "data_sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
 
 
 def model_to_dict(state: ModelState, lambda_pen: float, fit, provenance: dict) -> dict:

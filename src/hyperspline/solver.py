@@ -5,43 +5,35 @@ The calibration problem is
     min ||A theta - y||^2 + lambda ||A_pen theta||^2
     s.t. A_ineq theta <= 0,  theta[fixed] = 0,
 
-a convex QP solved with a primal active-set method in least-squares form;
-the normal equations are never formed.  Each block taller than its free
-columns, [A | y] and A_pen, is reduced to its triangular factor, and
-``_Factor`` takes the generalized SVD of the reduced [A; A_pen] once per
-problem (``solve``, all its stages) or sweep (``lcurve``, all its weights)
-in Paige & Saunders' QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981;
-Elden, BIT 22, 1982).  A weight is then a diagonal scaling D, and a stage
-minimises ||L theta - c|| on n rows, L = D W^T R0.
+a convex QP solved with Goldfarb & Idnani's dual active-set method (Math.
+Programming 27, 1983) in least-squares form; the normal equations are never
+formed.  Each block taller than its free columns, [A | y] and A_pen, is
+reduced to its triangular factor, and ``_Factor`` takes the generalized SVD
+of the reduced [A; A_pen] once per problem or sweep in Paige & Saunders'
+QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981; Elden, BIT 22, 1982).  A
+weight is then a diagonal scaling D of ||L theta - c||, L = D W^T R0.
 
-A stage runs in the LDP form (Lawson & Hanson, Solving Least Squares
-Problems, 1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the
-roundoff theta = R0^-1 W D^-1 u adds to G theta (D^-1 costs no digits),
-and cond(R0) cond(D) <= 1 / RANK_TOL, which keeps cond(L) under the
-ridge's threshold.  In u = L theta the rows are F = G L^-1, a subproblem
-is the projection u = Z Z^T c onto the null space Z = Q[:, k:] of F_W,
-and theta = L^-1 u plus one refinement step.  Other stages (``_stacked``,
-ridged or not) and ``_nnls``, which needs exact zeros, keep F = G and a
-QR of R Z per iteration, R the stack's triangular factor.  The working
-rows' transpose keeps its complete orthogonal factor F_W^T = Q[:, :k] T,
-updated on each add and drop (Gill, Golub, Murray & Saunders, Methods for
-modifying matrix factorizations, 1974); the multipliers reuse T.
+That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
+1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
+theta = R0^-1 W D^-1 u adds to G theta, and cond(R0) cond(D) <= 1 / RANK_TOL,
+which keeps cond(L) under the ridge's threshold.  In u = L theta the rows
+are F = G L^-1 and the metric is the identity: the optimum on a working set
+is the projection u = Z Z^T c onto the null space Z = Q[:, k:] of F_W, then
+theta = L^-1 u plus one refinement step.  Other weights (``_stacked``,
+ridged or not) keep F = G and the metric R^T R, with a QR of R Z per step.
+F_W^T = Q[:, :k] T and T^-1 are updated on each add and drop (Gill, Golub,
+Murray & Saunders, Methods for modifying matrix factorizations, 1974).
 
-Feasibility and the ratio test are judged on G relative to max|theta|:
-the rows of ``inequality_operator`` are unit-normalised, so G @ theta
-carries the units of theta.  From a feasible start steps stay feasible,
-the blocking row at the shortest step is added (ties go to the smallest
-index), and the row with the most negative multiplier is dropped, also
-where a trial fails only by roundoff.  The working set stays linearly
-independent: it starts empty or with the rows handed over from an earlier
-solve (``working``, Lawson & Hanson's working-set continuation), entered
-by one QR of their transpose, and a blocking row is never a combination
-of working rows.  A loop that reaches its iteration cap raises.
-
-The penalty weight can be chosen from the discrete L-curve: solve over a
-grid of weights, locate the corner as the point of maximum discrete
-curvature of the log-log (misfit, seminorm) polyline, step one decade
-below it, and solve there warm from the nearest swept weight.
+The dual loop needs no feasible start.  It starts from the optimum on the
+rows handed over from an earlier solve (``working``) or on none, dropping
+rows with negative multipliers until that start is dual feasible, then adds
+the most violated row (ties go to the smallest index), moving theta and the
+multipliers until the row is active or a working multiplier reaches zero
+and its row is dropped.  Violation is judged on G relative to max|theta|
+(ADD_TOL): the rows of ``inequality_operator`` are unit-normalised, so
+G @ theta carries the units of theta.  A violated row in the working span
+that releases no multiplier is violated only by roundoff, theta = 0 being
+feasible, and is skipped.  A loop that reaches its iteration cap raises.
 """
 
 from __future__ import annotations
@@ -99,7 +91,7 @@ class Solution:
     objective: float
     active_set: tuple
     kkt_residual: float
-    iterations: int
+    iterations: int  # steps of the loop: adds, drops and skipped rows
     adds: int  # working-set changes made by the iterations (a seed is not counted)
     drops: int
     wall_time: float
@@ -118,6 +110,7 @@ class LCurveResult:
 
 
 FEAS_TOL = 1e-9
+ADD_TOL = 1e-11
 MULT_TOL = 1e-10
 STEP_TOL = 1e-12
 INDEP_TOL = 1e-10
@@ -229,19 +222,16 @@ class _Factor:
 class _WorkingFactor:
     """Working rows of F (G itself, or with ``Rinv`` the LDP rows G R^-1)
     and the complete orthogonal factor of their transpose, F_W^T = Q[:, :k] T
-    with T upper triangular; Q[:, k:] spans their null space.  An add
-    applies one Householder reflector to the null-space columns, a drop
-    restores T by a small QR of its Hessenberg block; ``rows`` and the
+    with T upper triangular, and Ti = T^-1; Q[:, k:] spans their null space.
+    An add applies one Householder reflector to the null-space columns, a
+    drop restores T by a small QR of its Hessenberg block; ``rows`` and the
     columns of T follow the order of the adds.
     """
 
     def __init__(self, F: np.ndarray, Rinv: np.ndarray | None = None):
-        n = F.shape[1]
-        self.F, self.Rinv = F, Rinv
-        self.Q = np.eye(n)
-        self.T = np.zeros((n, n))
-        self.rows: list = []
-        self.mask = np.zeros(F.shape[0], dtype=bool)
+        self.F, self.Rinv, self.Q = F, Rinv, np.eye(F.shape[1])
+        self.T, self.Ti = np.zeros_like(self.Q), np.zeros_like(self.Q)
+        self.rows, self.mask = [], np.zeros(F.shape[0], dtype=bool)
 
     def add(self, j: int) -> None:
         """Append row j, which lies outside the working span."""
@@ -258,6 +248,8 @@ class _WorkingFactor:
         Zq -= (((beta - x[0]) / beta) * (Zq @ v))[:, None] * v
         self.T[:k, k] = w[:k]
         self.T[k, k] = beta
+        self.Ti[:k, k] = -(self.Ti[:k, :k] @ w[:k]) / beta
+        self.Ti[k, k] = 1.0 / beta
         self.rows.append(j)
         self.mask[j] = True
 
@@ -265,11 +257,14 @@ class _WorkingFactor:
         """Start from independent rows (an earlier solve's working set) with
         one QR of their transpose; raise ValueError if they are dependent."""
         rows, k = list(rows), len(rows)
+        if not all(0 <= j < self.F.shape[0] for j in rows):
+            raise ValueError(f"working rows out of range 0..{self.F.shape[0] - 1}")
         F = self.F[rows]
         Q, T = np.linalg.qr(F.T, mode="complete")
         if k > T.shape[0] or np.any(np.abs(np.diag(T)) <= INDEP_TOL * np.linalg.norm(F, axis=1)):
             raise ValueError("working rows are linearly dependent")
         self.Q, self.T[:k, :k], self.rows = Q, T[:k], rows
+        self.Ti[:k, :k] = np.linalg.inv(T[:k])
         self.mask[rows] = True
 
     def drop(self, p: int) -> None:
@@ -280,8 +275,11 @@ class _WorkingFactor:
             self.Q[:, p:k] = self.Q[:, p:k] @ Qh
             self.T[:p, p:k - 1] = self.T[:p, p + 1:k]
             self.T[p:k, p:k - 1] = Rh
-        self.T[:k, k - 1] = 0.0
-        self.T[k - 1, :k] = 0.0
+            self.Ti[:k, p:k] = self.Ti[:k, p:k] @ Qh
+        # T_new^-1 is T^-1 diag(I, Qh) without row p and column k - 1
+        self.Ti[p:k - 1, :k - 1] = self.Ti[p + 1:k, :k - 1]
+        self.T[:k, k - 1] = self.Ti[:k, k - 1] = 0.0
+        self.T[k - 1, :k] = self.Ti[k - 1, :k] = 0.0
         self.mask[self.rows.pop(p)] = False
 
     def step(self, R: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -307,7 +305,25 @@ class _WorkingFactor:
         g = 2.0 * (R @ theta - c)
         if self.Rinv is None:
             g = R.T @ g
-        return np.linalg.solve(self.T[:k, :k], -(self.Q[:, :k].T @ g))
+        return -(self.Ti[:k, :k] @ (self.Q[:, :k].T @ g))
+
+    def directions(self, R: np.ndarray, j: int):
+        """Goldfarb & Idnani's directions for adding row j, f_j = H z + F_W^T r
+        with F_W z = 0, H = I in the LDP form and R^T R on G: (z in theta, r,
+        f_j . z in F's variable), z = 0 where f_j lies in the working span."""
+        k, f = len(self.rows), self.F[j]
+        Z, Q1 = self.Q[:, k:], self.Q[:, :k]
+        w = Z.T @ f
+        z, gz, h = np.zeros(R.shape[1]), 0.0, f
+        if np.linalg.norm(w) > INDEP_TOL * np.linalg.norm(f):
+            if self.Rinv is not None:
+                z, gz = self.Rinv @ (Z @ w), float(w @ w)
+            else:  # z = Z (R Z)^+ (R Z)^+T Z^T f
+                Rz = np.linalg.qr(R @ Z, mode="r")
+                v = np.linalg.solve(Rz.T, w)
+                z, gz = Z @ np.linalg.solve(Rz, v), float(v @ v)
+                h = f - R.T @ (R @ z)
+        return z, self.Ti[:k, :k] @ (Q1.T @ h), gz
 
 
 def _ratio_test(G, theta, step, work):
@@ -322,102 +338,70 @@ def _ratio_test(G, theta, step, work):
     return (float(t[j]), j) if t[j] < 1.0 else (1.0, -1)
 
 
-def _active_set_lsq(R, c, G, work, theta0, max_iter):
-    """Primal active-set loop on ||R theta - c|| subject to G theta <= 0,
-    from the seeded factor ``work``.  Returns (theta, working rows, their
-    multipliers, iterations, adds, drops); adds and drops count the loop's
-    changes of the working set, not the seed."""
-    theta = theta0.copy()
+def _dual_active_set(R, c, G, work, max_iter):
+    """Goldfarb & Idnani's dual loop on ||R theta - c|| subject to
+    G theta <= 0 from the seeded factor ``work``: a step s towards adding
+    row p moves theta by -s z / 2, the multipliers mu by -s r and p's by s.
+    Returns (theta, working rows, mu, iterations, adds, drops)."""
+    theta = work.step(R, c)
+    mu = work.multipliers(R, c, theta)
     adds = drops = 0
-    for it in range(1, max_iter + 1):
-        trial = work.step(R, c)
-        if np.all(G @ trial <= _feas_tol(trial)):
-            theta = trial
+    p, skip = -1, np.zeros(G.shape[0], dtype=bool)  # skip: rows violated by roundoff
+    for it in range(max_iter):  # it: the steps taken so far
+        if p < 0:
+            if mu.size and mu.min() < -MULT_TOL:  # the start is not dual feasible
+                work.drop(int(np.argmin(mu)))
+                drops += 1
+                theta = work.step(R, c)
+                mu = work.multipliers(R, c, theta)
+                continue
+            viol = np.append(np.where(work.mask | skip, -np.inf, G @ theta), -np.inf)
+            p, mu_p = int(np.argmax(viol)), 0.0  # G.shape[0] where no row is violated
+            if not viol[p] > ADD_TOL * max(1.0, float(np.max(np.abs(theta)))):
+                return theta, work.rows, work.multipliers(R, c, theta), it, adds, drops
+        z, r, gz = work.directions(R, p)
+        ratios = np.append(np.divide(mu, r, out=np.full(r.size, np.inf), where=r > 0.0), np.inf)
+        l = int(np.argmin(ratios))  # r.size where no working multiplier reaches zero
+        s1 = ratios[l]
+        s2 = 2.0 * float(G[p] @ theta) / gz if gz > 0.0 else np.inf
+        if s1 == s2 == np.inf:  # in the working span: violated only by roundoff
+            skip[p], p = True, -1  # and back to the working rows' optimum
+            theta = work.step(R, c)
+            mu = work.multipliers(R, c, theta)
+            continue
+        s = min(s1, s2)
+        theta, mu, mu_p = theta - 0.5 * s * z, mu - s * r, mu_p + s
+        skip[:] = False
+        if s2 <= s1:
+            work.add(p)
+            adds += 1
+            mu, p = np.append(mu, mu_p), -1
+            theta = work.step(R, c)
         else:
-            step = trial - theta
-            t_best, j = _ratio_test(G, theta, step, work.mask)
-            theta = theta + t_best * step
-            if j >= 0:
-                work.add(j)
-                adds += 1
-                continue
-            if np.linalg.norm(step) >= STEP_TOL:
-                continue
-            # no progress and nothing to add: theta is the working set's optimum
-        mu = work.multipliers(R, c, theta)
-        if np.all(mu >= -MULT_TOL):
-            return theta, work.rows, mu, it, adds, drops
-        work.drop(int(np.argmin(mu)))
-        drops += 1
+            work.drop(l)
+            drops += 1
+            mu = np.delete(mu, l)
     raise RuntimeError(f"active-set solver failed to converge in {max_iter} iterations")
 
 
-def solve(problem: CalibrationProblem, theta0: np.ndarray | None = None,
-          max_iter: int | None = None, working=None, *, _factor=None) -> Solution:
-    """Solve the calibration QP.
-
-    ``theta0`` may supply a feasible warm start, and ``working`` the rows to
-    start from, e.g. the ``active_set`` of a solve at another weight that
-    ended at ``theta0``: independence of rows does not depend on the weight.
-    Without ``working`` the working set starts empty; the default start
-    theta = 0 is feasible for the homogeneous constraints.  Cold starts on
-    heavily constrained penalised problems first solve at 1e4x and 1e2x the
-    target weight — smoother solutions have small active sets, so each
-    stage hands its solution and working rows to the next and the total
-    iteration count drops severalfold.  The stages share one reduced problem
-    and its ``_Factor``, which ``lcurve`` passes as ``_factor`` for all its
-    weights.  ``iterations``, ``adds`` and ``drops`` sum over the stages.
-    """
+def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None, *,
+          _factor=None) -> Solution:
+    """Solve the calibration QP, from the unconstrained optimum or from the
+    rows named by ``working``, e.g. the ``active_set`` of a solve at another
+    weight (independence of rows does not depend on the weight).  ``lcurve``
+    passes its sweep's ``_Factor`` as ``_factor``."""
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen is 'auto'; run lcurve() first and solve "
                          "with the chosen numeric weight")
     t_start = time.perf_counter()
     problem = _reduce_blocks(problem)
     factor = _Factor(problem) if _factor is None else _factor
-    lam = float(problem.lambda_pen)
-    warm, rows, stages = theta0, working, []
-    if (theta0 is None and working is None and lam > 0.0 and problem.A_pen is not None
-            and problem.A_ineq is not None and problem.A_ineq.shape[0] > 2 * problem.n_params):
-        # Stage weights stay below the point where the penalty block drowns
-        # the misfit rows in roundoff; there the subproblems turn degenerate.
-        lam_cap = 1e8 * float(np.sum(problem.A ** 2)) / max(
-            float(np.sum(problem.A_pen ** 2)), np.finfo(float).tiny)
-        try:
-            for stage_lam in (1e4 * lam, 1e2 * lam):
-                if not lam < stage_lam < lam_cap:
-                    continue
-                stages.append(_solve_once(replace(problem, lambda_pen=stage_lam),
-                                          factor, warm, rows, max_iter))
-                warm, rows = stages[-1].theta, stages[-1].active_set
-        except RuntimeError:
-            warm, rows, stages = theta0, working, []
-    stages.append(_solve_once(problem, factor, warm, rows, max_iter))
-    return replace(stages[-1], iterations=sum(s.iterations for s in stages),
-                   adds=sum(s.adds for s in stages), drops=sum(s.drops for s in stages),
-                   wall_time=time.perf_counter() - t_start)
-
-
-def _solve_once(problem: CalibrationProblem, factor: _Factor, theta0: np.ndarray | None,
-                working, max_iter: int | None) -> Solution:
-    """One stage at problem.lambda_pen; ``factor`` is the problem's at any weight."""
-    t_start = time.perf_counter()
     n, free, G = problem.n_params, factor.free, factor.G
-    start = np.zeros(free.size)
-    if theta0 is not None:
-        theta0 = np.asarray(theta0, dtype=float).ravel()
-        if theta0.shape[0] != n:
-            raise ValueError("theta0 has the wrong length")
-        start = theta0[free]
-        if np.any(G @ start > _feas_tol(start)):
-            raise ValueError("theta0 is infeasible")
-    if working is not None and not all(0 <= j < G.shape[0] for j in working):
-        raise ValueError(f"working rows out of range 0..{G.shape[0] - 1}")
-
     R, c, work = factor.at(float(problem.lambda_pen))
     if working is not None:
         work.hand_over(working)
     cap = max_iter if max_iter is not None else 10 * free.size + 100
-    th_free, rows, mu, iters, adds, drops = _active_set_lsq(R, c, G, work, start, cap)
+    th_free, rows, mu, iters, adds, drops = _dual_active_set(R, c, G, work, cap)
 
     theta = np.zeros(n)
     theta[free] = th_free
@@ -432,17 +416,35 @@ def _solve_once(problem: CalibrationProblem, factor: _Factor, theta0: np.ndarray
 
 
 def _nnls(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimise ||B mu - b|| over mu >= 0 with the active-set loop above,
-    every mu pinned at zero at the start as in Lawson & Hanson's NNLS; ridge
-    rows sqrt(eps) * ||B|| * I keep a degenerate set of columns (more
+    """Minimise ||B x - b|| over x >= 0 by Lawson & Hanson's primal loop,
+    from x = 0 with every entry pinned; exact zeros need a primal method.
+    Ridge rows sqrt(eps) * ||B|| * I keep a degenerate set of columns (more
     near-active rows than the rank) well posed."""
     k = B.shape[1]
     ridge = RIDGE * max(float(np.linalg.norm(B, 2)), np.finfo(float).tiny)
     R, c = _reduce(np.vstack([B, ridge * np.eye(k)]), np.concatenate([b, np.zeros(k)]))
     work = _WorkingFactor(-np.eye(k))
     work.hand_over(range(k))
-    mu, *_ = _active_set_lsq(R, c, work.F, work, np.zeros(k), 10 * k + 100)
-    return mu
+    G, x = work.F, np.zeros(k)
+    for _ in range(10 * k + 100):
+        trial = work.step(R, c)
+        if np.all(G @ trial <= _feas_tol(trial)):
+            x = trial
+        else:
+            step = trial - x
+            t_best, j = _ratio_test(G, x, step, work.mask)
+            x = x + t_best * step
+            if j >= 0:
+                work.add(j)
+                continue
+            if np.linalg.norm(step) >= STEP_TOL:
+                continue
+            # no progress and nothing to pin: x is the free entries' optimum
+        mu = work.multipliers(R, c, x)
+        if np.all(mu >= -MULT_TOL):
+            return x
+        work.drop(int(np.argmin(mu)))
+    raise RuntimeError(f"NNLS failed to converge in {10 * k + 100} iterations")
 
 
 def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
@@ -489,12 +491,12 @@ def default_lambda_grid(count: int = 25, low: float = 1e-10, high: float = 1e2) 
 
 
 def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
-    """Sweep penalty weights, pick one decade below the L-curve corner and
-    solve there.  All weights share one ``_Factor``.  Solves run from the
-    largest weight down, each from the solution and working rows of the one
-    above it (``solve``'s ``theta0`` and ``working``), and the chosen weight
-    from those of the swept weight nearest it on a log scale.  Misfit is
-    ``||A theta - y||^2`` and seminorm ``||A_pen theta||^2``.
+    """Sweep penalty weights, pick one decade below the L-curve corner (the
+    maximum discrete curvature of the log-log (misfit, seminorm) polyline)
+    and solve there.  All weights share one ``_Factor``.  Solves run from the
+    largest weight down, each from the working rows of the one above it, and
+    the chosen weight from those of the swept weight nearest it on a log
+    scale.  Misfit is ``||A theta - y||^2``, seminorm ``||A_pen theta||^2``.
     """
     if problem.A_pen is None:
         raise ValueError("lcurve requires a penalty operator")
@@ -509,12 +511,10 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
 
     def solve_from(lam: float, start: Solution | None) -> Solution:
         sub = replace(reduced, lambda_pen=lam)
-        if start is not None:
-            try:
-                return solve(sub, theta0=start.theta, working=start.active_set, _factor=factor)
-            except ValueError:
-                pass
-        return solve(sub, _factor=factor)
+        try:
+            return solve(sub, working=start and start.active_set, _factor=factor)
+        except ValueError:  # rows dependent at this weight: start cold
+            return solve(sub, _factor=factor)
 
     sols: list = []
     for lam in grid[::-1]:  # each from the one above it

@@ -1,0 +1,40 @@
+"""Long run of the seeded differential sweep test over a range of seeds.
+
+    PYTHONPATH=src python tests/sweep_seeds.py 5001 5300
+
+Each seed's random surface or mapped draw goes through a five-weight L-curve
+sweep and its solve at the chosen weight (``test_solver.check_random_sweep``):
+every weight is checked against the LSI -> LDP -> NNLS oracle (scipy) and
+``kkt_check``.  Prints each failing seed and a summary line; exits 1 if any
+seed fails.
+"""
+
+import sys
+import time
+import traceback
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from test_solver import check_random_sweep  # noqa: E402
+
+
+def main(argv=None) -> int:
+    first, last = (int(a) for a in (sys.argv[1:] if argv is None else argv))
+    seeds = range(first, last + 1)
+    start, failed = time.perf_counter(), []
+    for seed in seeds:
+        try:
+            check_random_sweep(seed)
+        except Exception as exc:  # noqa: BLE001 - every failure is reported
+            failed.append(seed)
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            print(f"seed {seed}: {type(exc).__name__} at {Path(where.filename).name}:"
+                  f"{where.lineno} ({where.line}): {str(exc)[:200]}")
+    print(f"{len(seeds) - len(failed)} of {len(seeds)} seeds passed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,11 @@
 """Command-line workflows: configs, ingestion, file formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +245,24 @@ def test_calibrate_outputs_are_byte_deterministic(nh_setup, command):
         if name == "compare.csv":  # its last column, wall_time_s, is measured
             a, b = ([line.rsplit(b",", 1)[0] for line in text.splitlines()] for text in (a, b))
         assert a == b, name
+
+
+def test_model_json_is_byte_identical_across_copies_of_the_data(nh_setup):
+    """model.json pins the data by name and digest: two copies of the same
+    bytes with different modification times give byte-identical files."""
+    tmp_path, data, _ = nh_setup
+    for sub, mtime in (("a", 1_000_000_000), ("b", 1_700_000_000)):
+        copy = tmp_path / sub / data.name
+        copy.parent.mkdir()
+        copy.write_bytes(data.read_bytes())
+        os.utime(copy, (mtime, mtime))
+        cfg = _config(tmp_path / sub / "cfg.json", kind="separable", data=str(copy),
+                      lambda_pen=0.0, output=str(tmp_path / sub / "out"))
+        assert main(["calibrate", "--config", str(cfg)]) == 0
+    a, b = ((tmp_path / sub / "out" / "model.json").read_bytes() for sub in ("a", "b"))
+    assert a == b
+    assert json.loads(a)["provenance"] == {
+        "data_file": data.name, "data_sha256": hashlib.sha256(data.read_bytes()).hexdigest()}
 
 
 def test_calibrate_empty_dataset_writes_nothing(tmp_path, capsys):
