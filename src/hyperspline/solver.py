@@ -16,24 +16,27 @@ weight is then a diagonal scaling D of ||L theta - c||, L = D W^T R0.
 That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
 1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
 theta = R0^-1 W D^-1 u adds to G theta, and cond(R0) cond(D) <= 1 / RANK_TOL,
-which keeps cond(L) under the ridge's threshold.  In u = L theta the rows
-are F = G L^-1 and the metric is the identity: the optimum on a working set
-is the projection u = Z Z^T c onto the null space Z = Q[:, k:] of F_W, then
-theta = L^-1 u plus one refinement step.  Other weights (``_stacked``,
-ridged or not) keep F = G and the metric R^T R, with a QR of R Z per step.
-F_W^T = Q[:, :k] T and T^-1 are updated on each add and drop (Gill, Golub,
-Murray & Saunders, Methods for modifying matrix factorizations, 1974).
+which keeps cond(L) under the ridge's threshold.  The loop then moves
+u = L theta, with rows F = G L^-1 and the identity metric: a working set's
+optimum is the projection u = Z Z^T c onto the null space Z = Q[:, k:] of
+F_W, a direction is Z Z^T f_p, and theta = L^-1 u plus one refinement step
+is formed once per solve.  Other weights (``_stacked``, ridged or not) run
+the loop in theta, with F = G, the metric R^T R and a QR of R Z per step.
+Of F_W^T = Q[:, :k] T only Q and T^-1 are kept: an add is one Householder
+reflector on the null-space columns (Gill, Golub, Murray & Saunders, 1974),
+a drop one on the working columns, as row p of T^-1 is orthogonal to the
+other working columns of T.
 
-The dual loop needs no feasible start.  It starts from the optimum on the
-rows handed over from an earlier solve (``working``) or on none, dropping
-rows with negative multipliers until that start is dual feasible, then adds
-the most violated row (ties go to the smallest index), moving theta and the
-multipliers until the row is active or a working multiplier reaches zero
-and its row is dropped.  Violation is judged on G relative to max|theta|
-(ADD_TOL): the rows of ``inequality_operator`` are unit-normalised, so
-G @ theta carries the units of theta.  A violated row in the working span
-that releases no multiplier is violated only by roundoff, theta = 0 being
-feasible, and is skipped.  A loop that reaches its iteration cap raises.
+The dual loop needs no feasible start: from the optimum on the rows handed
+over by an earlier solve (``working``) or on none, it drops the row with the
+most negative mu_j ||F_j|| until that start is dual feasible.  Then, of the
+rows with F_j x > ADD_TOL max(1, max|theta|) (``inequality_operator``'s rows
+are unit-normalised, so G theta = F u has theta's units), it adds the one
+farthest from its hyperplane in the metric, F_j x / ||F_j|| (ties go to the
+smallest index), moving x and the multipliers until the row is active or a
+working multiplier reaches zero and its row is dropped.  A violated row in
+the working span that releases no multiplier is violated only by roundoff,
+theta = 0 being feasible, and is skipped.  A loop at its iteration cap raises.
 """
 
 from __future__ import annotations
@@ -219,35 +222,33 @@ class _Factor:
         return *_reduce(*_stacked(self.problem, self.free, lam)), _WorkingFactor(self.G)
 
 
+def _reflector(x: np.ndarray):
+    """(beta, tau, v), H = I - tau v v^T, v[0] = 1, H x = beta e_1, scaled as
+    LAPACK's dlarfg: H maps signed unit vectors to signed unit vectors, so on
+    rows of -I (``_nnls``) Q stays a signed permutation, with exact zeros."""
+    beta = -math.copysign(math.sqrt(float(x @ x)), x[0])
+    v = x / (x[0] - beta)
+    v[0] = 1.0
+    return beta, (beta - x[0]) / beta, v
+
+
 class _WorkingFactor:
-    """Working rows of F (G itself, or with ``Rinv`` the LDP rows G R^-1)
-    and the complete orthogonal factor of their transpose, F_W^T = Q[:, :k] T
-    with T upper triangular, and Ti = T^-1; Q[:, k:] spans their null space.
-    An add applies one Householder reflector to the null-space columns, a
-    drop restores T by a small QR of its Hessenberg block; ``rows`` and the
-    columns of T follow the order of the adds.
-    """
+    """Rows F (G, or with ``Rinv`` = L^-1 the LDP rows G L^-1) and their
+    norms; Q and Ti = T^-1 of the working rows' F_W^T = Q[:, :k] T, Q[:, k:]
+    spanning their null space.  ``rows`` and Ti's rows follow the adds."""
 
     def __init__(self, F: np.ndarray, Rinv: np.ndarray | None = None):
         self.F, self.Rinv, self.Q = F, Rinv, np.eye(F.shape[1])
-        self.T, self.Ti = np.zeros_like(self.Q), np.zeros_like(self.Q)
+        self.Ti, self.norms = np.zeros_like(self.Q), np.linalg.norm(F, axis=1)
         self.rows, self.mask = [], np.zeros(F.shape[0], dtype=bool)
 
-    def add(self, j: int) -> None:
-        """Append row j, which lies outside the working span."""
+    def add(self, j: int, w: np.ndarray | None = None) -> None:
+        """Append row j, which lies outside the working span; w = Q^T F[j]
+        where ``directions`` has formed it."""
         k = len(self.rows)
-        w = self.Q.T @ self.F[j]
-        x = w[k:]
-        # H = I - tau v v^T with v[0] = 1 maps x to beta e_1, scaled as
-        # LAPACK's dlarfg: on rows of -I (``_nnls``) Q stays a signed
-        # permutation, so pinned entries of a step are exactly zero
-        beta = -math.copysign(math.sqrt(float(x @ x)), x[0])
-        v = x / (x[0] - beta)
-        v[0] = 1.0
-        Zq = self.Q[:, k:]
-        Zq -= (((beta - x[0]) / beta) * (Zq @ v))[:, None] * v
-        self.T[:k, k] = w[:k]
-        self.T[k, k] = beta
+        w = self.Q.T @ self.F[j] if w is None else w
+        beta, tau, v = _reflector(w[k:])
+        self.Q[:, k:] -= (tau * (self.Q[:, k:] @ v))[:, None] * v
         self.Ti[:k, k] = -(self.Ti[:k, :k] @ w[:k]) / beta
         self.Ti[k, k] = 1.0 / beta
         self.rows.append(j)
@@ -261,69 +262,64 @@ class _WorkingFactor:
             raise ValueError(f"working rows out of range 0..{self.F.shape[0] - 1}")
         F = self.F[rows]
         Q, T = np.linalg.qr(F.T, mode="complete")
-        if k > T.shape[0] or np.any(np.abs(np.diag(T)) <= INDEP_TOL * np.linalg.norm(F, axis=1)):
+        if k > T.shape[0] or np.any(np.abs(np.diag(T)) <= INDEP_TOL * self.norms[rows]):
             raise ValueError("working rows are linearly dependent")
-        self.Q, self.T[:k, :k], self.rows = Q, T[:k], rows
+        self.Q, self.rows = Q, rows
         self.Ti[:k, :k] = np.linalg.inv(T[:k])
         self.mask[rows] = True
 
     def drop(self, p: int) -> None:
-        """Remove the working row at position p."""
+        """Remove the working row at position p: with H the reflector taking
+        row p of Ti to e_k, Q[:, :k] H turns its last column out of the other
+        rows' span, and Ti H without row p and column k - 1 inverts the rest."""
         k = len(self.rows)
-        if p < k - 1:
-            Qh, Rh = np.linalg.qr(self.T[p:k, p + 1:k], mode="complete")
-            self.Q[:, p:k] = self.Q[:, p:k] @ Qh
-            self.T[:p, p:k - 1] = self.T[:p, p + 1:k]
-            self.T[p:k, p:k - 1] = Rh
-            self.Ti[:k, p:k] = self.Ti[:k, p:k] @ Qh
-        # T_new^-1 is T^-1 diag(I, Qh) without row p and column k - 1
-        self.Ti[p:k - 1, :k - 1] = self.Ti[p + 1:k, :k - 1]
-        self.T[:k, k - 1] = self.Ti[:k, k - 1] = 0.0
-        self.T[k - 1, :k] = self.Ti[k - 1, :k] = 0.0
+        _, tau, v = _reflector(self.Ti[p, k - 1::-1])
+        v = v[::-1]
+        for B in (self.Q[:, :k], self.Ti[:k, :k]):
+            B -= (tau * (B @ v))[:, None] * v
+        self.Ti[p:k - 1, :k] = self.Ti[p + 1:k, :k]
+        self.Ti[k - 1, :k] = self.Ti[:k, k - 1] = 0.0
         self.mask[self.rows.pop(p)] = False
 
     def step(self, R: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Minimise ||R t - c|| subject to G_W t = 0.  In the LDP form R t is
-        the projection Z Z^T c and t follows by R^-1 with one refinement step;
-        otherwise t = Z z with z from the triangular factor of [R Z | c]."""
+        """Minimise ||R x - c|| subject to F_W x = 0: in the LDP form x = u
+        is the projection Z Z^T c, otherwise x = theta = Z z with z from the
+        triangular factor of [R Z | c]."""
         Z = self.Q[:, len(self.rows):]
         if self.Rinv is not None:
-            u = Z @ (Z.T @ c)
-            t = self.Rinv @ u
-            return t + self.Rinv @ (u - R @ t)
+            return Z @ (Z.T @ c)
         m = Z.shape[1]
-        if not m:
-            return np.zeros(R.shape[1])
         Rz, cz = _reduce(R @ Z, c)
         return Z @ np.linalg.solve(Rz[:m], cz[:m])
 
-    def multipliers(self, R: np.ndarray, c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Working-row multipliers at theta: solve F_W^T mu = -g with
-        F_W^T = Q[:, :k] T and g the gradient in F's variable, 2 (R theta - c)
-        in the LDP form and R^T times that on G."""
+    def theta(self, x: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
+        """theta at the loop's x: L^-1 u in the LDP form, refined once given R = L."""
+        t = x if self.Rinv is None else self.Rinv @ x
+        return t if self.Rinv is None or R is None else t + self.Rinv @ (x - R @ t)
+
+    def multipliers(self, R: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Working-row multipliers at x, F_W^T mu = -g: g = 2 (x - c), or 2 R^T (R x - c) on G."""
         k = len(self.rows)
-        g = 2.0 * (R @ theta - c)
-        if self.Rinv is None:
-            g = R.T @ g
+        g = 2.0 * (x - c) if self.Rinv is not None else 2.0 * R.T @ (R @ x - c)
         return -(self.Ti[:k, :k] @ (self.Q[:, :k].T @ g))
 
     def directions(self, R: np.ndarray, j: int):
         """Goldfarb & Idnani's directions for adding row j, f_j = H z + F_W^T r
-        with F_W z = 0, H = I in the LDP form and R^T R on G: (z in theta, r,
-        f_j . z in F's variable), z = 0 where f_j lies in the working span."""
+        with F_W z = 0, H = I in the LDP form and R^T R on G: (z, r, f_j . z,
+        Q^T f_j for ``add``), z = 0 where f_j lies in the working span."""
         k, f = len(self.rows), self.F[j]
-        Z, Q1 = self.Q[:, k:], self.Q[:, :k]
-        w = Z.T @ f
-        z, gz, h = np.zeros(R.shape[1]), 0.0, f
-        if np.linalg.norm(w) > INDEP_TOL * np.linalg.norm(f):
+        qf = self.Q.T @ f
+        Z, w, h = self.Q[:, k:], qf[k:], qf[:k]
+        z, gz, ww = np.zeros(f.size), 0.0, float(w @ w)
+        if ww > (INDEP_TOL * self.norms[j]) ** 2:
             if self.Rinv is not None:
-                z, gz = self.Rinv @ (Z @ w), float(w @ w)
+                z, gz = Z @ w, ww
             else:  # z = Z (R Z)^+ (R Z)^+T Z^T f
                 Rz = np.linalg.qr(R @ Z, mode="r")
                 v = np.linalg.solve(Rz.T, w)
                 z, gz = Z @ np.linalg.solve(Rz, v), float(v @ v)
-                h = f - R.T @ (R @ z)
-        return z, self.Ti[:k, :k] @ (Q1.T @ h), gz
+                h = h - self.Q[:, :k].T @ (R.T @ (R @ z))
+        return z, self.Ti[:k, :k] @ h, gz, qf
 
 
 def _ratio_test(G, theta, step, work):
@@ -338,45 +334,50 @@ def _ratio_test(G, theta, step, work):
     return (float(t[j]), j) if t[j] < 1.0 else (1.0, -1)
 
 
-def _dual_active_set(R, c, G, work, max_iter):
-    """Goldfarb & Idnani's dual loop on ||R theta - c|| subject to
-    G theta <= 0 from the seeded factor ``work``: a step s towards adding
-    row p moves theta by -s z / 2, the multipliers mu by -s r and p's by s.
-    Returns (theta, working rows, mu, iterations, adds, drops)."""
-    theta = work.step(R, c)
-    mu = work.multipliers(R, c, theta)
+def _dual_active_set(R, c, work, max_iter):
+    """Goldfarb & Idnani's dual loop on ||R x - c|| subject to F x <= 0 from
+    the seeded factor ``work``, in x = u in the LDP form and x = theta on G:
+    a step s towards adding row p moves x by -s z / 2, the multipliers mu by
+    -s r and p's by s.  Returns (x, working rows, mu, iterations, adds, drops)."""
+    F, norms = work.F, work.norms
+    x = work.step(R, c)
+    mu = work.multipliers(R, c, x)
     adds = drops = 0
-    p, skip = -1, np.zeros(G.shape[0], dtype=bool)  # skip: rows violated by roundoff
+    p, skip = -1, np.zeros(F.shape[0], dtype=bool)  # skip: rows violated by roundoff
     for it in range(max_iter):  # it: the steps taken so far
         if p < 0:
             if mu.size and mu.min() < -MULT_TOL:  # the start is not dual feasible
-                work.drop(int(np.argmin(mu)))
+                work.drop(int(np.argmin(mu * norms[work.rows])))
                 drops += 1
-                theta = work.step(R, c)
-                mu = work.multipliers(R, c, theta)
+                x = work.step(R, c)
+                mu = work.multipliers(R, c, x)
                 continue
-            viol = np.append(np.where(work.mask | skip, -np.inf, G @ theta), -np.inf)
-            p, mu_p = int(np.argmax(viol)), 0.0  # G.shape[0] where no row is violated
-            if not viol[p] > ADD_TOL * max(1.0, float(np.max(np.abs(theta)))):
-                return theta, work.rows, work.multipliers(R, c, theta), it, adds, drops
-        z, r, gz = work.directions(R, p)
-        ratios = np.append(np.divide(mu, r, out=np.full(r.size, np.inf), where=r > 0.0), np.inf)
-        l = int(np.argmin(ratios))  # r.size where no working multiplier reaches zero
+            Fx = F @ x
+            tol = ADD_TOL * max(1.0, float(np.max(np.abs(work.theta(x)))))
+            dist = np.full(F.shape[0] + 1, -np.inf)  # the violated rows' distances
+            np.divide(Fx, norms, out=dist[:-1], where=(Fx > tol) & ~(work.mask | skip))
+            p, mu_p = int(np.argmax(dist)), 0.0
+            if dist[p] == -np.inf:  # no row is violated
+                return x, work.rows, work.multipliers(R, c, x), it, adds, drops
+        z, r, gz, qf = work.directions(R, p)
+        ratios = np.full(r.size + 1, np.inf)  # r.size where no working multiplier reaches zero
+        np.divide(mu, r, out=ratios[:-1], where=r > 0.0)
+        l = int(np.argmin(ratios))
         s1 = ratios[l]
-        s2 = 2.0 * float(G[p] @ theta) / gz if gz > 0.0 else np.inf
+        s2 = 2.0 * float(F[p] @ x) / gz if gz > 0.0 else np.inf
         if s1 == s2 == np.inf:  # in the working span: violated only by roundoff
             skip[p], p = True, -1  # and back to the working rows' optimum
-            theta = work.step(R, c)
-            mu = work.multipliers(R, c, theta)
+            x = work.step(R, c)
+            mu = work.multipliers(R, c, x)
             continue
         s = min(s1, s2)
-        theta, mu, mu_p = theta - 0.5 * s * z, mu - s * r, mu_p + s
+        x, mu, mu_p = x - 0.5 * s * z, mu - s * r, mu_p + s
         skip[:] = False
         if s2 <= s1:
-            work.add(p)
+            work.add(p, qf)
             adds += 1
             mu, p = np.append(mu, mu_p), -1
-            theta = work.step(R, c)
+            x = work.step(R, c)
         else:
             work.drop(l)
             drops += 1
@@ -401,9 +402,8 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     if working is not None:
         work.hand_over(working)
     cap = max_iter if max_iter is not None else 10 * free.size + 100
-    th_free, rows, mu, iters, adds, drops = _dual_active_set(R, c, G, work, cap)
-
-    theta = np.zeros(n)
+    x, rows, mu, iters, adds, drops = _dual_active_set(R, c, work, cap)
+    theta, th_free = np.zeros(n), work.theta(x, R)
     theta[free] = th_free
     kkt = float(np.linalg.norm(2.0 * R.T @ (R @ th_free - c) + G[rows].T @ np.clip(mu, 0.0, None)))
 
