@@ -7,9 +7,8 @@ stress data by constrained linear least squares.
 """
 
 from .domain import (BoundaryEval, DomainMapConfig, MapJacobian, boundary,
-                     chain_rule, cubic_residual, map_forward, map_inverse,
-                     map_jacobian, poly_transform, poly_transform_inverse,
-                     width)
+                     cubic_residual, map_forward, map_inverse, map_jacobian,
+                     poly_transform, poly_transform_inverse, width)
 from .kinematics import (DeformationMode, Sample, StressCoefficients,
                          invariants, max_invariants, stress_coefficients)
 from .model import (ActivationReport, FitMetrics, ModelKind, ModelSpec,
@@ -55,7 +54,6 @@ __all__ = [
     "basis_at",
     "basis_row",
     "boundary",
-    "chain_rule",
     "collocation_matrix",
     "cubic_residual",
     "curvature_operator",

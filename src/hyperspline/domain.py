@@ -292,11 +292,3 @@ def map_jacobian(i1, i2, cfg: DomainMapConfig) -> MapJacobian:
     deta_di1 = (-d_lo * eff - (t - t_lo) * deff) / (eff * eff)
     return MapJacobian(dxi_di1=unbatch(dxi, scalar), deta_di1=unbatch(deta_di1, scalar),
                        deta_di2=unbatch(deta_di2, scalar))
-
-
-def chain_rule(w_xi, w_eta, jac: MapJacobian):
-    """Convert unit-square energy gradients to invariant-space gradients."""
-    w_xi, w_eta, scalar = pairs(w_xi, w_eta)
-    w1 = w_xi * jac.dxi_di1 + w_eta * jac.deta_di1
-    w2 = w_eta * jac.deta_di2
-    return unbatch(w1, scalar), unbatch(w2, scalar)

@@ -36,7 +36,10 @@ farthest from its hyperplane in the metric, F_j x / ||F_j|| (ties go to the
 smallest index), moving x and the multipliers until the row is active or a
 working multiplier reaches zero and its row is dropped.  A violated row in
 the working span that releases no multiplier is violated only by roundoff,
-theta = 0 being feasible, and is skipped.  A loop at its iteration cap raises.
+theta = 0 being feasible, and is skipped.  The cap is tied to the problem's
+size, 10 (n + m) + 100 steps for n free parameters and m rows, and a loop
+at its cap raises.  The same loop, on the rows -I from the unconstrained
+optimum, gives ``kkt_check``'s nonnegative multipliers (``_nnls``).
 """
 
 from __future__ import annotations
@@ -115,16 +118,9 @@ class LCurveResult:
 FEAS_TOL = 1e-9
 ADD_TOL = 1e-11
 MULT_TOL = 1e-10
-STEP_TOL = 1e-12
 INDEP_TOL = 1e-10
 RANK_TOL = 1e-12
 RIDGE = math.sqrt(np.finfo(float).eps)
-
-
-def _feas_tol(x: np.ndarray) -> float:
-    """Feasibility tolerance at x: with unit-normalised rows G @ x carries
-    the units of x, and its roundoff grows with max|x|."""
-    return FEAS_TOL * max(1.0, float(np.max(np.abs(x))))
 
 
 def _free(problem: CalibrationProblem) -> np.ndarray:
@@ -225,7 +221,8 @@ class _Factor:
 def _reflector(x: np.ndarray):
     """(beta, tau, v), H = I - tau v v^T, v[0] = 1, H x = beta e_1, scaled as
     LAPACK's dlarfg: H maps signed unit vectors to signed unit vectors, so on
-    rows of -I (``_nnls``) Q stays a signed permutation, with exact zeros."""
+    rows of -I (``_nnls``) every add and drop keeps Q a signed permutation,
+    with exact zeros."""
     beta = -math.copysign(math.sqrt(float(x @ x)), x[0])
     v = x / (x[0] - beta)
     v[0] = 1.0
@@ -322,24 +319,15 @@ class _WorkingFactor:
         return z, self.Ti[:k, :k] @ h, gz, qf
 
 
-def _ratio_test(G, theta, step, work):
-    """Longest fraction t <= 1 of ``step`` that keeps the rows outside the
-    working set feasible, and the row that blocks it (-1 if none does);
-    ties go to the smallest index."""
-    Gstep = G @ step
-    block = ~work & (Gstep > _feas_tol(step))
-    t = np.full(G.shape[0], np.inf)
-    t[block] = np.maximum(0.0, -(G @ theta)[block]) / Gstep[block]
-    j = int(np.argmax(t <= np.min(t) + 1e-15))
-    return (float(t[j]), j) if t[j] < 1.0 else (1.0, -1)
-
-
-def _dual_active_set(R, c, work, max_iter):
+def _dual_active_set(R, c, work, max_iter=None):
     """Goldfarb & Idnani's dual loop on ||R x - c|| subject to F x <= 0 from
     the seeded factor ``work``, in x = u in the LDP form and x = theta on G:
     a step s towards adding row p moves x by -s z / 2, the multipliers mu by
-    -s r and p's by s.  Returns (x, working rows, mu, iterations, adds, drops)."""
+    -s r and p's by s.  The cap is 10 (columns + rows of F) + 100 unless
+    ``max_iter`` is given.  Returns (x, working rows, mu, iterations, adds, drops)."""
     F, norms = work.F, work.norms
+    if max_iter is None:
+        max_iter = 10 * (F.shape[1] + F.shape[0]) + 100
     x = work.step(R, c)
     mu = work.multipliers(R, c, x)
     adds = drops = 0
@@ -401,8 +389,7 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     R, c, work = factor.at(float(problem.lambda_pen))
     if working is not None:
         work.hand_over(working)
-    cap = max_iter if max_iter is not None else 10 * free.size + 100
-    x, rows, mu, iters, adds, drops = _dual_active_set(R, c, work, cap)
+    x, rows, mu, iters, adds, drops = _dual_active_set(R, c, work, max_iter)
     theta, th_free = np.zeros(n), work.theta(x, R)
     theta[free] = th_free
     kkt = float(np.linalg.norm(2.0 * R.T @ (R @ th_free - c) + G[rows].T @ np.clip(mu, 0.0, None)))
@@ -416,35 +403,16 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
 
 
 def _nnls(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimise ||B x - b|| over x >= 0 by Lawson & Hanson's primal loop,
-    from x = 0 with every entry pinned; exact zeros need a primal method.
-    Ridge rows sqrt(eps) * ||B|| * I keep a degenerate set of columns (more
-    near-active rows than the rank) well posed."""
+    """Minimise ||B x - b|| over x >= 0: the dual loop on the rows -I from
+    the unconstrained optimum.  On those rows every add and drop keeps Q a
+    signed permutation (``_reflector``), and the loop returns a working-set
+    optimum Z z, so the entries held at zero are exactly 0.0.  Ridge rows
+    sqrt(eps) * ||B|| * I keep a degenerate set of columns (more near-active
+    rows than the rank) well posed."""
     k = B.shape[1]
     ridge = RIDGE * max(float(np.linalg.norm(B, 2)), np.finfo(float).tiny)
     R, c = _reduce(np.vstack([B, ridge * np.eye(k)]), np.concatenate([b, np.zeros(k)]))
-    work = _WorkingFactor(-np.eye(k))
-    work.hand_over(range(k))
-    G, x = work.F, np.zeros(k)
-    for _ in range(10 * k + 100):
-        trial = work.step(R, c)
-        if np.all(G @ trial <= _feas_tol(trial)):
-            x = trial
-        else:
-            step = trial - x
-            t_best, j = _ratio_test(G, x, step, work.mask)
-            x = x + t_best * step
-            if j >= 0:
-                work.add(j)
-                continue
-            if np.linalg.norm(step) >= STEP_TOL:
-                continue
-            # no progress and nothing to pin: x is the free entries' optimum
-        mu = work.multipliers(R, c, x)
-        if np.all(mu >= -MULT_TOL):
-            return x
-        work.drop(int(np.argmin(mu)))
-    raise RuntimeError(f"NNLS failed to converge in {10 * k + 100} iterations")
+    return _dual_active_set(R, c, _WorkingFactor(-np.eye(k)))[0]
 
 
 def kkt_check(problem: CalibrationProblem, theta: np.ndarray):

@@ -7,8 +7,9 @@ sweep and its solve at the chosen weight (``test_solver.check_random_sweep``):
 every weight is checked against the LSI -> LDP -> NNLS oracle (scipy) and
 ``kkt_check``.  Prints each failing seed and a summary line with the total
 steps of the solver's loop over the passing seeds and the largest share of
-its iteration cap (10 n_free + 100, ``solve``'s default) that one solve
-took; exits 1 if any seed fails.
+its iteration cap that one solve took, against the cap ``solve`` uses,
+10 (n_free + m) + 100 for n_free free parameters and m inequality rows;
+exits 1 if any seed fails.
 """
 
 import sys
@@ -34,7 +35,8 @@ def main(argv=None) -> int:
             print(f"seed {seed}: {type(exc).__name__} at {Path(where.filename).name}:"
                   f"{where.lineno} ({where.line}): {str(exc)[:200]}")
             continue
-        cap = 10 * (problem.n_params - len(problem.fixed_zero)) + 100
+        rows = 0 if problem.A_ineq is None else problem.A_ineq.shape[0]
+        cap = 10 * (problem.n_params - len(problem.fixed_zero) + rows) + 100
         steps += sum(sol.iterations for _, sol in solved)
         worst = max(worst, (max(sol.iterations for _, sol in solved) / cap, seed))
     print(f"{len(seeds) - len(failed)} of {len(seeds)} seeds passed "

@@ -258,7 +258,7 @@ def test_scalar_calls_return_python_floats():
     xi, eta = hs.map_forward(5.0, 4.5, cfg)
     _assert_floats(xi, eta, *hs.map_inverse(xi, eta, cfg))
     jac = hs.map_jacobian(5.0, 4.5, cfg)
-    _assert_floats(jac.dxi_di1, jac.deta_di1, jac.deta_di2, *hs.chain_rule(1.0, 2.0, jac))
+    _assert_floats(jac.dxi_di1, jac.deta_di1, jac.deta_di2)
 
     kv = splines.make_knots(np.linspace(0.0, 1.0, 6))
     span, vals = splines.basis_at(kv, 0.3, 1)

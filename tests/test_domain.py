@@ -9,7 +9,6 @@ from hyperspline import (
     DeformationMode,
     DomainMapConfig,
     boundary,
-    chain_rule,
     cubic_residual,
     invariants,
     map_forward,
@@ -281,17 +280,6 @@ def test_map_jacobian_eta_monotone_in_i2():
     for _ in range(50):
         i1, i2 = map_inverse(*rng.uniform(0.01, 0.99, 2), cfg)
         assert map_jacobian(i1, i2, cfg).deta_di2 > 0.0
-
-
-def test_chain_rule_composition():
-    cfg = DomainMapConfig(u_max=20.0)
-    i1, i2 = map_inverse(0.4, 0.6, cfg)
-    jac = map_jacobian(i1, i2, cfg)
-    w1, w2 = chain_rule(2.0, 3.0, jac)
-    assert w1 == pytest.approx(2.0 * jac.dxi_di1 + 3.0 * jac.deta_di1, rel=1e-14)
-    assert w2 == pytest.approx(3.0 * jac.deta_di2, rel=1e-14)
-    # zero surface gradient maps to zero invariant gradient
-    assert chain_rule(0.0, 0.0, jac) == (0.0, 0.0)
 
 
 def test_domain_config_validation():

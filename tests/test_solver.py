@@ -406,6 +406,24 @@ def test_treloar_surface_fit_matches_the_nnls_oracle(weight, treloar_fit):
     assert float(np.sum((M @ sol.theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-6)
 
 
+def test_cold_mapped_treloar_solve_at_zero_weight_converges(treloar_fit):
+    """The unpenalised mapped Treloar fit (the micro-ridge, 99 free
+    parameters, 325 rows) takes about 3450 dual steps from a cold start,
+    past a cap of 10 n_free + 100 = 1090 but within the cap tied to the row
+    count, 10 (n_free + m) + 100 = 4340.  It reaches the optimum, to 1e-9,
+    and a KKT point within the benchmark gate's bounds."""
+    fit = treloar_fit(ModelKind.MAPPED_SURFACE)
+    problem = replace(fit.problem, lambda_pen=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # A is rank-deficient: the ridge engages
+        sol = solve(problem)
+        stat, feas, _ = kkt_check(problem, sol.theta)
+    assert sol.objective == pytest.approx(1672.826462855917, rel=1e-9)
+    g0 = float(np.linalg.norm(2.0 * fit.A.T @ fit.y))
+    assert stat <= 1e-2 * g0
+    assert feas <= 1e-8 * (1.0 + float(np.linalg.norm(sol.theta)))
+
+
 def _svd_step(M, d, Gw):
     """Reference subproblem: an SVD null space of the working rows, then
     least squares on the stacked matrix restricted to it."""
@@ -566,7 +584,7 @@ def test_factor_updates_match_a_fresh_qr(start):
     else:
         G = np.vstack([-np.eye(n), rng.normal(size=(20, n)) / np.sqrt(n)])
     work = solver._WorkingFactor(G)
-    if start == "all pinned":  # _nnls' start: every multiplier pinned at zero
+    if start == "all pinned":  # every row of -I handed over, one QR of -I
         work.hand_over(range(n))
     _assert_matches_a_fresh_factor(work, G)
     for _ in range(600):
@@ -583,14 +601,13 @@ def test_factor_updates_match_a_fresh_qr(start):
 
 
 def test_drops_and_adds_on_rows_of_minus_identity_keep_a_signed_permutation():
-    """On rows of -I, the start of ``_nnls``, every add and drop is a signed
-    permutation of Q's columns, so Q holds only -1, 0 and 1 and the pinned
-    entries of a step are exactly zero."""
+    """On rows of -I from an empty working set, the start of ``_nnls``,
+    every add and drop is a signed permutation of Q's columns, so Q holds
+    only -1, 0 and 1 and the pinned entries of a step are exactly zero."""
     rng = np.random.default_rng(139)
     n = 9
     G = -np.eye(n)
     work = solver._WorkingFactor(G)
-    work.hand_over(range(n))
     for _ in range(600):
         k = len(work.rows)
         if k and (k == n or rng.random() < 0.5):
@@ -628,37 +645,6 @@ def test_the_entering_row_is_violated_beyond_the_tolerance_before_it_is_priced(m
     np.testing.assert_allclose(sol.theta, [0.6, 1.2], rtol=0.0, atol=1e-15)
     stat, feas, comp = kkt_check(problem, sol.theta)
     assert stat <= 1e-12 and feas <= solver.FEAS_TOL and comp <= 1e-12
-
-
-def _loop_ratio_test(G, theta, step, work):
-    """Reference: the row-by-row ratio test the vectorised one replaced."""
-    Gstep, Gtheta = G @ step, G @ theta
-    tol = solver._feas_tol(step)
-    t_best, j_best = 1.0, -1
-    for j in range(G.shape[0]):
-        if work[j] or Gstep[j] <= tol:
-            continue
-        tj = max(0.0, -Gtheta[j]) / Gstep[j]
-        if tj < t_best - 1e-15 or (abs(tj - t_best) <= 1e-15 and (j_best < 0 or j < j_best)):
-            t_best, j_best = min(tj, 1.0), j
-    return (t_best, j_best) if t_best < 1.0 else (1.0, -1)
-
-
-def test_ratio_test_matches_the_row_loop():
-    """Same step and blocking row as the loop, exact ties and the origin included."""
-    rng = np.random.default_rng(113)
-    for case in range(300):
-        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 15))
-        G = rng.normal(size=(m, n))
-        if case % 3 == 1:
-            G[m // 2:] = G[:m - m // 2]  # duplicated rows tie exactly
-        theta = np.zeros(n) if case % 3 == 2 else rng.normal(size=n)  # at 0 every t is 0
-        theta *= float(rng.choice([1e-3, 1.0, 1e6]))
-        # project violated rows onto theta's orthogonal complement: theta is feasible
-        G -= np.maximum(G @ theta, 0.0)[:, None] * theta / max(theta @ theta, 1e-300)
-        work = rng.random(m) < 0.3
-        step = rng.normal(size=n) * float(rng.choice([1e-3, 1.0, 1e3]))
-        assert solver._ratio_test(G, theta, step, work) == _loop_ratio_test(G, theta, step, work)
 
 
 def test_calibration_warm_starts_the_chosen_weight(treloar_fit):
@@ -841,6 +827,7 @@ def test_nnls_matches_scipy_on_random_problems():
         assert np.linalg.norm(B @ mu - b) == pytest.approx(rnorm, rel=1e-6, abs=1e-9)
         if k <= m:  # full column rank: the minimiser is unique
             np.testing.assert_allclose(mu, ref, atol=1e-6 * max(1.0, np.abs(ref).max()))
+            assert np.all(mu[ref == 0.0] == 0.0)  # the loop's zeros are exact
 
 
 @pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
