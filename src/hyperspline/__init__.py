@@ -7,8 +7,8 @@ stress data by constrained linear least squares.
 """
 
 from .domain import (BoundaryEval, DomainMapConfig, MapJacobian, boundary,
-                     cubic_residual, map_forward, map_inverse, map_jacobian,
-                     poly_transform, poly_transform_inverse, width)
+                     map_forward, map_inverse, map_jacobian, poly_transform,
+                     poly_transform_inverse, width)
 from .kinematics import (DeformationMode, Sample, StressCoefficients,
                          invariants, max_invariants, stress_coefficients)
 from .model import (ActivationReport, FitMetrics, ModelKind, ModelSpec,
@@ -22,8 +22,8 @@ from .solver import (AUTO, CalibrationProblem, LCurveResult, Solution,
                      lcurve, solve)
 from .splines import (Curve, DirectionOps, KnotVector, Surface, basis_at,
                       basis_row, collocation_matrix, derivative_operator,
-                      eval_coeffs, interpolate_curve, interpolate_surface,
-                      make_knots, sensitivity_set)
+                      eval_coeffs, interpolate_curve, make_knots,
+                      sensitivity_set)
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "basis_row",
     "boundary",
     "collocation_matrix",
-    "cubic_residual",
     "curvature_operator",
     "default_lambda_grid",
     "default_spec",
@@ -66,7 +65,6 @@ __all__ = [
     "fixed_zero_indices",
     "inequality_operator",
     "interpolate_curve",
-    "interpolate_surface",
     "invariants",
     "kkt_check",
     "lcurve",

@@ -157,9 +157,8 @@ def _read_csv(path, what: str, names: tuple, exact: bool = True):
     text = _read_text(path, what)
     n, expected = len(names), ",".join(names)
     lines, rows = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
+    for lineno, stripped in enumerate(map(str.strip, text.splitlines()), start=1):
+        if stripped and stripped[0] != "#":
             lines.append(lineno)
             rows.append(stripped.split(","))
     if not rows:
@@ -186,6 +185,14 @@ def _parsed(strings, parse) -> tuple:
     """``parse`` of each string (None if it rejects it) and the rejected mask."""
     values = list(map(parse, strings))
     return values, np.array([v is None for v in values], dtype=bool)
+
+
+def _floats(strings) -> tuple:
+    """``_parsed(strings, _float)``, in one ``float`` pass if all are numbers."""
+    try:
+        return list(map(float, strings)), np.zeros(len(strings), dtype=bool)
+    except ValueError:
+        return _parsed(strings, _float)
 
 
 def _range_check(stretch: np.ndarray) -> tuple:
@@ -217,8 +224,8 @@ def ingest(path, stress_scale: float = 1.0):
     lines, widths, (names, stretches, stresses) = _read_csv(
         path, "data file", ("mode", "stretch", "stress"))
     modes, unknown = _parsed(names, _MODES.get)
-    stretch, bad_stretch = _parsed(stretches, _float)
-    stress, bad_stress = _parsed(stresses, _float)
+    stretch, bad_stretch = _floats(stretches)
+    stress, bad_stress = _floats(stresses)
     stretch, stress = np.array(stretch, dtype=float), np.array(stress, dtype=float)  # None -> NaN
     _check_rows(path, lines, [
         (widths != 3, lambda k: f"expected 3 columns, got {widths[k]}"),
@@ -271,8 +278,8 @@ def _cells(column) -> list:
 
 def _write_csv(path: Path, columns: dict):
     """Write named, equal-length columns as CSV, atomically."""
-    rows = zip(*map(_cells, columns.values()), strict=True)
-    _write_atomic(path, "".join(",".join(row) + "\n" for row in [columns, *rows]))
+    rows = map(",".join, zip(*map(_cells, columns.values()), strict=True))
+    _write_atomic(path, "\n".join([",".join(columns), *rows]) + "\n")
 
 
 def _provenance(data_path) -> dict:
@@ -470,7 +477,7 @@ def _cmd_predict(args) -> int:
     lines, widths, (names, stretches) = _read_csv(
         args.at, "stretches file", ("mode", "stretch"), exact=False)
     modes, unknown = _parsed(names, _MODES.get)
-    stretch, bad_stretch = _parsed(stretches, _float)
+    stretch, bad_stretch = _floats(stretches)
     stretch = np.array(stretch, dtype=float)  # None -> NaN
     _check_rows(args.at, lines, [
         (widths < 2, "expected 2 columns"),

@@ -20,7 +20,10 @@ whose convexity is compatible with polyconvex energies.  A small width
 floor ``delta`` keeps the map well defined at the apex, where the band
 collapses to a point.  One admissibility rule, a roundoff tolerance on
 I2 in the transformed coordinate, decides which points the map rejects
-and which clamped predictions are flagged.
+and which clamped predictions are flagged.  The spline coordinates of a
+point and the Jacobian there share one band, so a mapped evaluation solves
+``boundary`` once per point (twice only where a clamped point's I1 does
+not survive the round trip through the unit square).
 
 Every function here is elementwise: it takes one point or a 1-D array of
 points and returns Python floats for a scalar point.
@@ -229,9 +232,22 @@ def width(i1, cfg: DomainMapConfig):
     return unbatch(eff, scalar), unbatch(deff, scalar)
 
 
+def _reband(i1: np.ndarray, known: np.ndarray, band, cfg: DomainMapConfig):
+    """The band at ``i1``, given ``band`` at ``known``: reused wherever the
+    two I1 agree bit for bit and solved afresh for the rest only.
+    ``boundary`` solves each point on its own, so both give the same bits."""
+    new = i1 != known
+    if new.any():
+        band = tuple(b.copy() for b in band)
+        for b, fresh in zip(band, _band(i1[new], cfg)):
+            b[new] = fresh
+    return band
+
+
 def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
     """Unit-square coordinates ``(xi, eta)`` of invariant points, projected
-    onto the square, and the mask of points outside the admissible domain.
+    onto the square, the mask of points outside the admissible domain, and
+    the band at the clipped I1.
 
     A point is outside when its I1 leaves the axis, or when its transformed
     I2 leaves the band by more than ``_ADMIT_TOL`` (1 + I2) max(T', 1).
@@ -239,12 +255,24 @@ def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
     """
     i1c = np.clip(i1, cfg.u_min, cfg.u_max)
     t, tp = _transform(i2, cfg)
-    t_lo, _, _, _, eff, _ = _band(i1c, cfg)
+    band = _band(i1c, cfg)
+    t_lo, _, _, _, eff, _ = band
     tol = _ADMIT_TOL * (1.0 + np.abs(i2)) * np.maximum(tp, 1.0)
     outside = _off_axis(i1, cfg) | (t < t_lo - tol) | (t > t_lo + eff + tol)
     xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
     eta = np.where(eff > 0.0, (t - t_lo) / np.where(eff > 0.0, eff, 1.0), 0.0)
-    return np.clip(xi, 0.0, 1.0), np.clip(eta, 0.0, 1.0), outside
+    return np.clip(xi, 0.0, 1.0), np.clip(eta, 0.0, 1.0), outside, band
+
+
+def _forward(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
+    """``map_forward`` on arrays: the checked I1, (xi, eta) and the band."""
+    i1 = _check_i1(i1, cfg)
+    xi, eta, bad, band = _locate(i1, i2, cfg)
+    if bad.any():
+        k = first(bad)
+        raise ValueError(f"point (I1, I2) = ({float(i1[k])!r}, {float(i2[k])!r}) "
+                         "is not admissible")
+    return i1, xi, eta, band
 
 
 def map_forward(i1, i2, cfg: DomainMapConfig):
@@ -255,13 +283,14 @@ def map_forward(i1, i2, cfg: DomainMapConfig):
     beyond it the point is rejected.
     """
     i1, i2, scalar = pairs(i1, i2)
-    i1 = _check_i1(i1, cfg)
-    xi, eta, bad = _locate(i1, i2, cfg)
-    if bad.any():
-        k = first(bad)
-        raise ValueError(f"point (I1, I2) = ({float(i1[k])!r}, {float(i2[k])!r}) "
-                         "is not admissible")
+    _, xi, eta, _ = _forward(i1, i2, cfg)
     return unbatch(xi, scalar), unbatch(eta, scalar)
+
+
+def _inverse_i2(eta: np.ndarray, band, cfg: DomainMapConfig) -> np.ndarray:
+    """I2 at height eta in the band."""
+    t_lo, _, _, _, eff, _ = band
+    return np.maximum(_transform_inverse(t_lo + eta * eff, cfg), 3.0)
 
 
 def map_inverse(xi, eta, cfg: DomainMapConfig):
@@ -274,21 +303,40 @@ def map_inverse(xi, eta, cfg: DomainMapConfig):
     xi = np.clip(xi, 0.0, 1.0)
     eta = np.clip(eta, 0.0, 1.0)
     i1 = cfg.u_min + xi * (cfg.u_max - cfg.u_min)
-    t_lo, _, _, _, eff, _ = _band(i1, cfg)
-    i2 = _transform_inverse(t_lo + eta * eff, cfg)
-    return unbatch(i1, scalar), unbatch(np.maximum(i2, 3.0), scalar)
+    return unbatch(i1, scalar), unbatch(_inverse_i2(eta, _band(i1, cfg), cfg), scalar)
+
+
+def _jacobian(i2: np.ndarray, band, cfg: DomainMapConfig) -> MapJacobian:
+    """``map_jacobian`` on arrays, at a checked I1 whose band is given."""
+    t, tp = _transform(i2, cfg)
+    t_lo, d_lo, _, _, eff, deff = band
+    if (eff <= 0.0).any():
+        raise ValueError("zero band width; use delta > 0 to evaluate at the apex")
+    dxi = np.full(i2.shape, 1.0 / (cfg.u_max - cfg.u_min))
+    deta_di2 = tp / eff
+    deta_di1 = (-d_lo * eff - (t - t_lo) * deff) / (eff * eff)
+    return MapJacobian(dxi_di1=dxi, deta_di1=deta_di1, deta_di2=deta_di2)
 
 
 def map_jacobian(i1, i2, cfg: DomainMapConfig) -> MapJacobian:
     """Partial derivatives of (xi, eta) with respect to (I1, I2)."""
     i1, i2, scalar = pairs(i1, i2)
-    i1 = _check_i1(i1, cfg)
-    t, tp = _transform(i2, cfg)
-    t_lo, d_lo, _, _, eff, deff = _band(i1, cfg)
-    if (eff <= 0.0).any():
-        raise ValueError("zero band width; use delta > 0 to evaluate at the apex")
-    dxi = np.full(i1.shape, 1.0 / (cfg.u_max - cfg.u_min))
-    deta_di2 = tp / eff
-    deta_di1 = (-d_lo * eff - (t - t_lo) * deff) / (eff * eff)
-    return MapJacobian(dxi_di1=unbatch(dxi, scalar), deta_di1=unbatch(deta_di1, scalar),
-                       deta_di2=unbatch(deta_di2, scalar))
+    jac = _jacobian(i2, _band(_check_i1(i1, cfg), cfg), cfg)
+    return MapJacobian(*(unbatch(v, scalar) for v in vars(jac).values()))
+
+
+def _map_with_jacobian(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig, clamp: bool):
+    """``(xi, eta, Jacobian, outside)`` at arrays of invariant points, from
+    one band per point, with the bits of ``map_forward`` plus ``map_jacobian``
+    (which raise off the domain), or with ``clamp`` of ``_locate`` then
+    ``map_jacobian(*map_inverse(xi, eta))`` at the projected points."""
+    if not clamp:
+        i1, xi, eta, band = _forward(i1, i2, cfg)
+        return xi, eta, _jacobian(i2, band, cfg), np.zeros(i1.shape, dtype=bool)
+    i1c = np.clip(i1, cfg.u_min, cfg.u_max)
+    xi, eta, outside, band = _locate(i1, i2, cfg)
+    i1r = cfg.u_min + xi * (cfg.u_max - cfg.u_min)
+    band = _reband(i1r, i1c, band, cfg)
+    i2r = _inverse_i2(eta, band, cfg)
+    i1j = _check_i1(i1r, cfg)
+    return xi, eta, _jacobian(i2r, _reband(i1j, i1r, band, cfg), cfg), outside

@@ -20,10 +20,12 @@ stress error.
 Evaluation is batched: the evaluators take one stretch (or invariant pair)
 or a 1-D array of them, and callers pass one array per deformation mode.
 Design rows of the surfaces are row-wise outer products of the two axes'
-value rows.  Predictions never build rows: they evaluate the energy in
-coefficient form, a span index and an (N, 4) basis block per axis against
-the coefficient grid binv_u @ Theta @ binv_v^T.  A scalar argument returns
-Python floats.
+value and slope rows.  Predictions never build rows: they evaluate the
+energy gradient in coefficient form, a span index and (N, 4) value and
+slope blocks per axis against the coefficient grid
+binv_u @ Theta @ binv_v^T.  Each point costs one A2.3 pass per axis and,
+for the mapped kind, one band of the admissible domain.  A scalar argument
+returns Python floats.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 
 from . import splines
 from ._batch import first, pairs, points, unbatch
-from .domain import (DomainMapConfig, map_forward, map_inverse,
-                     map_jacobian, _locate, _transform)
+from .domain import DomainMapConfig, map_forward, _map_with_jacobian, _transform
+from .domain import map_inverse, map_jacobian  # noqa: F401  (perfbench/tracing.py counts them here)
 from .kinematics import (DeformationMode, Sample, invariants, max_invariants,
                          mode_groups, stress_coefficients)
 
@@ -155,13 +157,7 @@ def _coordinates(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
     """
     cfg = spec.domain
     if spec.kind is ModelKind.MAPPED_SURFACE:
-        if clamp:
-            xi, eta, outside = _locate(i1, i2, cfg)
-            jac = map_jacobian(*map_inverse(xi, eta, cfg), cfg)
-        else:
-            xi, eta = map_forward(i1, i2, cfg)
-            jac = map_jacobian(i1, i2, cfg)
-            outside = np.zeros(i1.shape, dtype=bool)
+        xi, eta, jac, outside = _map_with_jacobian(i1, i2, cfg, clamp)
         return xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2, outside
 
     x1, x2, dx2, outside = _axes_coords(spec, i1, i2, clamp)
@@ -181,8 +177,8 @@ def _partial_rows(spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     def outer(a, b):
         return (a[:, :, None] * b[:, None, :]).reshape(x.size, -1)
 
-    return (outer(ops.u.value_row(x, 1), ops.v.value_row(y, 0)),
-            outer(ops.u.value_row(x, 0), ops.v.value_row(y, 1)))
+    (u0, u1), (v0, v1) = ops.u.value_slope_rows(x), ops.v.value_slope_rows(y)
+    return outer(u1, v0), outer(u0, v1)
 
 
 def sensitivity_derivatives(spec: ModelSpec, i1, i2, *, clamp: bool = False):
@@ -287,7 +283,7 @@ def _predict(state: ModelState, mode: DeformationMode, lam: np.ndarray, clamp: b
         if state.spec.kind is ModelKind.SEPARABLE:
             wx, wy = w[0](x, 1), w[1](y, 1)
         else:
-            wx, wy = w.eval(x, y, 1, 0), w.eval(x, y, 0, 1)
+            wx, wy = w.gradient(x, y)
         value[live] = sc.alpha[live] * (d1x * wx + d1y * wy) + sc.beta[live] * (d2y * wy)
     return value, outside
 

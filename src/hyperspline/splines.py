@@ -14,7 +14,9 @@ points.  Basis values come as a span index per point plus an (N, 4)
 block of the nonzero basis functions, computed by the Cox-de Boor
 derivative algorithm (A2.3 of Piegl & Tiller, "The NURBS Book") run over
 all points at once; a scalar point is a batch of one and gets Python
-scalars back.
+scalars back.  One A2.3 pass per axis gives every derivative order up to
+the one asked for, so a surface gradient and the paired value and slope
+rows of a direction take both orders from one pass.
 """
 
 from __future__ import annotations
@@ -98,12 +100,16 @@ def _spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
 
 
 def _basis_block(kv: KnotVector, x: np.ndarray, r: int):
-    """A2.3 over an array of points: span indices and the (N, degree + 1)
-    block of r-th derivatives of basis functions ``span - degree + j``.
+    """A2.3 over an array of points: span indices and, for each order
+    k = 0..r, the (N, degree + 1) block of k-th derivatives of basis
+    functions ``span - degree + j``.
 
-    Each point gets the arithmetic of the scalar algorithm, so its values
-    do not depend on the batch it is in.
+    One pass builds the triangular table ``ndu`` and reads every order off
+    it.  Each point gets the arithmetic of the scalar algorithm, so its
+    values do not depend on the batch it is in.
     """
+    if r < 0 or r > 2:
+        raise ValueError("derivative order must be 0, 1 or 2")
     p = kv.degree
     t = kv.array()
     span = _spans(kv, x)
@@ -122,10 +128,11 @@ def _basis_block(kv: KnotVector, x: np.ndarray, r: int):
             ndu[q, j] = saved + right[q + 1] * temp
             saved = left[j - q] * temp
         ndu[j, j] = saved
+    values = ndu[:, p].T.copy()
     if r == 0:
-        return span, ndu[:, p].T.copy()
+        return span, [values]
 
-    ders = np.empty((p + 1, x.size))
+    ders = np.empty((r + 1, p + 1, x.size))
     a = np.zeros((2, p + 1, x.size))
     for q in range(p + 1):
         s1, s2 = 0, 1
@@ -146,8 +153,8 @@ def _basis_block(kv: KnotVector, x: np.ndarray, r: int):
                 a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, q]
                 d = d + a[s2, k] * ndu[q, pk]
             s1, s2 = s2, s1
-        ders[q] = d
-    return span, (ders * math.perm(p, r)).T
+            ders[k, q] = d
+    return span, [values] + [(ders[k] * math.perm(p, k)).T for k in range(1, r + 1)]
 
 
 def basis_at(kv: KnotVector, x, r: int = 0):
@@ -156,11 +163,9 @@ def basis_at(kv: KnotVector, x, r: int = 0):
     ``r`` selects the derivative order (0, 1 or 2).  For an array of N
     points: the N span indices and an (N, degree + 1) block.
     """
-    if r < 0 or r > 2:
-        raise ValueError("derivative order must be 0, 1 or 2")
     pts, scalar = points(x)
-    span, vals = _basis_block(kv, pts, r)
-    return (int(span[0]), vals[0]) if scalar else (span, vals)
+    span, blocks = _basis_block(kv, pts, r)
+    return (int(span[0]), blocks[r][0]) if scalar else (span, blocks[r])
 
 
 def _block_index(kv: KnotVector, span: np.ndarray) -> np.ndarray:
@@ -262,14 +267,28 @@ class Surface:
         self.kw = kw
         self.coeffs = np.asarray(coeffs, dtype=float)
 
+    def _gather(self, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
+        """The (N, 4, 4) coefficients acting on each point's spans."""
+        return self.coeffs[_block_index(self.ku, su)[:, :, None],
+                           _block_index(self.kw, sv)[:, None, :]]
+
     def eval(self, x, y, rx: int = 0, ry: int = 0):
         """Value (or partial derivative) at (x, y), or at N point pairs."""
         xs, ys, scalar = pairs(x, y)
         su, bu = basis_at(self.ku, xs, rx)
         sv, bv = basis_at(self.kw, ys, ry)
-        block = self.coeffs[_block_index(self.ku, su)[:, :, None],
-                            _block_index(self.kw, sv)[:, None, :]]
-        return unbatch(np.einsum("na,nab,nb->n", bu, block, bv), scalar)
+        return unbatch(np.einsum("na,nab,nb->n", bu, self._gather(su, sv), bv), scalar)
+
+    def gradient(self, x, y):
+        """``(W_x, W_y)`` at (x, y), or at N point pairs: one basis pass
+        and one coefficient gather per axis serve both partials, which equal
+        ``eval(x, y, 1, 0)`` and ``eval(x, y, 0, 1)`` bit for bit."""
+        xs, ys, scalar = pairs(x, y)
+        su, (bu, du) = _basis_block(self.ku, xs, 1)
+        sv, (bv, dv) = _basis_block(self.kw, ys, 1)
+        block = self._gather(su, sv)
+        return (unbatch(np.einsum("na,nab,nb->n", du, block, bv), scalar),
+                unbatch(np.einsum("na,nab,nb->n", bu, block, dv), scalar))
 
     def eval_grid(self, xs, ys, rx: int = 0, ry: int = 0) -> np.ndarray:
         """Evaluate on the tensor grid xs x ys; returns shape (len(xs), len(ys))."""
@@ -318,20 +337,31 @@ class DirectionOps:
     def n(self) -> int:
         return self.kv.n
 
-    def value_row(self, x, r: int = 0) -> np.ndarray:
-        """Row mapping site values to the r-th derivative of the spline at x;
-        (N, n) rows for N points.
-
-        Each row combines the ``degree + 1`` rows of ``binv`` on the span,
-        in a fixed order, so it does not depend on the batch it is in.
+    def _rows(self, x, orders: tuple) -> list:
+        """Rows of each derivative order in ``orders`` at x, from one basis
+        pass.  Each row combines the ``degree + 1`` rows of ``binv`` on the
+        span, in a fixed order, so it does not depend on the batch it is in.
         """
         pts, scalar = points(x)
-        span, vals = basis_at(self.kv, pts, r)
+        span, blocks = _basis_block(self.kv, pts, max(orders))
         idx = _block_index(self.kv, span)
-        rows = vals[:, :1] * self.binv[idx[:, 0]]
-        for j in range(1, self.kv.degree + 1):
-            rows += vals[:, j : j + 1] * self.binv[idx[:, j]]
-        return rows[0] if scalar else rows
+        binv = [self.binv[idx[:, j]] for j in range(self.kv.degree + 1)]
+        out = []
+        for vals in (blocks[r] for r in orders):
+            rows = vals[:, :1] * binv[0]
+            for j in range(1, self.kv.degree + 1):
+                rows += vals[:, j : j + 1] * binv[j]
+            out.append(rows[0] if scalar else rows)
+        return out
+
+    def value_row(self, x, r: int = 0) -> np.ndarray:
+        """Row mapping site values to the r-th derivative of the spline at x;
+        (N, n) rows for N points."""
+        return self._rows(x, (r,))[0]
+
+    def value_slope_rows(self, x) -> tuple:
+        """``(value_row(x, 0), value_row(x, 1))``, from one basis pass."""
+        return tuple(self._rows(x, (0, 1)))
 
 
 @dataclass

@@ -25,7 +25,6 @@ from hyperspline import (
     Surface,
     assemble_design,
     boundary,
-    cubic_residual,
     curvature_operator,
     default_spec,
     discrete_curvature,
@@ -43,6 +42,7 @@ from hyperspline import (
     solve,
     stress_coefficients,
 )
+from hyperspline.domain import cubic_residual
 from hyperspline.model import spec_ops
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS

@@ -14,7 +14,7 @@ import pytest
 import hyperspline as hs
 from hyperspline import domain, splines
 from hyperspline.cli import load_model, main, model_to_dict
-from hyperspline.model import spec_ops, stress_row
+from hyperspline.model import _coordinates, _energy_splines, spec_ops, stress_row
 
 UT, BT, PS = hs.DeformationMode.UT, hs.DeformationMode.BT, hs.DeformationMode.PS
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -150,6 +150,69 @@ def test_batched_value_rows_match_scalar_rows(r):
             np.testing.assert_array_equal(ops.value_row(float(x[k]), r), rows[k])
 
 
+def test_paired_rows_equal_the_per_order_rows():
+    rng = np.random.default_rng(37)
+    for sites in (np.linspace(0.0, 1.0, 20), np.linspace(0.0, 1.0, 5)):
+        ops = splines.DirectionOps(sites)
+        x = _points(ops.kv, rng)
+        rows0, rows1 = ops.value_slope_rows(x)
+        np.testing.assert_array_equal(rows0, ops.value_row(x, 0))
+        np.testing.assert_array_equal(rows1, ops.value_row(x, 1))
+        one0, one1 = ops.value_slope_rows(float(x[3]))
+        np.testing.assert_array_equal(one0, rows0[3])
+        np.testing.assert_array_equal(one1, rows1[3])
+
+
+@pytest.mark.parametrize("kind", ("surface", "mapped"))
+def test_surface_gradient_equals_the_per_order_partials(kind):
+    state, _ = load_model(FIXTURES / f"{kind}.json")
+    surface = _energy_splines(state)
+    rng = np.random.default_rng(41)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 300), np.unique(surface.ku.array()), [0.0, 1.0]])
+    y = np.concatenate([rng.uniform(0.0, 1.0, x.size - 4), [0.0, 1.0, 0.0, 1.0]])
+    wx, wy = surface.gradient(x, y)
+    np.testing.assert_array_equal(wx, surface.eval(x, y, 1, 0))
+    np.testing.assert_array_equal(wy, surface.eval(x, y, 0, 1))
+    assert surface.gradient(float(x[5]), float(y[5])) == (wx[5], wy[5])
+
+
+def _mapped_grid(spec):
+    """Invariants of every mode at 1 + 1e-4 k near the apex and on to 1.25x
+    the largest Treloar stretch, which passes u_max."""
+    lam = np.concatenate([1.0 + 1e-4 * np.arange(1, 1001), np.linspace(1.1, 1.25 * 7.61, 2000)])
+    i1, i2 = zip(*(hs.invariants(mode, lam) for mode in (UT, BT, PS)))
+    i1, i2 = np.concatenate(i1), np.concatenate(i2)
+    assert (i1 > spec.domain.u_max).any()
+    return i1, i2
+
+
+def test_mapped_coordinates_solve_one_band_per_point_with_the_same_bits():
+    """``_coordinates`` of the mapped kind against the compositions it
+    replaces: ``_locate`` then ``map_jacobian(*map_inverse(xi, eta))`` with
+    clamping, ``map_forward`` plus ``map_jacobian`` without."""
+    state, _ = load_model(FIXTURES / "mapped.json")
+    spec, cfg = state.spec, state.spec.domain
+    i1, i2 = _mapped_grid(spec)
+
+    xi, eta, outside, _ = domain._locate(i1, i2, cfg)
+    jac = hs.map_jacobian(*hs.map_inverse(xi, eta, cfg), cfg)
+    got = _coordinates(spec, i1, i2, True)
+    for a, b in zip(got, (xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2, outside)):
+        np.testing.assert_array_equal(a, b)
+    # the grid holds points whose I1 does not survive the round trip
+    # through xi, so the band there is solved afresh
+    i1c = np.clip(i1, cfg.u_min, cfg.u_max)
+    assert (cfg.u_min + xi * (cfg.u_max - cfg.u_min) != i1c).sum() > 10
+
+    i1, i2 = i1[~outside], i2[~outside]
+    xi, eta = hs.map_forward(i1, i2, cfg)
+    jac = hs.map_jacobian(i1, i2, cfg)
+    got = _coordinates(spec, i1, i2, False)
+    for a, b in zip(got, (xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2,
+                          np.zeros(i1.size, dtype=bool))):
+        np.testing.assert_array_equal(a, b)
+
+
 def _scalar_reference(state, mode, lam):
     """Per-point reference of ``predict_stress_clamped``: one stretch at a
     time, scalar A2.3 value rows combined with ``np.kron``."""
@@ -253,7 +316,7 @@ def test_scalar_calls_return_python_floats():
     be = hs.boundary(5.0)
     _assert_floats(be.i2_lo, be.i2_hi, be.d_lo, be.d_hi)
     _assert_floats(*hs.boundary(3.0).__dict__.values())
-    _assert_floats(hs.cubic_residual(5.0, 4.0), *hs.poly_transform(4.0),
+    _assert_floats(domain.cubic_residual(5.0, 4.0), *hs.poly_transform(4.0),
                    hs.poly_transform_inverse(2.0), *hs.width(5.0, cfg))
     xi, eta = hs.map_forward(5.0, 4.5, cfg)
     _assert_floats(xi, eta, *hs.map_inverse(xi, eta, cfg))
@@ -269,7 +332,7 @@ def test_scalar_calls_return_python_floats():
     _assert_floats(curve(0.3), curve(0.3, 2))
     grid = splines.InterpolationGrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4),
                                      np.ones((5, 4)))
-    _assert_floats(hs.interpolate_surface(grid).eval(0.3, 0.6, 1, 0))
+    _assert_floats(splines.interpolate_surface(grid).eval(0.3, 0.6, 1, 0))
     assert splines.DirectionOps(np.linspace(0.0, 1.0, 6)).value_row(0.3).shape == (6,)
 
     for name in KIND_FILES:

@@ -357,6 +357,32 @@ def test_predict_validates_request_rows(nh_setup, capsys):
     assert [r.split(",")[:2] for r in rows[1:]] == [["UT", "1.5"], ["BT", "2.0"]]
 
 
+MAPPED_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "mapped.json"
+
+
+def test_predict_names_the_line_of_the_only_non_numeric_stretch(tmp_path, capsys):
+    at = tmp_path / "at.csv"
+    at.write_text("mode,stretch\nUT,1.5\n\nBT,2.0\n# note\nPS,x1.2\n")
+    assert main(["predict", "--model", str(MAPPED_MODEL), "--at", str(at),
+                 "--output", str(tmp_path / "p")]) == 2
+    assert f"{at}:6: bad mode or stretch" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_predict_reads_a_padded_crlf_request_as_the_clean_one(tmp_path):
+    clean = tmp_path / "clean.csv"
+    clean.write_text("mode,stretch\nUT,1.5\nBT,2.0\nPS,1.0005\nUT,12.0\n")
+    messy = tmp_path / "messy.csv"
+    messy.write_bytes(b"# request\r\n  mode , stretch ,note\r\n\r\nUT, 1.5 ,a\r\n# skip\r\n"
+                      b" BT ,2.0,b,c\r\n   \r\n\tPS,1.0005\r\nUT ,12.0, \r\n")
+    for at in (clean, messy):
+        assert main(["predict", "--model", str(MAPPED_MODEL), "--at", str(at),
+                     "--output", str(tmp_path / at.stem)]) == 0
+    written = (tmp_path / "messy" / "predictions.csv").read_bytes()
+    assert written == (tmp_path / "clean" / "predictions.csv").read_bytes()
+    assert written.count(b"\n") == 5 and b"\r" not in written
+
+
 # ------------------------------------------------------- lcurve / compare
 
 

@@ -9,7 +9,6 @@ from hyperspline import (
     DeformationMode,
     DomainMapConfig,
     boundary,
-    cubic_residual,
     invariants,
     map_forward,
     map_inverse,
@@ -18,6 +17,7 @@ from hyperspline import (
     poly_transform_inverse,
     width,
 )
+from hyperspline.domain import cubic_residual
 
 SQRT3 = math.sqrt(3.0)
 

@@ -8,11 +8,11 @@ import pytest
 from hyperspline import (
     DeformationMode,
     Sample,
-    cubic_residual,
     invariants,
     max_invariants,
     stress_coefficients,
 )
+from hyperspline.domain import cubic_residual
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 

@@ -11,11 +11,10 @@ from hyperspline import (
     derivative_operator,
     eval_coeffs,
     interpolate_curve,
-    interpolate_surface,
     make_knots,
     sensitivity_set,
 )
-from hyperspline.splines import InterpolationGrid, find_span
+from hyperspline.splines import InterpolationGrid, find_span, interpolate_surface
 
 
 def test_make_knots_minimal_sites():
