@@ -22,8 +22,7 @@ collapses to a point.  One admissibility rule, a roundoff tolerance on
 I2 in the transformed coordinate, decides which points the map rejects
 and which clamped predictions are flagged.  The spline coordinates of a
 point and the Jacobian there share one band, so a mapped evaluation solves
-``boundary`` once per point (twice only where a clamped point's I1 does
-not survive the round trip through the unit square).
+``boundary`` once per point.
 
 Every function here is elementwise: it takes one point or a 1-D array of
 points and returns Python floats for a scalar point.
@@ -232,26 +231,15 @@ def width(i1, cfg: DomainMapConfig):
     return unbatch(eff, scalar), unbatch(deff, scalar)
 
 
-def _reband(i1: np.ndarray, known: np.ndarray, band, cfg: DomainMapConfig):
-    """The band at ``i1``, given ``band`` at ``known``: reused wherever the
-    two I1 agree bit for bit and solved afresh for the rest only.
-    ``boundary`` solves each point on its own, so both give the same bits."""
-    new = i1 != known
-    if new.any():
-        band = tuple(b.copy() for b in band)
-        for b, fresh in zip(band, _band(i1[new], cfg)):
-            b[new] = fresh
-    return band
-
-
 def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
     """Unit-square coordinates ``(xi, eta)`` of invariant points, projected
     onto the square, the mask of points outside the admissible domain, and
-    the band at the clipped I1.
+    the band at the clipped I1, which the Jacobian there reuses.
 
     A point is outside when its I1 leaves the axis, or when its transformed
     I2 leaves the band by more than ``_ADMIT_TOL`` (1 + I2) max(T', 1).
-    This one rule serves the map and clamped predictions.
+    This one rule serves the map and clamped predictions.  An admissible
+    point is located with the bits of ``map_forward``, clamped or not.
     """
     i1c = np.clip(i1, cfg.u_min, cfg.u_max)
     t, tp = _transform(i2, cfg)
@@ -327,16 +315,17 @@ def map_jacobian(i1, i2, cfg: DomainMapConfig) -> MapJacobian:
 
 def _map_with_jacobian(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig, clamp: bool):
     """``(xi, eta, Jacobian, outside)`` at arrays of invariant points, from
-    one band per point, with the bits of ``map_forward`` plus ``map_jacobian``
-    (which raise off the domain), or with ``clamp`` of ``_locate`` then
-    ``map_jacobian(*map_inverse(xi, eta))`` at the projected points."""
+    one band per point.  Without ``clamp`` these are the bits of
+    ``map_forward`` plus ``map_jacobian``, which raise off the domain.  With
+    it, ``_locate`` projects the points and the Jacobian is taken at each
+    point's own I2 on the band at its clipped I1, so an admissible point
+    gets the same bits either way; only an outside point takes the I2 at
+    its clipped eta on that band."""
     if not clamp:
         i1, xi, eta, band = _forward(i1, i2, cfg)
         return xi, eta, _jacobian(i2, band, cfg), np.zeros(i1.shape, dtype=bool)
-    i1c = np.clip(i1, cfg.u_min, cfg.u_max)
     xi, eta, outside, band = _locate(i1, i2, cfg)
-    i1r = cfg.u_min + xi * (cfg.u_max - cfg.u_min)
-    band = _reband(i1r, i1c, band, cfg)
-    i2r = _inverse_i2(eta, band, cfg)
-    i1j = _check_i1(i1r, cfg)
-    return xi, eta, _jacobian(i2r, _reband(i1j, i1r, band, cfg), cfg), outside
+    if outside.any():
+        i2 = i2.copy()
+        i2[outside] = _inverse_i2(eta[outside], tuple(b[outside] for b in band), cfg)
+    return xi, eta, _jacobian(i2, band, cfg), outside

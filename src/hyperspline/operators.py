@@ -76,8 +76,9 @@ def curvature_operator(spec: ModelSpec) -> PenaltyOperator:
         """Rows s_ij * kron(a_i, b_j) for every pair of quadrature nodes."""
         return s[:, :, None, None] * (a[:, None, :, None] * b[None, :, None, :])
 
-    ru0, ru2 = ops.u.value_row(xu, 0), ops.u.value_row(xu, 2)
-    rv0, rv2 = ops.v.value_row(xv, 0), ops.v.value_row(xv, 2)
+    # value and second-derivative rows of each axis from one basis pass
+    ru0, ru2 = ops.u._rows(xu, (0, 2))
+    rv0, rv2 = ops.v._rows(xv, (0, 2))
     # node pair (i, j) contributes its W_xixi row, then its W_etaeta row
     rows = np.stack([outer(ru2, rv0), outer(ru0, rv2)], axis=2)
     return PenaltyOperator(rows=rows.reshape(-1, spec.n_params))

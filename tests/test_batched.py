@@ -188,21 +188,26 @@ def _mapped_grid(spec):
 
 def test_mapped_coordinates_solve_one_band_per_point_with_the_same_bits():
     """``_coordinates`` of the mapped kind against the compositions it
-    replaces: ``_locate`` then ``map_jacobian(*map_inverse(xi, eta))`` with
-    clamping, ``map_forward`` plus ``map_jacobian`` without."""
+    replaces: ``map_forward`` plus ``map_jacobian`` without clamping; with
+    it, the same bits at every admissible point, and ``_locate`` then
+    ``map_jacobian`` at the clipped I1 and the I2 of the clipped eta on the
+    band there at every outside point."""
     state, _ = load_model(FIXTURES / "mapped.json")
     spec, cfg = state.spec, state.spec.domain
     i1, i2 = _mapped_grid(spec)
 
-    xi, eta, outside, _ = domain._locate(i1, i2, cfg)
-    jac = hs.map_jacobian(*hs.map_inverse(xi, eta, cfg), cfg)
-    got = _coordinates(spec, i1, i2, True)
-    for a, b in zip(got, (xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2, outside)):
-        np.testing.assert_array_equal(a, b)
-    # the grid holds points whose I1 does not survive the round trip
-    # through xi, so the band there is solved afresh
-    i1c = np.clip(i1, cfg.u_min, cfg.u_max)
-    assert (cfg.u_min + xi * (cfg.u_max - cfg.u_min) != i1c).sum() > 10
+    xi, eta, outside, band = domain._locate(i1, i2, cfg)
+    clamped = _coordinates(spec, i1, i2, True)
+    np.testing.assert_array_equal(clamped[-1], outside)
+    assert outside.sum() > 10 and (~outside).sum() > 10
+    assert cfg.use_polyconvex
+    i1c = np.clip(i1, cfg.u_min, cfg.u_max)[outside]
+    t_lo, _, _, _, eff, _ = (b[outside] for b in band)
+    i2p = np.maximum(hs.poly_transform_inverse(t_lo + eta[outside] * eff), 3.0)
+    jac = hs.map_jacobian(i1c, i2p, cfg)
+    expected = (xi[outside], eta[outside], jac.dxi_di1, jac.deta_di1, jac.deta_di2)
+    for a, b in zip(clamped, expected):
+        np.testing.assert_array_equal(a[outside], b)
 
     i1, i2 = i1[~outside], i2[~outside]
     xi, eta = hs.map_forward(i1, i2, cfg)
@@ -211,6 +216,9 @@ def test_mapped_coordinates_solve_one_band_per_point_with_the_same_bits():
     for a, b in zip(got, (xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2,
                           np.zeros(i1.size, dtype=bool))):
         np.testing.assert_array_equal(a, b)
+    # an admissible point gets the same bits whether or not it is clamped
+    for a, b in zip(clamped, got):
+        np.testing.assert_array_equal(a[~outside], b)
 
 
 def _scalar_reference(state, mode, lam):
@@ -245,7 +253,11 @@ def _scalar_reference(state, mode, lam):
                    or not t_lo - tol_t <= t <= t_lo + eff + tol_t)
         eta = (t - t_lo) / eff
         xi, eta = min(max(xi, 0.0), 1.0), min(max(eta, 0.0), 1.0)
-        jac = hs.map_jacobian(*hs.map_inverse(xi, eta, cfg), cfg)
+        if outside:
+            # projected: the I2 at the clipped eta on the band at the clipped I1
+            t_eta = t_lo + eta * eff
+            i2 = max(hs.poly_transform_inverse(t_eta) if cfg.use_polyconvex else t_eta, 3.0)
+        jac = hs.map_jacobian(i1c, i2, cfg)
         s_xi = np.kron(row(ops.u, xi, 1), row(ops.v, eta, 0))
         s_eta = np.kron(row(ops.u, xi, 0), row(ops.v, eta, 1))
         dw1 = s_xi * jac.dxi_di1 + s_eta * jac.deta_di1
@@ -288,6 +300,23 @@ def test_batched_prediction_matches_the_scalar_path(kind):
         np.testing.assert_array_equal(flag, ref_flag)
         scale = np.abs(ref_value).max()
         np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", KIND_FILES)
+def test_clamped_and_unclamped_predictions_agree_at_every_admissible_point(kind):
+    """The near-apex grid 1 + 1e-4 k up to 1.1 and a few stretches past the
+    mode's largest Treloar stretch: every point that is not flagged takes
+    the bits of ``predict_stress``; some points past the data are flagged."""
+    state, _ = load_model(FIXTURES / f"{kind}.json")
+    past = {UT: (7.7, 8.5, 10.0), BT: (4.5, 5.0, 6.0), PS: (5.0, 5.5, 6.5)}
+    flagged = 0
+    for mode in (UT, BT, PS):
+        lam = np.concatenate([1.0 + 1e-4 * np.arange(1001), past[mode]])
+        value, flag = hs.predict_stress_clamped(state, mode, lam)
+        assert not flag[:1001].any()
+        flagged += flag.sum()
+        np.testing.assert_array_equal(value[~flag], hs.predict_stress(state, mode, lam[~flag]))
+    assert flagged > 0
 
 
 @pytest.mark.parametrize("kind", KIND_FILES)

@@ -315,6 +315,25 @@ def test_predict_flags_extrapolation(nh_setup):
     assert np.isfinite(float(outside[2]))
 
 
+@pytest.mark.parametrize("kind", ["separable", "surface", "mapped"])
+def test_predict_at_the_data_reproduces_the_fit_predictions(kind, tmp_path):
+    """``predict`` at the stretches of a Treloar fit's predictions.csv writes
+    its stress_model cells byte for byte: the data lie inside the model's
+    domain, so the clamped path takes the fit's own bits."""
+    cfg = _config(tmp_path / "cfg.json", kind=kind, data=str(bundled_treloar_path()))
+    assert main(["calibrate", "--config", str(cfg), "--output", str(tmp_path / "fit")]) == 0
+    fit = [line.split(",") for line in
+           (tmp_path / "fit" / "predictions.csv").read_text().splitlines()[1:]]
+    at = tmp_path / "at.csv"
+    at.write_text("mode,stretch\n" + "".join(f"{m},{lam}\n" for m, lam, _, _ in fit))
+    assert main(["predict", "--model", str(tmp_path / "fit" / "model.json"),
+                 "--at", str(at), "--output", str(tmp_path / "pred")]) == 0
+    pred = [line.split(",") for line in
+            (tmp_path / "pred" / "predictions.csv").read_text().splitlines()[1:]]
+    assert [row[:3] for row in pred] == [[m, lam, w] for m, lam, _, w in fit]
+    assert all(row[3] == "0" for row in pred)
+
+
 def test_predict_rejects_schema_mismatch(nh_setup, capsys):
     tmp_path, data, cfg = nh_setup
     assert main(["calibrate", "--config", str(cfg)]) == 0

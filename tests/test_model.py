@@ -1,6 +1,7 @@
 """Model layer: specs, sensitivities, design assembly, prediction, metrics."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ from hyperspline import (
     sensitivity_derivatives,
     stress_coefficients,
 )
+from hyperspline.cli import load_model
+from hyperspline.model import _energy_splines
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 KINDS = (ModelKind.SEPARABLE, ModelKind.SURFACE, ModelKind.MAPPED_SURFACE)
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def _synthetic_samples(lam_max=3.0, n=12):
@@ -230,7 +234,7 @@ def test_prediction_clamps_and_flags_extrapolation(treloar_fit):
     state = treloar_fit(ModelKind.MAPPED_SURFACE).state
     inside, flag_in = predict_stress_clamped(state, UT, 2.0)
     assert not flag_in
-    assert inside == pytest.approx(predict_stress(state, UT, 2.0), rel=1e-12)
+    assert inside == predict_stress(state, UT, 2.0)
     outside, flag_out = predict_stress_clamped(state, UT, 9.5)
     assert flag_out
     assert np.isfinite(outside)
@@ -307,3 +311,55 @@ def test_metrics_perfect_fit(treloar_fit):
     fit = metrics(state, fake)
     assert fit.mse[UT] == pytest.approx(0.0, abs=1e-18)
     assert fit.r2[UT] == pytest.approx(1.0, abs=1e-12)
+
+
+def _mp_mapped_stress(state, mode, lam, mp):
+    """Stress of a mapped model with the invariants, the map and its
+    Jacobian in 50-digit arithmetic; the spline gradient is the model's own,
+    at the rounded (xi, eta)."""
+    cfg = state.spec.domain
+    assert cfg.use_polyconvex
+    x = mp.mpf(lam)
+    if mode is UT:
+        i1, i2 = x * x + 2 / x, 1 / (x * x) + 2 * x
+        alpha, beta = 2 * (x - x ** -2), 2 * (1 - x ** -3)
+    elif mode is BT:
+        i1, i2 = 2 * x * x + x ** -4, 2 / (x * x) + x ** 4
+        alpha, beta = 2 * (x - x ** -5), 2 * (x ** 3 - x ** -3)
+    else:
+        i1 = i2 = x * x + 1 + 1 / (x * x)
+        alpha = beta = 2 * (x - x ** -3)
+
+    def stretch(start):  # boundary stretch: (s - 1)^2 (s + 2) = (I1 - 3) s
+        return mp.findroot(lambda s: (s - 1) ** 2 * (s + 2) - (i1 - 3) * s, start)
+
+    lo, hi = stretch(1 + mp.sqrt(i1 - 3)), stretch(1 - mp.sqrt((i1 - 3) / 3))
+    curve = lambda s: 2 * s + 1 / (s * s)  # noqa: E731  (I2 on the uniaxial curve)
+    T = lambda v: v ** mp.mpf(1.5) - 3 * mp.sqrt(3)  # noqa: E731
+    Tp = lambda v: mp.mpf(1.5) * mp.sqrt(v)  # noqa: E731
+    t_lo, t_hi = T(curve(lo)), T(curve(hi))
+    d_lo, d_hi = Tp(curve(lo)) / lo, Tp(curve(hi)) / hi
+    gap = t_hi - t_lo
+    eff = mp.sqrt(gap * gap + mp.mpf(cfg.delta) ** 2)
+    deff = gap * (d_hi - d_lo) / eff
+    xi = (i1 - cfg.u_min) / (mp.mpf(cfg.u_max) - cfg.u_min)
+    eta = (T(i2) - t_lo) / eff
+    deta_di1 = (-d_lo * eff - (T(i2) - t_lo) * deff) / (eff * eff)
+    wx, wy = _energy_splines(state).gradient(float(xi), float(eta))
+    dw1 = wx / (mp.mpf(cfg.u_max) - cfg.u_min) + deta_di1 * wy
+    dw2 = Tp(i2) / eff * wy
+    return alpha * dw1 + beta * dw2
+
+
+@pytest.mark.parametrize("mode, lam", [(BT, 1.0099), (BT, 1.00925), (BT, 1.003),
+                                       (PS, 1.005), (UT, 1.01)])
+def test_mapped_near_apex_stress_matches_a_50_digit_map(mode, lam):
+    """Near the apex, where the band is thinnest, both prediction paths
+    keep nine digits of the stress the fitted spline defines."""
+    mp = pytest.importorskip("mpmath").mp
+    state, _ = load_model(FIXTURES / "mapped.json")
+    with mp.workdps(50):
+        ref = _mp_mapped_stress(state, mode, lam, mp)
+        for got in (predict_stress(state, mode, lam),
+                    predict_stress_clamped(state, mode, lam)[0]):
+            assert abs((got - ref) / ref) <= 1e-9

@@ -76,6 +76,23 @@ def test_penalty_gauss_order_is_already_exact(monkeypatch):
     assert p8 == pytest.approx(p4, rel=1e-10)
 
 
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_penalty_rows_match_separate_value_rows(kind):
+    """One basis pass per axis gives the bits of the value rows of orders 0
+    and 2 taken one at a time."""
+    spec = _spec(kind)
+    ops = spec_ops(spec)
+    xu, wu = operators._gauss_points(ops.u.kv)
+    xv, wv = operators._gauss_points(ops.v.kv)
+    s = np.sqrt(wu[:, None] * wv[None, :])[:, :, None, None]
+    ru0, ru2 = ops.u.value_row(xu, 0), ops.u.value_row(xu, 2)
+    rv0, rv2 = ops.v.value_row(xv, 0), ops.v.value_row(xv, 2)
+    w_xixi = s * (ru2[:, None, :, None] * rv0[None, :, None, :])
+    w_etaeta = s * (ru0[:, None, :, None] * rv2[None, :, None, :])
+    expected = np.stack([w_xixi, w_etaeta], axis=2).reshape(-1, spec.n_params)
+    np.testing.assert_array_equal(curvature_operator(spec).rows, expected)
+
+
 def test_penalty_gram_matrix_is_psd():
     spec = _spec(ModelKind.SURFACE, n1=6, n2=5)
     rows = curvature_operator(spec).rows
