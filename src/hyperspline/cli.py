@@ -241,10 +241,7 @@ def ingest(path, stress_scale: float = 1.0):
 
 
 def mode_counts(samples) -> dict:
-    counts = {}
-    for s in samples:
-        counts[s.mode.value] = counts.get(s.mode.value, 0) + 1
-    return counts
+    return {mode.value: idx.size for mode, idx in mode_groups([s.mode for s in samples]).items()}
 
 
 def bundled_treloar_path() -> Path:
@@ -270,10 +267,15 @@ def _write_atomic(path: Path, text: str):
 
 
 def _cells(column) -> list:
-    """Text of one column: an array in one pass by dtype, a list by ``_fmt``."""
+    """Text of one column: a list of strings as it is, else ``str`` of each
+    Python scalar or array element, which for a float is its ``repr``."""
     if isinstance(column, np.ndarray):
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    return list(map(_fmt, column))
+        return list(map(str, column.tolist()))
+    try:
+        "".join(column)  # raises unless every cell is a string
+        return column
+    except TypeError:
+        return list(map(str, column))
 
 
 def _write_csv(path: Path, columns: dict):
@@ -410,7 +412,10 @@ def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> Calibratio
 
 def _prediction_columns(result: CalibrationResult) -> dict:
     samples = result.samples
-    return {"mode": [s.mode.value for s in samples],
+    names = np.empty(len(samples), dtype=object)
+    for mode, idx in mode_groups([s.mode for s in samples]).items():
+        names[idx] = mode.value
+    return {"mode": names.tolist(),
             "stretch": [s.stretch for s in samples],
             "stress_exp": [s.stress for s in samples],
             "stress_model": result.fit.predictions}
@@ -487,7 +492,7 @@ def _cmd_predict(args) -> int:
 
     values = np.zeros(len(lines))
     flags = np.zeros(len(lines), dtype=bool)
-    try:
+    try:  # one call per mode: one call over a 6000-row request measured slower
         for mode, idx in mode_groups(modes).items():
             values[idx], flags[idx] = predict_stress_clamped(state, mode, stretch[idx])
     except (ValueError, np.linalg.LinAlgError) as exc:

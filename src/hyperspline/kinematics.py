@@ -10,7 +10,10 @@ combination of the energy derivatives:
 
 with the hydrostatic pressure already eliminated through the traction-free
 thickness direction.  The kinematic functions take one stretch or a 1-D
-array of them.
+array of them, and one mode for every stretch or a list, tuple or array
+holding each stretch's own mode, so that a dataset of mixed modes is one
+batch.  Every stretch takes its own mode's formula, elementwise, so a
+value does not depend on the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -55,45 +58,61 @@ def _check_stretch(lam):
     return lam, scalar
 
 
-def invariants(mode: DeformationMode, lam):
-    """Isochoric invariants (I1, I2) for the given mode and stretch(es)."""
+def _groups(mode, n: int) -> dict:
+    """The points of each mode: all ``n`` for one mode, or by ``mode_groups``
+    for a list, tuple or array holding each point's own mode."""
+    if not isinstance(mode, (list, tuple, np.ndarray)):
+        return {mode: slice(None)}
+    if len(mode) != n:
+        raise ValueError(f"expected one mode per stretch, got {len(mode)} modes for {n} stretches")
+    return mode_groups(mode)
+
+
+def invariants(mode, lam):
+    """Isochoric invariants (I1, I2) at the stretch(es), for one mode or one
+    mode per stretch."""
     lam, scalar = _check_stretch(lam)
-    if mode is DeformationMode.UT:
-        i1 = lam * lam + 2.0 / lam
-        i2 = 1.0 / (lam * lam) + 2.0 * lam
-    elif mode is DeformationMode.BT:
-        i1 = 2.0 * lam * lam + lam ** -4
-        i2 = 2.0 / (lam * lam) + lam ** 4
-    elif mode is DeformationMode.PS:
-        i1 = lam * lam + 1.0 + 1.0 / (lam * lam)
-        i2 = i1.copy()
-    else:  # pragma: no cover
-        raise ValueError(f"unknown mode {mode!r}")
+    i1, i2 = np.empty((2, lam.size))
+    for m, idx in _groups(mode, lam.size).items():
+        x = lam[idx]
+        if m is DeformationMode.UT:
+            i1[idx], i2[idx] = x * x + 2.0 / x, 1.0 / (x * x) + 2.0 * x
+        elif m is DeformationMode.BT:
+            i1[idx], i2[idx] = 2.0 * x * x + x ** -4, 2.0 / (x * x) + x ** 4
+        elif m is DeformationMode.PS:
+            i1[idx] = i2[idx] = x * x + 1.0 + 1.0 / (x * x)
+        else:
+            raise ValueError(f"unknown mode {m!r}")
     return unbatch(i1, scalar), unbatch(i2, scalar)
 
 
-def stress_coefficients(mode: DeformationMode, lam) -> StressCoefficients:
-    """Coefficients (alpha, beta) of P = alpha * W_I1 + beta * W_I2."""
+def stress_coefficients(mode, lam) -> StressCoefficients:
+    """Coefficients (alpha, beta) of P = alpha * W_I1 + beta * W_I2, for one
+    mode or one mode per stretch."""
     lam, scalar = _check_stretch(lam)
-    if mode is DeformationMode.UT:
-        alpha = 2.0 * (lam - lam ** -2)
-        beta = 2.0 * (1.0 - lam ** -3)
-    elif mode is DeformationMode.BT:
-        alpha = 2.0 * (lam - lam ** -5)
-        beta = 2.0 * (lam ** 3 - lam ** -3)
-    elif mode is DeformationMode.PS:
-        alpha = 2.0 * (lam - lam ** -3)
-        beta = alpha.copy()
-    else:  # pragma: no cover
-        raise ValueError(f"unknown mode {mode!r}")
+    alpha, beta = np.empty((2, lam.size))
+    for m, idx in _groups(mode, lam.size).items():
+        x = lam[idx]
+        if m is DeformationMode.UT:
+            alpha[idx], beta[idx] = 2.0 * (x - x ** -2), 2.0 * (1.0 - x ** -3)
+        elif m is DeformationMode.BT:
+            alpha[idx], beta[idx] = 2.0 * (x - x ** -5), 2.0 * (x ** 3 - x ** -3)
+        elif m is DeformationMode.PS:
+            alpha[idx] = beta[idx] = 2.0 * (x - x ** -3)
+        else:
+            raise ValueError(f"unknown mode {m!r}")
     return StressCoefficients(alpha=unbatch(alpha, scalar), beta=unbatch(beta, scalar))
 
 
 def mode_groups(modes) -> dict:
-    """Indices of each mode in a sequence of modes, in order of first appearance."""
-    modes = list(modes)
-    groups = [(mode, np.array([k for k, m in enumerate(modes) if m is mode]))
-              for mode in DeformationMode]  # identity tests: enum hashing is slow
+    """Indices of each mode in a sequence of modes, in order of first
+    appearance; an entry that is no ``DeformationMode`` raises."""
+    modes = np.fromiter(modes, dtype=object)
+    # object == compares by identity here: hashing the enum once per row is slow
+    groups = [(mode, np.flatnonzero(modes == mode)) for mode in DeformationMode]
+    if sum(idx.size for _, idx in groups) != modes.size:
+        unknown = next(m for m in modes if not isinstance(m, DeformationMode))
+        raise ValueError(f"unknown mode {unknown!r}")
     return dict(sorted(((m, idx) for m, idx in groups if idx.size), key=lambda g: g[1][0]))
 
 
@@ -107,11 +126,8 @@ def max_invariants(samples):
     samples = list(samples)
     if not samples:
         raise ValueError("empty dataset")
-    i1_max = 3.0
-    i2_max = 3.0
-    for mode, idx in mode_groups([s.mode for s in samples]).items():
-        i1, i2 = invariants(mode, [samples[k].stretch for k in idx])
-        i1_max = max(i1_max, float(i1.max()))
-        i2_max = max(i2_max, float(i2.max()))
+    i1, i2 = invariants([s.mode for s in samples], [s.stretch for s in samples])
+    i1_max = max(3.0, float(i1.max()))
+    i2_max = max(3.0, float(i2.max()))
     i2t_max, _ = poly_transform(i2_max)
     return i1_max, i2_max, i2t_max

@@ -18,7 +18,8 @@ system whose least-squares misfit equals the mode-averaged mean squared
 stress error.
 
 Evaluation is batched: the evaluators take one stretch (or invariant pair)
-or a 1-D array of them, and callers pass one array per deformation mode.
+or a 1-D array of them, and the stretch evaluators take one deformation
+mode or one mode per stretch, so a whole dataset is one call.
 Design rows of the surfaces are row-wise outer products of the two axes'
 value and slope rows.  Predictions never build rows: they evaluate the
 energy gradient in coefficient form, a span index and (N, 4) value and
@@ -41,8 +42,8 @@ from . import splines
 from ._batch import first, pairs, points, unbatch
 from .domain import DomainMapConfig, map_forward, _map_with_jacobian, _transform
 from .domain import map_inverse, map_jacobian  # noqa: F401  (perfbench/tracing.py counts them here)
-from .kinematics import (DeformationMode, Sample, invariants, max_invariants,
-                         mode_groups, stress_coefficients)
+from .kinematics import (Sample, invariants, max_invariants, mode_groups,
+                         stress_coefficients)
 
 
 class ModelKind(Enum):
@@ -197,17 +198,16 @@ def sensitivity_derivatives(spec: ModelSpec, i1, i2, *, clamp: bool = False):
     return (dw1[0], dw2[0]) if scalar else (dw1, dw2)
 
 
-def stress_row(spec: ModelSpec, mode: DeformationMode, lam, *,
-               clamp: bool = False) -> np.ndarray:
+def stress_row(spec: ModelSpec, mode, lam, *, clamp: bool = False) -> np.ndarray:
     """Row a with predicted stress a @ theta for one mode/stretch pair;
-    (N, n_params) rows for N stretches."""
+    (N, n_params) rows for N stretches, of one mode or one mode each."""
     lam, scalar = points(lam)
     sc = stress_coefficients(mode, lam)
+    i1, i2 = invariants(mode, lam)
     rows = np.zeros((lam.size, spec.n_params))
     live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 has an exact zero row
     if live.any():
-        i1, i2 = invariants(mode, lam[live])
-        dw1, dw2 = sensitivity_derivatives(spec, i1, i2, clamp=clamp)
+        dw1, dw2 = sensitivity_derivatives(spec, i1[live], i2[live], clamp=clamp)
         rows[live] = sc.alpha[live, None] * dw1 + sc.beta[live, None] * dw2
     return rows[0] if scalar else rows
 
@@ -217,19 +217,18 @@ def assemble_design(spec: ModelSpec, samples):
 
     Each row is scaled by 1/sqrt(N_mode) so that the squared residual norm
     equals the sum over modes of the per-mode mean squared stress error.
-    The rows of each mode are built in one batch; if a batch fails, the
-    error names the first sample that cannot be assembled.
+    The rows are built in one batch; if it fails, the error names the first
+    sample that cannot be assembled.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("empty dataset")
-    A = np.zeros((len(samples), spec.n_params))
-    y = np.zeros(len(samples))
+    modes = [s.mode for s in samples]
+    w = np.empty(len(samples))
+    for idx in mode_groups(modes).values():
+        w[idx] = 1.0 / math.sqrt(idx.size)
     try:
-        for mode, idx in mode_groups([s.mode for s in samples]).items():
-            w = 1.0 / math.sqrt(idx.size)
-            A[idx] = w * stress_row(spec, mode, [samples[k].stretch for k in idx])
-            y[idx] = w * np.array([samples[k].stress for k in idx])
+        A = w[:, None] * stress_row(spec, modes, [s.stretch for s in samples])
     except ValueError:
         for k, s in enumerate(samples):
             try:
@@ -238,7 +237,7 @@ def assemble_design(spec: ModelSpec, samples):
                 raise ValueError(f"sample {k} ({s.mode.value}, stretch {s.stretch})"
                                  f" cannot be assembled: {exc}") from exc
         raise
-    return A, y
+    return A, w * np.array([s.stress for s in samples])
 
 
 @dataclass
@@ -270,15 +269,15 @@ def _energy_splines(state: ModelState):
     return splines.Surface(ops.u.kv, ops.v.kv, grid)
 
 
-def _predict(state: ModelState, mode: DeformationMode, lam: np.ndarray, clamp: bool):
+def _predict(state: ModelState, mode, lam: np.ndarray, clamp: bool):
     """Stresses at an array of stretches and the mask of clamped points."""
     sc = stress_coefficients(mode, lam)
+    i1, i2 = invariants(mode, lam)
     value = np.zeros(lam.size)
     outside = np.zeros(lam.size, dtype=bool)
     live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 is exactly stress-free
     if live.any():
-        i1, i2 = invariants(mode, lam[live])
-        x, y, d1x, d1y, d2y, outside[live] = _coordinates(state.spec, i1, i2, clamp)
+        x, y, d1x, d1y, d2y, outside[live] = _coordinates(state.spec, i1[live], i2[live], clamp)
         w = _energy_splines(state)
         if state.spec.kind is ModelKind.SEPARABLE:
             wx, wy = w[0](x, 1), w[1](y, 1)
@@ -288,19 +287,19 @@ def _predict(state: ModelState, mode: DeformationMode, lam: np.ndarray, clamp: b
     return value, outside
 
 
-def predict_stress(state: ModelState, mode: DeformationMode, lam):
-    """Nominal stress at a stretch, or at an array of stretches; raises for
-    out-of-domain stretches."""
+def predict_stress(state: ModelState, mode, lam):
+    """Nominal stress at a stretch, or at an array of stretches of one mode
+    or one mode each; raises for out-of-domain stretches."""
     lam, scalar = points(lam)
     return unbatch(_predict(state, mode, lam, clamp=False)[0], scalar)
 
 
-def predict_stress_clamped(state: ModelState, mode: DeformationMode, lam):
+def predict_stress_clamped(state: ModelState, mode, lam):
     """Stress with out-of-domain invariants projected onto the domain.
 
     Returns ``(stress, extrapolated)``; the flag is True whenever the
-    evaluation point had to be clamped.  For an array of stretches both
-    are arrays.
+    evaluation point had to be clamped.  For an array of stretches, of one
+    mode or one mode each, both are arrays.
     """
     lam, scalar = points(lam)
     value, outside = _predict(state, mode, lam, clamp=True)
@@ -359,13 +358,14 @@ def metrics(state: ModelState, samples) -> FitMetrics:
     R^2.  The combined figure is the Euclidean norm of the per-mode MSEs.
     """
     samples = list(samples)
+    modes = [s.mode for s in samples]
+    stress = np.array([s.stress for s in samples])
+    predictions = predict_stress(state, modes, [s.stretch for s in samples])
     mse = {}
     r2 = {}
-    predictions = np.zeros(len(samples))
-    for mode, idx in mode_groups([s.mode for s in samples]).items():
-        exp = np.array([samples[k].stress for k in idx])
-        pred = predictions[idx] = predict_stress(state, mode, [samples[k].stretch for k in idx])
-        resid = pred - exp
+    for mode, idx in mode_groups(modes).items():  # each mode's rows in sample order
+        exp = stress[idx]
+        resid = predictions[idx] - exp
         mse[mode] = float(np.mean(resid ** 2))
         if idx.size >= 2:
             ss_tot = float(np.sum((exp - exp.mean()) ** 2))

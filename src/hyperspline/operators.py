@@ -17,6 +17,7 @@ spline itself, which keeps the constraints linear in theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,17 +41,23 @@ class InequalityOperator:
     rows: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _gauss_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False  # shared by every caller
+    return rule
+
+
 def _gauss_points(kv):
-    """Gauss-Legendre nodes/weights over every nonempty knot span."""
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    """Gauss-Legendre nodes/weights over every nonempty knot span, span by span."""
+    nodes, weights = _gauss_rule(QUAD_ORDER)
     t = kv.array()
     breaks = np.unique(t[kv.degree : kv.n + 1])
-    xs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (b - a)
-        xs.extend(0.5 * (a + b) + half * nodes)
-        ws.extend(half * weights)
-    return np.array(xs), np.array(ws)
+    a, b = breaks[:-1, None], breaks[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * nodes).ravel(), (half * weights).ravel()
 
 
 def curvature_operator(spec: ModelSpec) -> PenaltyOperator:

@@ -331,6 +331,55 @@ def test_batch_and_single_calls_agree(kind):
             assert (one, one_flag) == (value[k], flag[k])
             np.testing.assert_array_equal(stress_row(state.spec, mode, x, clamp=True), rows[k])
 
+    # one mode per stretch: UT, BT and PS interleaved, every mode at every
+    # stretch, stretch 1 and 9.0 (past each fixture's data) included
+    modes = np.array([UT, BT, PS] * lam.size, dtype=object)
+    mixed = np.repeat(lam, 3)
+    value, flag = hs.predict_stress_clamped(state, modes, mixed)
+    rows = stress_row(state.spec, modes, mixed, clamp=True)
+    i1, i2 = hs.invariants(modes, mixed)
+    sc = hs.stress_coefficients(modes, mixed)
+    assert flag.any() and not flag.all()
+    inside = hs.predict_stress(state, modes[~flag], mixed[~flag])
+    for j, mode in enumerate((UT, BT, PS)):
+        at = slice(j, None, 3)
+        ref_value, ref_flag = hs.predict_stress_clamped(state, mode, lam)
+        ref_sc = hs.stress_coefficients(mode, lam)
+        np.testing.assert_array_equal(value[at], ref_value)
+        np.testing.assert_array_equal(flag[at], ref_flag)
+        np.testing.assert_array_equal(rows[at], stress_row(state.spec, mode, lam, clamp=True))
+        for got, want in zip((i1[at], i2[at], sc.alpha[at], sc.beta[at]),
+                             (*hs.invariants(mode, lam), ref_sc.alpha, ref_sc.beta)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(inside[modes[~flag] == mode],
+                                      hs.predict_stress(state, mode, lam[~ref_flag]))
+
+
+def test_dataset_batches_equal_the_per_mode_references(treloar):
+    """``assemble_design`` and ``metrics`` evaluate the Treloar dataset in
+    one batch; each row and prediction has the bits of the per-mode call."""
+    stretch = np.array([s.stretch for s in treloar])
+    stress = np.array([s.stress for s in treloar])
+    for name in KIND_FILES:
+        state, _ = load_model(FIXTURES / f"{name}.json")
+        A, y = hs.assemble_design(state.spec, treloar)
+        fit = hs.metrics(state, treloar)
+        for mode in (UT, BT, PS):
+            idx = np.array([k for k, s in enumerate(treloar) if s.mode is mode])
+            w = 1.0 / np.sqrt(idx.size)
+            np.testing.assert_array_equal(A[idx], w * stress_row(state.spec, mode, stretch[idx]))
+            np.testing.assert_array_equal(y[idx], w * stress[idx])
+            pred = hs.predict_stress(state, mode, stretch[idx])
+            np.testing.assert_array_equal(fit.predictions[idx], pred)
+            assert fit.mse[mode] == float(np.mean((pred - stress[idx]) ** 2))
+
+
+def test_a_mode_list_names_its_fault():
+    with pytest.raises(ValueError, match=r"^unknown mode 'UT'$"):
+        hs.invariants([UT, "UT"], [1.5, 2.0])
+    with pytest.raises(ValueError, match=r"^expected one mode per stretch, got 2 modes for 3"):
+        hs.stress_coefficients([UT, BT], [1.5, 2.0, 2.5])
+
 
 def _assert_floats(*values):
     for v in values:
@@ -413,8 +462,7 @@ def test_assemble_design_names_the_first_failing_sample():
     samples = [hs.Sample(mode, float(lam), 0.0)
                for mode in (UT, BT, PS) for lam in np.linspace(1.0, 3.0, 6)]
     spec = hs.default_spec(hs.ModelKind.SURFACE, samples, 8, 4)
-    # modes are batched separately: the UT batch fails first, at sample 4,
-    # but sample 3 (BT) is the first that cannot be assembled
+    # the batch fails; sample 3 (BT) is the first that cannot be assembled
     bad = [hs.Sample(UT, 2.0, 1.0), hs.Sample(UT, 1.5, 1.0), hs.Sample(BT, 1.5, 1.0),
            hs.Sample(BT, 9.0, 1.0), hs.Sample(UT, 9.0, 1.0)]
     with pytest.raises(ValueError, match=r"^sample 3 \(BT, stretch 9\.0\) cannot be assembled: "
