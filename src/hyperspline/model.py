@@ -182,23 +182,22 @@ def _partial_rows(spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     return outer(u1, v0), outer(u0, v1)
 
 
-def sensitivity_derivatives(spec: ModelSpec, i1, i2, *, clamp: bool = False):
+def sensitivity_derivatives(spec: ModelSpec, i1, i2):
     """Gradients of (dW/dI1, dW/dI2) with respect to theta.
 
     Returns two length-``n_params`` vectors at one point, or two
-    (N, n_params) arrays at N points.  With ``clamp=True`` out-of-range
-    coordinates are projected onto the domain instead of raising, as
-    extrapolating predictions do.
+    (N, n_params) arrays at N points.  A point outside the calibrated
+    domain raises: design rows are never extrapolated.
     """
     i1, i2, scalar = pairs(i1, i2)
-    x, y, d1x, d1y, d2y, _ = _coordinates(spec, i1, i2, clamp)
+    x, y, d1x, d1y, d2y, _ = _coordinates(spec, i1, i2, clamp=False)
     sx, sy = _partial_rows(spec, x, y)
     dw1 = d1x[:, None] * sx + d1y[:, None] * sy
     dw2 = d2y[:, None] * sy
     return (dw1[0], dw2[0]) if scalar else (dw1, dw2)
 
 
-def stress_row(spec: ModelSpec, mode, lam, *, clamp: bool = False) -> np.ndarray:
+def stress_row(spec: ModelSpec, mode, lam) -> np.ndarray:
     """Row a with predicted stress a @ theta for one mode/stretch pair;
     (N, n_params) rows for N stretches, of one mode or one mode each."""
     lam, scalar = points(lam)
@@ -207,7 +206,7 @@ def stress_row(spec: ModelSpec, mode, lam, *, clamp: bool = False) -> np.ndarray
     rows = np.zeros((lam.size, spec.n_params))
     live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 has an exact zero row
     if live.any():
-        dw1, dw2 = sensitivity_derivatives(spec, i1[live], i2[live], clamp=clamp)
+        dw1, dw2 = sensitivity_derivatives(spec, i1[live], i2[live])
         rows[live] = sc.alpha[live, None] * dw1 + sc.beta[live, None] * dw2
     return rows[0] if scalar else rows
 

@@ -12,6 +12,17 @@ The inequality operator collects the B-spline coefficients of the first
 and second derivative splines along each axis.  Nonnegative coefficients
 are sufficient (not necessary) for monotonicity and convexity of the
 spline itself, which keeps the constraints linear in theta.
+
+No two inequality rows are parallel and none is zero.  Each axis factor
+is a row of B^-1 (the inverse collocation matrix), of D1 B^-1 or of
+D2 D1 B^-1, where D1 and D2 are de Boor's coefficient-difference
+operators (``splines.derivative_operator``); with B^-1 factored out these
+rows have one, two and three consecutive nonzeros, so no two of them are
+parallel.  A Kronecker row is parallel to another only if both of its
+factors are, and a separable row is zero on the other axis's parameters.
+The rows are therefore not deduplicated.  Where nearly coincident sites
+make two rows nearly parallel, the solver's dual loop skips a row that
+depends on its working rows to within ``solver.INDEP_TOL``.
 """
 
 from __future__ import annotations
@@ -91,22 +102,6 @@ def curvature_operator(spec: ModelSpec) -> PenaltyOperator:
     return PenaltyOperator(rows=rows.reshape(-1, spec.n_params))
 
 
-def _dedup_unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale rows to unit norm, drop zero rows and exact duplicates.
-
-    Rows are duplicates when their bytes agree after rounding to 12
-    decimals; the first of each is kept and the order is preserved.  Each
-    norm is the row's own dot product, as ``np.linalg.norm`` of the row.
-    """
-    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
-    nonzero = norms != 0.0
-    units = rows[nonzero] / norms[nonzero, None]
-    keys = np.ascontiguousarray(np.round(units, 12))
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    return units[np.sort(first)]
-
-
 def inequality_operator(spec: ModelSpec, *, monotone_1: bool = True,
                         monotone_2: bool = True, convex_1: bool = True,
                         convex_2: bool = True) -> InequalityOperator:
@@ -114,39 +109,22 @@ def inequality_operator(spec: ModelSpec, *, monotone_1: bool = True,
 
     Nonnegativity of derivative-spline coefficients is imposed along each
     requested axis; for surfaces each coefficient line across the other
-    axis is constrained.  Rows are unit-normalised and deduplicated.
+    axis is constrained.  The blocks come in the order monotone 1,
+    monotone 2, convex 1, convex 2, and each row is scaled to unit norm.
     """
     ops = spec_ops(spec)
-    blocks = []
+    u, v = ops.u, ops.v
     if spec.kind is ModelKind.SEPARABLE:
-        def pad(block, axis):
-            full = np.zeros((block.shape[0], spec.n_params))
-            if axis == 0:
-                full[:, : spec.n1] = block
-            else:
-                full[:, spec.n1 :] = block
-            return full
-
-        if monotone_1:
-            blocks.append(pad(-ops.u.c1, 0))
-        if monotone_2:
-            blocks.append(pad(-ops.v.c1, 1))
-        if convex_1:
-            blocks.append(pad(-ops.u.c2, 0))
-        if convex_2:
-            blocks.append(pad(-ops.v.c2, 1))
+        table = (np.hstack([-u.c1, np.zeros((u.c1.shape[0], spec.n2))]),
+                 np.hstack([np.zeros((v.c1.shape[0], spec.n1)), -v.c1]),
+                 np.hstack([-u.c2, np.zeros((u.c2.shape[0], spec.n2))]),
+                 np.hstack([np.zeros((v.c2.shape[0], spec.n1)), -v.c2]))
     else:
-        if monotone_1:
-            blocks.append(-np.kron(ops.u.c1, ops.v.binv))
-        if monotone_2:
-            blocks.append(-np.kron(ops.u.binv, ops.v.c1))
-        if convex_1:
-            blocks.append(-np.kron(ops.u.c2, ops.v.binv))
-        if convex_2:
-            blocks.append(-np.kron(ops.u.binv, ops.v.c2))
-
-    if not blocks:
-        rows = np.zeros((0, spec.n_params))
-    else:
-        rows = _dedup_unit_rows(np.vstack(blocks))
-    return InequalityOperator(rows=rows)
+        table = (-np.kron(u.c1, v.binv), -np.kron(u.binv, v.c1),
+                 -np.kron(u.c2, v.binv), -np.kron(u.binv, v.c2))
+    flags = (monotone_1, monotone_2, convex_1, convex_2)
+    rows = np.vstack([np.zeros((0, spec.n_params))]
+                     + [block for block, on in zip(table, flags) if on])
+    # each norm is the row's own dot product, as np.linalg.norm of the row
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+    return InequalityOperator(rows=rows / norms[:, None])

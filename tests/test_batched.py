@@ -325,18 +325,21 @@ def test_batch_and_single_calls_agree(kind):
     lam = np.array([1.0, 1.02, 1.5, 2.5, 4.0, 9.0])
     for mode in (UT, BT, PS):
         value, flag = hs.predict_stress_clamped(state, mode, lam)
-        rows = stress_row(state.spec, mode, lam, clamp=True)
+        rows = stress_row(state.spec, mode, lam[~flag])  # design rows never extrapolate
         for k, x in enumerate(lam.tolist()):
             one, one_flag = hs.predict_stress_clamped(state, mode, x)
             assert (one, one_flag) == (value[k], flag[k])
-            np.testing.assert_array_equal(stress_row(state.spec, mode, x, clamp=True), rows[k])
+        for k, x in enumerate(lam[~flag].tolist()):
+            np.testing.assert_array_equal(stress_row(state.spec, mode, x), rows[k])
 
     # one mode per stretch: UT, BT and PS interleaved, every mode at every
     # stretch, stretch 1 and 9.0 (past each fixture's data) included
     modes = np.array([UT, BT, PS] * lam.size, dtype=object)
     mixed = np.repeat(lam, 3)
     value, flag = hs.predict_stress_clamped(state, modes, mixed)
-    rows = stress_row(state.spec, modes, mixed, clamp=True)
+    rows = stress_row(state.spec, modes[~flag], mixed[~flag])
+    with pytest.raises(ValueError):  # past the data a design row raises
+        stress_row(state.spec, modes[flag], mixed[flag])
     i1, i2 = hs.invariants(modes, mixed)
     sc = hs.stress_coefficients(modes, mixed)
     assert flag.any() and not flag.all()
@@ -347,7 +350,8 @@ def test_batch_and_single_calls_agree(kind):
         ref_sc = hs.stress_coefficients(mode, lam)
         np.testing.assert_array_equal(value[at], ref_value)
         np.testing.assert_array_equal(flag[at], ref_flag)
-        np.testing.assert_array_equal(rows[at], stress_row(state.spec, mode, lam, clamp=True))
+        np.testing.assert_array_equal(rows[modes[~flag] == mode],
+                                      stress_row(state.spec, mode, lam[~ref_flag]))
         for got, want in zip((i1[at], i2[at], sc.alpha[at], sc.beta[at]),
                              (*hs.invariants(mode, lam), ref_sc.alpha, ref_sc.beta)):
             np.testing.assert_array_equal(got, want)

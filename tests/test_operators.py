@@ -1,22 +1,28 @@
 """Curvature penalty and shape-constraint operators."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hyperspline import (
+    CalibrationProblem,
     DeformationMode,
     ModelKind,
     Sample,
+    assemble_design,
     collocation_matrix,
     curvature_operator,
     default_spec,
     eval_coeffs,
+    fixed_zero_indices,
     inequality_operator,
     sensitivity_set,
+    solve,
 )
 from hyperspline import operators
 from hyperspline.model import spec_ops
-from hyperspline.operators import _dedup_unit_rows
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 
@@ -116,16 +122,43 @@ def test_inequality_flags_a_decreasing_step():
     assert float(np.max(ineq.rows @ theta)) > 1e-3
 
 
+FLAGS = ("monotone_1", "monotone_2", "convex_1", "convex_2")
+
+
+def _block_sizes(spec):
+    """Row counts of the monotone 1, monotone 2, convex 1 and convex 2 blocks."""
+    ops = spec_ops(spec)
+    m1, m2 = ops.u.c1.shape[0], ops.v.c1.shape[0]
+    c1, c2 = ops.u.c2.shape[0], ops.v.c2.shape[0]
+    if spec.kind is ModelKind.SEPARABLE:
+        return [m1, m2, c1, c2]
+    return [m1 * spec.n2, spec.n1 * m2, c1 * spec.n2, spec.n1 * c2]
+
+
 def test_inequality_rows_are_unit_norm_and_deduplicated():
-    spec = _spec(ModelKind.SURFACE, n1=7, n2=5)
-    rows = inequality_operator(spec).rows
-    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
-    keys = {np.round(r, 12).tobytes() for r in rows}
-    assert len(keys) == rows.shape[0]
+    """Every kind, uniform and non-uniform sites, every flag combination:
+    unit rows, no two alike to 12 decimals, and the chosen blocks of the
+    all-on operator, in order, bit for bit."""
+    non_uniform = dict(sites1=(0.0, 0.05, 0.2, 0.45, 0.5, 0.8, 1.0),
+                       sites2=(0.0, 0.1, 0.15, 0.6, 1.0))
+    for kind, sites in itertools.product(ModelKind, ({}, non_uniform)):
+        spec = replace(_spec(kind, n1=7, n2=5), **sites)
+        full, sizes = inequality_operator(spec).rows, _block_sizes(spec)
+        assert full.shape[0] == sum(sizes)
+        blocks = np.split(full, np.cumsum(sizes)[:-1])
+        for flags in itertools.product((True, False), repeat=4):
+            rows = inequality_operator(spec, **dict(zip(FLAGS, flags))).rows
+            np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
+            keys = {np.round(r, 12).tobytes() for r in rows}
+            assert len(keys) == rows.shape[0]
+            chosen = [b for b, on in zip(blocks, flags) if on]
+            expected = np.vstack([np.zeros((0, spec.n_params))] + chosen)
+            assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
 
 
 def _loop_dedup_unit_rows(rows):
-    """Reference: the row-by-row deduplication the vectorised one replaced."""
+    """Reference: scale rows to unit norm, drop zero rows and rows whose
+    12-decimal rounding repeats an earlier row's, keeping the first."""
     out, seen = [], set()
     for row in rows:
         nrm = np.linalg.norm(row)
@@ -140,28 +173,27 @@ def _loop_dedup_unit_rows(rows):
     return np.vstack(out) if out else np.zeros((0, rows.shape[1]))
 
 
-def test_dedup_matches_the_row_loop():
-    """Same rows, bytes and order as the loop: zero rows, scaled and exact
-    copies, copies within the rounding, signed zeros and the real operators."""
-    rng = np.random.default_rng(137)
-    signed = np.array([[0.0, 1.0], [-1e-20, 1.0], [0.0, 2.0]])  # keys (0, 1), (-0, 1), (0, 1)
-    assert _dedup_unit_rows(signed).shape == (2, 2)
-    cases = [np.zeros((0, 4)), np.zeros((3, 4)), signed]
-    for _ in range(200):
-        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 8))
-        rows = rng.normal(size=(m, n)) * rng.integers(0, 2, size=(m, n))
-        picks = rng.integers(0, m, size=m // 2)
-        rows[rng.integers(0, m, size=picks.size)] = rows[picks] * rng.choice(
-            [1.0, 3.0, 1.0 + 1e-15, 1.0 + 1e-9], size=(picks.size, 1))
-        rows[rng.random(m) < 0.1] = 0.0
-        rows[rng.random(m) < 0.1, 0] = -1e-20  # rounds to -0.0, not 0.0
-        cases.append(rows)
-    ops = spec_ops(_spec(ModelKind.MAPPED_SURFACE))
-    cases.append(np.vstack([-np.kron(ops.u.c2, ops.v.binv), -np.kron(ops.u.binv, ops.v.c2),
-                            -np.kron(ops.u.c2, ops.v.binv)]))
-    for rows in cases:
-        out, ref = _dedup_unit_rows(rows), _loop_dedup_unit_rows(rows)
-        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+def test_nearly_coincident_sites_need_no_deduplication(treloar):
+    """Two sites 1e-13 apart make distinct rows round alike, and the
+    reference drops them; the solver reaches the same optimum on the full
+    rows, and the optimum on the reference's rows satisfies every row."""
+    spec = replace(default_spec(ModelKind.SURFACE, treloar, 6, 4),
+                   sites1=(0.0, 0.25, 0.25 + 1e-13, 0.5, 0.75, 1.0))
+    A, y = assemble_design(spec, treloar)
+    rows = inequality_operator(spec).rows
+    ref = _loop_dedup_unit_rows(rows)
+    assert ref.shape[0] < rows.shape[0]
+    sols = []
+    for G in (rows, ref):
+        problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
+                                     lambda_pen=1e-4, A_ineq=G,
+                                     fixed_zero=fixed_zero_indices(spec))
+        with pytest.warns(UserWarning, match="micro-ridge"):  # the site pair's rank loss
+            sols.append(solve(problem))
+    full, deduped = sols
+    assert full.objective == pytest.approx(deduped.objective, rel=1e-9)
+    theta = deduped.theta
+    assert float(np.max(rows @ theta)) <= 1e-9 * (1.0 + np.max(np.abs(theta)))
 
 
 def test_inequality_toggles_change_row_counts():

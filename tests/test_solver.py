@@ -729,6 +729,48 @@ def test_default_lambda_grid_shape():
     assert np.all(np.diff(grid) > 0.0)
 
 
+def test_lcurve_starts_cold_where_the_handed_rows_are_refused(treloar, monkeypatch):
+    """``lcurve``'s fallback: where ``hand_over`` refuses the rows of the
+    weight above, that weight is solved cold, with the bits of a cold
+    ``solve``, and the sweep still picks the unpatched sweep's weight."""
+    spec = default_spec(ModelKind.SURFACE, treloar, 8, 5)
+    A, y = assemble_design(spec, treloar)
+    problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
+                                 lambda_pen=AUTO, A_ineq=inequality_operator(spec).rows,
+                                 fixed_zero=fixed_zero_indices(spec))
+    grid = np.logspace(-8.0, 0.0, 9)
+    plain = lcurve(problem, grid)
+    hand_over, handed, solved = solver._WorkingFactor.hand_over, [], []
+
+    def refuse_the_fourth(self, rows):
+        handed.append(len(rows))
+        if len(handed) == 4:
+            raise ValueError("working rows are linearly dependent")
+        return hand_over(self, rows)
+
+    def record_solution(sub, *args, **kwargs):  # lcurve looks solve up by module name
+        try:
+            sol = solve(sub, *args, **kwargs)
+        except ValueError:
+            solved.append((float(sub.lambda_pen), None))
+            raise
+        solved.append((float(sub.lambda_pen), sol))
+        return sol
+
+    monkeypatch.setattr(solver._WorkingFactor, "hand_over", refuse_the_fourth)
+    monkeypatch.setattr(solver, "solve", record_solution)
+    lc = lcurve(problem, grid)
+    refused = [k for k, (_, sol) in enumerate(solved) if sol is None]
+    assert len(refused) == 1 and handed[3] > 0  # a nonempty working set was refused
+    lam, sol = solved[refused[0] + 1]
+    assert lam == solved[refused[0]][0] == grid[-5]
+    cold = solve(replace(problem, lambda_pen=lam))
+    assert sol.theta.tobytes() == cold.theta.tobytes()
+    # the cold start moves only the last bits of the misfits
+    np.testing.assert_allclose(lc.misfits, plain.misfits, rtol=1e-12, atol=0)
+    assert lc.lambda_chosen == plain.lambda_chosen
+
+
 def test_lcurve_validation():
     problem = CalibrationProblem(A=np.eye(2), y=np.ones(2), A_pen=np.eye(2),
                                  lambda_pen=AUTO)
