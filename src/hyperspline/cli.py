@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -324,9 +325,11 @@ def model_from_dict(data: dict) -> tuple:
                          f"{SCHEMA_VERSION})")
     try:
         kind = _KIND_NAMES[data["kind"]]
+        if data["use_polyconvex"] is not True:
+            raise ValueError("use_polyconvex must be true, got "
+                             + json.dumps(data["use_polyconvex"]))
         cfg = DomainMapConfig(u_max=float(data["u_max"]), u_min=float(data["u_min"]),
-                              delta=float(data["delta"]),
-                              use_polyconvex=bool(data["use_polyconvex"]))
+                              delta=float(data["delta"]))
         spec = ModelSpec(kind=kind, n1=int(data["n1"]), n2=int(data["n2"]),
                          domain=cfg, i2_axis_max=float(data["i2_axis_max"]),
                          sites1=tuple(float(v) for v in data["sites1"]),
@@ -547,6 +550,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperspline",

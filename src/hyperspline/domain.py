@@ -9,20 +9,19 @@ lam > 1 and the upper one at lam < 1, so ``boundary`` solves for the
 stretch at the given I1 and reads I2 and its slope off the curve.  Both
 are also roots in I2 of the cubic
 
-    C(I1, I2) = I2^3 - I1^2 I2^2 / 4 - 9 I1 I2 / 2 + I1^3 + 27/4 = 0,
-
-kept as ``cubic_residual`` for checking.
+    C(I1, I2) = I2^3 - I1^2 I2^2 / 4 - 9 I1 I2 / 2 + I1^3 + 27/4 = 0.
 
 The map below sends this curved band to the unit square: the abscissa is
 an affine rescaling of I1 and the ordinate measures the relative position
-between the two boundaries, optionally after a monotone transform of I2
-whose convexity is compatible with polyconvex energies.  A small width
-floor ``delta`` keeps the map well defined at the apex, where the band
-collapses to a point.  One admissibility rule, a roundoff tolerance on
-I2 in the transformed coordinate, decides which points the map rejects
-and which clamped predictions are flagged.  The spline coordinates of a
-point and the Jacobian there share one band, so a mapped evaluation solves
-``boundary`` once per point.
+between the two boundaries after the monotone transform
+T(I2) = I2^(3/2) - 3 sqrt(3), whose convexity is compatible with
+polyconvex energies.  A small width floor ``delta`` keeps the map well
+defined at the apex, where the band collapses to a point.  One
+admissibility rule, a roundoff tolerance on T(I2), gives every evaluation
+its ``outside`` mask: points are projected onto the domain and flagged,
+and callers that must not extrapolate raise from the mask through
+``admitted``.  The spline coordinates of a point and the Jacobian there
+share one band, so a mapped evaluation solves ``boundary`` once per point.
 
 Every function here is elementwise: it takes one point or a 1-D array of
 points and returns Python floats for a scalar point.
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,15 +59,16 @@ _ADMIT_TOL = 1024.0 * _EPS
 class DomainMapConfig:
     """Parameters of the admissible-domain map.
 
-    ``u_min``/``u_max`` bound the I1 axis, ``delta`` is the width floor
-    regularising the apex, and ``use_polyconvex`` toggles the monotone
-    I2 -> I2^(3/2) - 3*sqrt(3) transform of the second invariant.
+    ``u_min``/``u_max`` bound the I1 axis and ``delta`` is the width floor
+    regularising the apex.  The second invariant always enters through the
+    polyconvex transform I2 -> I2^(3/2) - 3*sqrt(3); ``use_polyconvex`` is
+    a constant, not a setting, kept so a model file can record it.
     """
 
     u_max: float
     u_min: float = 3.0
     delta: float = 1e-6
-    use_polyconvex: bool = True
+    use_polyconvex: ClassVar[bool] = True
 
     def __post_init__(self):
         if not self.u_max > self.u_min:
@@ -96,13 +97,6 @@ class MapJacobian:
     dxi_di1: float
     deta_di1: float
     deta_di2: float
-
-
-def cubic_residual(i1, i2):
-    """C(I1, I2); zero on the boundary, negative strictly inside."""
-    i1, i2, scalar = pairs(i1, i2)
-    return unbatch(i2 ** 3 - 0.25 * i1 * i1 * i2 * i2 - 4.5 * i1 * i2
-                   + i1 ** 3 + 6.75, scalar)
 
 
 def _stretch(e: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -185,18 +179,6 @@ def poly_transform_inverse(value):
     return unbatch(c * c, scalar)
 
 
-def _transform(i2: np.ndarray, cfg: DomainMapConfig):
-    if cfg.use_polyconvex:
-        return poly_transform(i2)
-    return i2, np.ones(i2.shape)
-
-
-def _transform_inverse(value: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
-    if cfg.use_polyconvex:
-        return poly_transform_inverse(value)
-    return value
-
-
 def _off_axis(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
     """Points whose I1 leaves [u_min, u_max] by more than round-off."""
     grace = 1e-9 * (1.0 + np.abs(i1))
@@ -213,8 +195,8 @@ def _check_i1(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
 def _band(i1: np.ndarray, cfg: DomainMapConfig):
     """Transformed boundary values, their derivatives and effective width."""
     be = boundary(i1)
-    t_lo, tp_lo = _transform(be.i2_lo, cfg)
-    t_hi, tp_hi = _transform(be.i2_hi, cfg)
+    t_lo, tp_lo = poly_transform(be.i2_lo)
+    t_hi, tp_hi = poly_transform(be.i2_hi)
     d_lo = tp_lo * be.d_lo
     d_hi = tp_hi * be.d_hi
     gap = t_hi - t_lo
@@ -238,11 +220,10 @@ def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
 
     A point is outside when its I1 leaves the axis, or when its transformed
     I2 leaves the band by more than ``_ADMIT_TOL`` (1 + I2) max(T', 1).
-    This one rule serves the map and clamped predictions.  An admissible
-    point is located with the bits of ``map_forward``, clamped or not.
+    This one rule serves every evaluation of the map.
     """
     i1c = np.clip(i1, cfg.u_min, cfg.u_max)
-    t, tp = _transform(i2, cfg)
+    t, tp = poly_transform(i2)
     band = _band(i1c, cfg)
     t_lo, _, _, _, eff, _ = band
     tol = _ADMIT_TOL * (1.0 + np.abs(i2)) * np.maximum(tp, 1.0)
@@ -252,33 +233,32 @@ def _locate(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
     return np.clip(xi, 0.0, 1.0), np.clip(eta, 0.0, 1.0), outside, band
 
 
-def _forward(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
-    """``map_forward`` on arrays: the checked I1, (xi, eta) and the band."""
-    i1 = _check_i1(i1, cfg)
-    xi, eta, bad, band = _locate(i1, i2, cfg)
-    if bad.any():
-        k = first(bad)
+def admitted(outside: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> None:
+    """Raise for the first invariant point flagged ``outside``: the one
+    check of every evaluation that must not extrapolate."""
+    if outside.any():
+        k = first(outside)
         raise ValueError(f"point (I1, I2) = ({float(i1[k])!r}, {float(i2[k])!r}) "
                          "is not admissible")
-    return i1, xi, eta, band
 
 
 def map_forward(i1, i2, cfg: DomainMapConfig):
     """Map admissible points (I1, I2) to unit-square coordinates (xi, eta).
 
-    Admissibility is checked with the roundoff tolerance ``_ADMIT_TOL`` on
-    the transformed second invariant; within it eta is clamped to [0, 1],
-    beyond it the point is rejected.
+    A point outside the domain (I1 off the axis by more than round-off, or
+    T(I2) off the band by more than ``_ADMIT_TOL``) raises; within the
+    tolerance eta is clamped to [0, 1].
     """
     i1, i2, scalar = pairs(i1, i2)
-    _, xi, eta, _ = _forward(i1, i2, cfg)
+    xi, eta, outside, _ = _locate(i1, i2, cfg)
+    admitted(outside, i1, i2)
     return unbatch(xi, scalar), unbatch(eta, scalar)
 
 
-def _inverse_i2(eta: np.ndarray, band, cfg: DomainMapConfig) -> np.ndarray:
+def _inverse_i2(eta: np.ndarray, band) -> np.ndarray:
     """I2 at height eta in the band."""
     t_lo, _, _, _, eff, _ = band
-    return np.maximum(_transform_inverse(t_lo + eta * eff, cfg), 3.0)
+    return np.maximum(poly_transform_inverse(t_lo + eta * eff), 3.0)
 
 
 def map_inverse(xi, eta, cfg: DomainMapConfig):
@@ -291,12 +271,12 @@ def map_inverse(xi, eta, cfg: DomainMapConfig):
     xi = np.clip(xi, 0.0, 1.0)
     eta = np.clip(eta, 0.0, 1.0)
     i1 = cfg.u_min + xi * (cfg.u_max - cfg.u_min)
-    return unbatch(i1, scalar), unbatch(_inverse_i2(eta, _band(i1, cfg), cfg), scalar)
+    return unbatch(i1, scalar), unbatch(_inverse_i2(eta, _band(i1, cfg)), scalar)
 
 
 def _jacobian(i2: np.ndarray, band, cfg: DomainMapConfig) -> MapJacobian:
     """``map_jacobian`` on arrays, at a checked I1 whose band is given."""
-    t, tp = _transform(i2, cfg)
+    t, tp = poly_transform(i2)
     t_lo, d_lo, _, _, eff, deff = band
     if (eff <= 0.0).any():
         raise ValueError("zero band width; use delta > 0 to evaluate at the apex")
@@ -313,19 +293,14 @@ def map_jacobian(i1, i2, cfg: DomainMapConfig) -> MapJacobian:
     return MapJacobian(*(unbatch(v, scalar) for v in vars(jac).values()))
 
 
-def _map_with_jacobian(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig, clamp: bool):
+def _map_with_jacobian(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
     """``(xi, eta, Jacobian, outside)`` at arrays of invariant points, from
-    one band per point.  Without ``clamp`` these are the bits of
-    ``map_forward`` plus ``map_jacobian``, which raise off the domain.  With
-    it, ``_locate`` projects the points and the Jacobian is taken at each
-    point's own I2 on the band at its clipped I1, so an admissible point
-    gets the same bits either way; only an outside point takes the I2 at
-    its clipped eta on that band."""
-    if not clamp:
-        i1, xi, eta, band = _forward(i1, i2, cfg)
-        return xi, eta, _jacobian(i2, band, cfg), np.zeros(i1.shape, dtype=bool)
+    one band per point.  ``_locate`` projects the points and the Jacobian
+    is taken at each point's own I2 on the band at its clipped I1, so an
+    admissible point gets the bits of ``map_forward`` plus ``map_jacobian``;
+    an outside point takes the I2 at its clipped eta on that band."""
     xi, eta, outside, band = _locate(i1, i2, cfg)
     if outside.any():
         i2 = i2.copy()
-        i2[outside] = _inverse_i2(eta[outside], tuple(b[outside] for b in band), cfg)
+        i2[outside] = _inverse_i2(eta[outside], tuple(b[outside] for b in band))
     return xi, eta, _jacobian(i2, band, cfg), outside

@@ -39,8 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import splines
-from ._batch import first, pairs, points, unbatch
-from .domain import DomainMapConfig, map_forward, _map_with_jacobian, _transform
+from ._batch import pairs, points, unbatch
+from .domain import (DomainMapConfig, admitted, map_forward, poly_transform,
+                     _map_with_jacobian)
 from .domain import map_inverse, map_jacobian  # noqa: F401  (perfbench/tracing.py counts them here)
 from .kinematics import (Sample, invariants, max_invariants, mode_groups,
                          stress_coefficients)
@@ -106,20 +107,18 @@ def spec_ops(spec: ModelSpec) -> splines.SensitivitySet:
 
 
 def default_spec(kind: ModelKind, samples, n1: int = 20, n2: int = 5, *,
-                 delta: float = 1e-6, use_polyconvex: bool = True) -> ModelSpec:
+                 delta: float = 1e-6) -> ModelSpec:
     """Spec with uniform sites on axes sized to cover the dataset.
 
     Axis extents take the dataset maxima with a relative margin of 1e-6 so
     every sample ends up strictly inside the evaluable region.
     """
-    i1_max, i2_max, i2t_max = max_invariants(samples)
+    i1_max, _, i2t_max = max_invariants(samples)
     if i1_max <= 3.0:
         raise ValueError("dataset spans no invariant range (all stretches are 1)")
-    cfg = DomainMapConfig(u_max=i1_max * (1.0 + 1e-6), u_min=3.0,
-                          delta=delta, use_polyconvex=use_polyconvex)
-    axis2 = i2t_max if use_polyconvex else i2_max - 3.0
+    cfg = DomainMapConfig(u_max=i1_max * (1.0 + 1e-6), u_min=3.0, delta=delta)
     return ModelSpec(kind=kind, n1=n1, n2=n2, domain=cfg,
-                     i2_axis_max=axis2 * (1.0 + 1e-6),
+                     i2_axis_max=i2t_max * (1.0 + 1e-6),
                      sites1=tuple(np.linspace(0.0, 1.0, n1).tolist()),
                      sites2=tuple(np.linspace(0.0, 1.0, n2).tolist()))
 
@@ -128,40 +127,32 @@ def _beyond(x: np.ndarray, tol: float) -> np.ndarray:
     return (x < -tol) | (x > 1.0 + tol)
 
 
-def _clip_unit(x: np.ndarray, clamp: bool, what: str) -> np.ndarray:
-    bad = _beyond(x, 1e-9)
-    if not clamp and bad.any():
-        raise ValueError(f"{what} = {float(x[first(bad)])!r} outside the calibrated domain")
-    return np.clip(x, 0.0, 1.0)
-
-
-def _axes_coords(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
-    """Normalised (I1, T(I2)) axes of the separable and surface kinds:
-    ``(x1, x2, dx2/dI2, outside)``."""
+def _axes_coords(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
+    """Normalised (I1, T(I2)) axes of the separable and surface kinds,
+    clipped to [0, 1]: ``(x1, x2, dx2/dI2, outside)``."""
     cfg = spec.domain
     x1 = (i1 - cfg.u_min) / (cfg.u_max - cfg.u_min)
-    x1c = _clip_unit(x1, clamp, "normalised I1")
-    t, tp = _transform(i2, cfg)
-    t0, _ = _transform(np.array([3.0]), cfg)
+    t, tp = poly_transform(i2)
+    t0, _ = poly_transform(np.array([3.0]))
     x2 = (t - t0) / spec.i2_axis_max
-    x2c = _clip_unit(x2, clamp, "normalised transformed I2")
-    return x1c, x2c, tp / spec.i2_axis_max, _beyond(x1, 1e-9) | _beyond(x2, 1e-9)
+    return (np.clip(x1, 0.0, 1.0), np.clip(x2, 0.0, 1.0), tp / spec.i2_axis_max,
+            _beyond(x1, 1e-9) | _beyond(x2, 1e-9))
 
 
-def _coordinates(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray, clamp: bool):
+def _coordinates(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
     """Spline coordinates of invariant points and the chain rule back to them.
 
     Returns ``(x, y, d1x, d1y, d2y, outside)``: at the spline coordinates
     (x, y) the energy gradient is dW/dI1 = d1x W_x + d1y W_y and dW/dI2 =
-    d2y W_y.  Out-of-range points raise, or with ``clamp=True`` are
-    projected onto the domain and marked in ``outside``.
+    d2y W_y.  Points outside the calibrated domain are projected onto it
+    and marked in ``outside``.
     """
     cfg = spec.domain
     if spec.kind is ModelKind.MAPPED_SURFACE:
-        xi, eta, jac, outside = _map_with_jacobian(i1, i2, cfg, clamp)
+        xi, eta, jac, outside = _map_with_jacobian(i1, i2, cfg)
         return xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2, outside
 
-    x1, x2, dx2, outside = _axes_coords(spec, i1, i2, clamp)
+    x1, x2, dx2, outside = _axes_coords(spec, i1, i2)
     d1x = np.full(i1.shape, 1.0 / (cfg.u_max - cfg.u_min))
     return x1, x2, d1x, np.zeros(i1.shape), dx2, outside
 
@@ -190,7 +181,8 @@ def sensitivity_derivatives(spec: ModelSpec, i1, i2):
     domain raises: design rows are never extrapolated.
     """
     i1, i2, scalar = pairs(i1, i2)
-    x, y, d1x, d1y, d2y, _ = _coordinates(spec, i1, i2, clamp=False)
+    x, y, d1x, d1y, d2y, outside = _coordinates(spec, i1, i2)
+    admitted(outside, i1, i2)
     sx, sy = _partial_rows(spec, x, y)
     dw1 = d1x[:, None] * sx + d1y[:, None] * sy
     dw2 = d2y[:, None] * sy
@@ -268,15 +260,16 @@ def _energy_splines(state: ModelState):
     return splines.Surface(ops.u.kv, ops.v.kv, grid)
 
 
-def _predict(state: ModelState, mode, lam: np.ndarray, clamp: bool):
-    """Stresses at an array of stretches and the mask of clamped points."""
+def _predict(state: ModelState, mode, lam: np.ndarray):
+    """Stresses at an array of stretches, with the invariants projected
+    onto the calibrated domain, and the mask of projected points."""
     sc = stress_coefficients(mode, lam)
     i1, i2 = invariants(mode, lam)
     value = np.zeros(lam.size)
     outside = np.zeros(lam.size, dtype=bool)
     live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 is exactly stress-free
     if live.any():
-        x, y, d1x, d1y, d2y, outside[live] = _coordinates(state.spec, i1[live], i2[live], clamp)
+        x, y, d1x, d1y, d2y, outside[live] = _coordinates(state.spec, i1[live], i2[live])
         w = _energy_splines(state)
         if state.spec.kind is ModelKind.SEPARABLE:
             wx, wy = w[0](x, 1), w[1](y, 1)
@@ -288,9 +281,13 @@ def _predict(state: ModelState, mode, lam: np.ndarray, clamp: bool):
 
 def predict_stress(state: ModelState, mode, lam):
     """Nominal stress at a stretch, or at an array of stretches of one mode
-    or one mode each; raises for out-of-domain stretches."""
+    or one mode each.  Raises where ``predict_stress_clamped`` would flag,
+    naming the invariants of the first such stretch."""
     lam, scalar = points(lam)
-    return unbatch(_predict(state, mode, lam, clamp=False)[0], scalar)
+    value, outside = _predict(state, mode, lam)
+    if outside.any():
+        admitted(outside, *invariants(mode, lam))
+    return unbatch(value, scalar)
 
 
 def predict_stress_clamped(state: ModelState, mode, lam):
@@ -301,7 +298,7 @@ def predict_stress_clamped(state: ModelState, mode, lam):
     mode or one mode each, both are arrays.
     """
     lam, scalar = points(lam)
-    value, outside = _predict(state, mode, lam, clamp=True)
+    value, outside = _predict(state, mode, lam)
     return (float(value[0]), bool(outside[0])) if scalar else (value, outside)
 
 
@@ -312,7 +309,8 @@ def energy(state: ModelState, i1, i2):
     if spec.kind is ModelKind.MAPPED_SURFACE:
         x, y = map_forward(i1, i2, spec.domain)
     else:
-        x, y, _, _ = _axes_coords(spec, i1, i2, clamp=False)
+        x, y, _, outside = _axes_coords(spec, i1, i2)
+        admitted(outside, i1, i2)
     w = _energy_splines(state)
     if spec.kind is ModelKind.SEPARABLE:
         return unbatch(w[0](x) + w[1](y), scalar)

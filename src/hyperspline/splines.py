@@ -243,22 +243,6 @@ def interpolate_curve(sites, values) -> Curve:
     return Curve(kv, coeffs, s)
 
 
-@dataclass
-class InterpolationGrid:
-    """Tensor grid of interpolation sites and values for a surface."""
-
-    sites_u: np.ndarray
-    sites_v: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.sites_u = _as_sites(self.sites_u)
-        self.sites_v = _as_sites(self.sites_v)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.sites_u.size, self.sites_v.size):
-            raise ValueError("values must have shape (len(sites_u), len(sites_v))")
-
-
 class Surface:
     """Tensor-product cubic spline surface."""
 
@@ -289,26 +273,6 @@ class Surface:
         block = self._gather(su, sv)
         return (unbatch(np.einsum("na,nab,nb->n", du, block, bv), scalar),
                 unbatch(np.einsum("na,nab,nb->n", bu, block, dv), scalar))
-
-    def eval_grid(self, xs, ys, rx: int = 0, ry: int = 0) -> np.ndarray:
-        """Evaluate on the tensor grid xs x ys; returns shape (len(xs), len(ys))."""
-        Ru = basis_row(self.ku, np.atleast_1d(xs), rx)
-        Rv = basis_row(self.kw, np.atleast_1d(ys), ry)
-        return Ru @ self.coeffs @ Rv.T
-
-
-def interpolate_surface(grid: InterpolationGrid) -> Surface:
-    """Tensor-product interpolation, solved axis by axis."""
-    ku = make_knots(grid.sites_u)
-    kw = make_knots(grid.sites_v)
-    Bu = collocation_matrix(ku, grid.sites_u)
-    Bv = collocation_matrix(kw, grid.sites_v)
-    try:
-        tmp = np.linalg.solve(Bu, grid.values)
-        coeffs = np.linalg.solve(Bv, tmp.T).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ValueError("singular collocation system; check site/knot pairing") from exc
-    return Surface(ku, kw, coeffs)
 
 
 class DirectionOps:

@@ -1,0 +1,52 @@
+"""Test oracles the package itself does not need: the boundary cubic of the
+admissible domain, and tensor-product surface interpolation with dense
+grid evaluation."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hyperspline import splines
+from hyperspline._batch import pairs, unbatch
+
+
+def cubic_residual(i1, i2):
+    """C(I1, I2) = I2^3 - I1^2 I2^2 / 4 - 9 I1 I2 / 2 + I1^3 + 27/4; zero on
+    the boundary of the admissible domain, negative strictly inside."""
+    i1, i2, scalar = pairs(i1, i2)
+    return unbatch(i2 ** 3 - 0.25 * i1 * i1 * i2 * i2 - 4.5 * i1 * i2
+                   + i1 ** 3 + 6.75, scalar)
+
+
+@dataclass
+class InterpolationGrid:
+    """Tensor grid of interpolation sites and values for a surface."""
+
+    sites_u: np.ndarray
+    sites_v: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.sites_u = splines._as_sites(self.sites_u)
+        self.sites_v = splines._as_sites(self.sites_v)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.sites_u.size, self.sites_v.size):
+            raise ValueError("values must have shape (len(sites_u), len(sites_v))")
+
+
+def interpolate_surface(grid: InterpolationGrid) -> splines.Surface:
+    """Tensor-product interpolation, solved axis by axis."""
+    ku = splines.make_knots(grid.sites_u)
+    kw = splines.make_knots(grid.sites_v)
+    Bu = splines.collocation_matrix(ku, grid.sites_u)
+    Bv = splines.collocation_matrix(kw, grid.sites_v)
+    coeffs = np.linalg.solve(Bv, np.linalg.solve(Bu, grid.values).T).T
+    return splines.Surface(ku, kw, coeffs)
+
+
+def eval_grid(surf: splines.Surface, xs, ys, rx: int = 0, ry: int = 0) -> np.ndarray:
+    """``surf`` on the tensor grid xs x ys, shape (len(xs), len(ys)), from
+    dense basis rows."""
+    Ru = splines.basis_row(surf.ku, np.atleast_1d(xs), rx)
+    Rv = splines.basis_row(surf.kw, np.atleast_1d(ys), ry)
+    return Ru @ surf.coeffs @ Rv.T

@@ -42,7 +42,7 @@ from hyperspline import (
     solve,
     stress_coefficients,
 )
-from hyperspline.domain import cubic_residual
+from oracles import cubic_residual, eval_grid
 from hyperspline.model import spec_ops
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
@@ -328,7 +328,7 @@ def _surface_state_min_derivatives(state, n=200):
     coeffs = ops.u.binv @ state.theta.reshape(spec.n1, spec.n2) @ ops.v.binv.T
     surf = Surface(ops.u.kv, ops.v.kv, coeffs)
     xs = np.linspace(0.0, 1.0, n)
-    return min(float(surf.eval_grid(xs, xs, rx, ry).min())
+    return min(float(eval_grid(surf, xs, xs, rx, ry).min())
                for rx, ry in ((1, 0), (0, 1), (2, 0), (0, 2)))
 
 

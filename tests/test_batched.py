@@ -15,6 +15,7 @@ import hyperspline as hs
 from hyperspline import domain, splines
 from hyperspline.cli import load_model, main, model_to_dict
 from hyperspline.model import _coordinates, _energy_splines, spec_ops, stress_row
+from oracles import InterpolationGrid, cubic_residual, interpolate_surface
 
 UT, BT, PS = hs.DeformationMode.UT, hs.DeformationMode.BT, hs.DeformationMode.PS
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -188,36 +189,29 @@ def _mapped_grid(spec):
 
 def test_mapped_coordinates_solve_one_band_per_point_with_the_same_bits():
     """``_coordinates`` of the mapped kind against the compositions it
-    replaces: ``map_forward`` plus ``map_jacobian`` without clamping; with
-    it, the same bits at every admissible point, and ``_locate`` then
-    ``map_jacobian`` at the clipped I1 and the I2 of the clipped eta on the
-    band there at every outside point."""
+    replaces: ``map_forward`` plus ``map_jacobian`` at every admissible
+    point, and ``_locate`` then ``map_jacobian`` at the clipped I1 and the
+    I2 of the clipped eta on the band there at every outside point."""
     state, _ = load_model(FIXTURES / "mapped.json")
     spec, cfg = state.spec, state.spec.domain
     i1, i2 = _mapped_grid(spec)
 
     xi, eta, outside, band = domain._locate(i1, i2, cfg)
-    clamped = _coordinates(spec, i1, i2, True)
-    np.testing.assert_array_equal(clamped[-1], outside)
+    got = _coordinates(spec, i1, i2)
+    np.testing.assert_array_equal(got[-1], outside)
     assert outside.sum() > 10 and (~outside).sum() > 10
-    assert cfg.use_polyconvex
     i1c = np.clip(i1, cfg.u_min, cfg.u_max)[outside]
     t_lo, _, _, _, eff, _ = (b[outside] for b in band)
     i2p = np.maximum(hs.poly_transform_inverse(t_lo + eta[outside] * eff), 3.0)
     jac = hs.map_jacobian(i1c, i2p, cfg)
     expected = (xi[outside], eta[outside], jac.dxi_di1, jac.deta_di1, jac.deta_di2)
-    for a, b in zip(clamped, expected):
+    for a, b in zip(got, expected):
         np.testing.assert_array_equal(a[outside], b)
 
     i1, i2 = i1[~outside], i2[~outside]
     xi, eta = hs.map_forward(i1, i2, cfg)
     jac = hs.map_jacobian(i1, i2, cfg)
-    got = _coordinates(spec, i1, i2, False)
-    for a, b in zip(got, (xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2,
-                          np.zeros(i1.size, dtype=bool))):
-        np.testing.assert_array_equal(a, b)
-    # an admissible point gets the same bits whether or not it is clamped
-    for a, b in zip(clamped, got):
+    for a, b in zip(got, (xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2)):
         np.testing.assert_array_equal(a[~outside], b)
 
 
@@ -234,9 +228,6 @@ def _scalar_reference(state, mode, lam):
     def row(direction, x, r):
         return _scalar_row(direction.kv, x, r)[1] @ direction.binv
 
-    def transform(i2):
-        return hs.poly_transform(i2) if cfg.use_polyconvex else (i2, 1.0)
-
     i1, i2 = hs.invariants(mode, lam)
     tol = 1e-9
     if spec.kind is hs.ModelKind.MAPPED_SURFACE:
@@ -244,9 +235,9 @@ def _scalar_reference(state, mode, lam):
         # transformed I2 off the band by more than the roundoff tolerance
         i1c = min(max(i1, cfg.u_min), cfg.u_max)
         xi = (i1c - cfg.u_min) / (cfg.u_max - cfg.u_min)
-        t_lo, _ = transform(hs.boundary(i1c).i2_lo)
+        t_lo, _ = hs.poly_transform(hs.boundary(i1c).i2_lo)
         eff, _ = hs.width(i1c, cfg)
-        t, tp = transform(i2)
+        t, tp = hs.poly_transform(i2)
         tol_t = domain._ADMIT_TOL * (1.0 + abs(i2)) * max(tp, 1.0)
         grace = tol * (1.0 + abs(i1))
         outside = (not cfg.u_min - grace <= i1 <= cfg.u_max + grace
@@ -256,7 +247,7 @@ def _scalar_reference(state, mode, lam):
         if outside:
             # projected: the I2 at the clipped eta on the band at the clipped I1
             t_eta = t_lo + eta * eff
-            i2 = max(hs.poly_transform_inverse(t_eta) if cfg.use_polyconvex else t_eta, 3.0)
+            i2 = max(hs.poly_transform_inverse(t_eta), 3.0)
         jac = hs.map_jacobian(i1c, i2, cfg)
         s_xi = np.kron(row(ops.u, xi, 1), row(ops.v, eta, 0))
         s_eta = np.kron(row(ops.u, xi, 0), row(ops.v, eta, 1))
@@ -265,8 +256,8 @@ def _scalar_reference(state, mode, lam):
     else:
         L1 = cfg.u_max - cfg.u_min
         x1 = (i1 - cfg.u_min) / L1
-        t, tp = transform(i2)
-        x2 = (t - transform(3.0)[0]) / spec.i2_axis_max
+        t, tp = hs.poly_transform(i2)
+        x2 = (t - hs.poly_transform(3.0)[0]) / spec.i2_axis_max
         dx2 = tp / spec.i2_axis_max
         outside = not (-tol <= x1 <= 1.0 + tol and -tol <= x2 <= 1.0 + tol)
         x1, x2 = min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)
@@ -329,6 +320,14 @@ def test_batch_and_single_calls_agree(kind):
         for k, x in enumerate(lam.tolist()):
             one, one_flag = hs.predict_stress_clamped(state, mode, x)
             assert (one, one_flag) == (value[k], flag[k])
+            # one mask: predict_stress and the design rows raise exactly
+            # where the clamped prediction is flagged
+            if flag[k]:
+                for call in (hs.predict_stress, lambda s, m, x: stress_row(s.spec, m, x)):
+                    with pytest.raises(ValueError, match=r"^point \(I1, I2\) = .* not admissible$"):
+                        call(state, mode, x)
+            else:
+                assert hs.predict_stress(state, mode, x) == value[k]
         for k, x in enumerate(lam[~flag].tolist()):
             np.testing.assert_array_equal(stress_row(state.spec, mode, x), rows[k])
 
@@ -340,6 +339,8 @@ def test_batch_and_single_calls_agree(kind):
     rows = stress_row(state.spec, modes[~flag], mixed[~flag])
     with pytest.raises(ValueError):  # past the data a design row raises
         stress_row(state.spec, modes[flag], mixed[flag])
+    with pytest.raises(ValueError, match="is not admissible"):  # and so does predict_stress
+        hs.predict_stress(state, modes[flag], mixed[flag])
     i1, i2 = hs.invariants(modes, mixed)
     sc = hs.stress_coefficients(modes, mixed)
     assert flag.any() and not flag.all()
@@ -398,7 +399,7 @@ def test_scalar_calls_return_python_floats():
     be = hs.boundary(5.0)
     _assert_floats(be.i2_lo, be.i2_hi, be.d_lo, be.d_hi)
     _assert_floats(*hs.boundary(3.0).__dict__.values())
-    _assert_floats(domain.cubic_residual(5.0, 4.0), *hs.poly_transform(4.0),
+    _assert_floats(cubic_residual(5.0, 4.0), *hs.poly_transform(4.0),
                    hs.poly_transform_inverse(2.0), *hs.width(5.0, cfg))
     xi, eta = hs.map_forward(5.0, 4.5, cfg)
     _assert_floats(xi, eta, *hs.map_inverse(xi, eta, cfg))
@@ -412,9 +413,8 @@ def test_scalar_calls_return_python_floats():
     _assert_floats(splines.eval_coeffs(kv, np.arange(6.0), 0.3))
     curve = hs.interpolate_curve(np.linspace(0.0, 1.0, 6), np.arange(6.0))
     _assert_floats(curve(0.3), curve(0.3, 2))
-    grid = splines.InterpolationGrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4),
-                                     np.ones((5, 4)))
-    _assert_floats(splines.interpolate_surface(grid).eval(0.3, 0.6, 1, 0))
+    grid = InterpolationGrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4), np.ones((5, 4)))
+    _assert_floats(interpolate_surface(grid).eval(0.3, 0.6, 1, 0))
     assert splines.DirectionOps(np.linspace(0.0, 1.0, 6)).value_row(0.3).shape == (6,)
 
     for name in KIND_FILES:
@@ -448,7 +448,8 @@ def test_scalar_errors_are_unchanged():
         (lambda: hs.invariants(UT, -1.0), "stretch must be positive, got -1.0"),
         (lambda: hs.boundary(2.5), "I1 must be at least 3, got 2.5"),
         (lambda: hs.poly_transform(2.5), "I2 must be at least 3, got 2.5"),
-        (lambda: hs.map_forward(25.0, 30.0, cfg), "I1 = 25.0 outside [3.0, 20.0]"),
+        (lambda: hs.map_forward(25.0, 30.0, cfg),
+         "point (I1, I2) = (25.0, 30.0) is not admissible"),
         (lambda: hs.map_forward(5.0, 3.0, cfg), "point (I1, I2) = (5.0, 3.0) is not admissible"),
         (lambda: hs.map_inverse(0.5, 1.5, cfg), "eta = 1.5 outside [0, 1]"),
         (lambda: splines.basis_row(kv, 1.5), "evaluation point 1.5 outside spline domain"),
@@ -470,7 +471,7 @@ def test_assemble_design_names_the_first_failing_sample():
     bad = [hs.Sample(UT, 2.0, 1.0), hs.Sample(UT, 1.5, 1.0), hs.Sample(BT, 1.5, 1.0),
            hs.Sample(BT, 9.0, 1.0), hs.Sample(UT, 9.0, 1.0)]
     with pytest.raises(ValueError, match=r"^sample 3 \(BT, stretch 9\.0\) cannot be assembled: "
-                                         r"normalised I1 = .* outside the calibrated domain"):
+                                         r"point \(I1, I2\) = \(.*\) is not admissible$"):
         hs.assemble_design(spec, bad)
 
 

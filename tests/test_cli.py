@@ -347,6 +347,19 @@ def test_predict_rejects_schema_mismatch(nh_setup, capsys):
     assert main(["predict", "--model", str(bad), "--at", str(at),
                  "--output", str(tmp_path / "p")]) == 2
     assert "schema_version" in capsys.readouterr().err
+    # I2 always enters through the polyconvex transform: a use_polyconvex
+    # that is not JSON true, or none at all, is a malformed model file
+    for value in (False, 1, "missing"):
+        off_axis = dict(doc, schema_version=1, use_polyconvex=value)
+        if value == "missing":
+            del off_axis["use_polyconvex"]
+        bad.write_text(json.dumps(off_axis))
+        with pytest.raises(InputError, match="^malformed model file: "):
+            load_model(bad)
+        assert main(["predict", "--model", str(bad), "--at", str(at),
+                     "--output", str(tmp_path / "p")]) == 2
+        assert "malformed model file" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_predict_validates_request_rows(nh_setup, capsys):

@@ -17,7 +17,7 @@ from hyperspline import (
     poly_transform_inverse,
     width,
 )
-from hyperspline.domain import cubic_residual
+from oracles import cubic_residual
 
 SQRT3 = math.sqrt(3.0)
 
@@ -171,12 +171,12 @@ def test_width_floor_at_apex():
     assert eff == pytest.approx(1e-6, rel=1e-12)
 
 
-def test_width_without_transform():
-    # raw I2 band width at I1 = 5 is (1 + 4 sqrt(2)) - 4.25
-    cfg = DomainMapConfig(u_max=10.0, delta=0.0, use_polyconvex=False)
+def test_width_in_the_transformed_i2():
+    # at I1 = 5 the band is I2 in [4.25, 1 + 4 sqrt(2)]; its width in
+    # T(I2) = I2^(3/2) - 3 sqrt(3) is the difference of the 3/2 powers
+    cfg = DomainMapConfig(u_max=10.0, delta=0.0)
     eff, _ = width(5.0, cfg)
-    assert eff == pytest.approx(1.0 + 4.0 * math.sqrt(2.0) - 4.25, abs=1e-10)
-    assert eff == pytest.approx(2.406854249492381, abs=1e-10)
+    assert eff == pytest.approx((1.0 + 4.0 * math.sqrt(2.0)) ** 1.5 - 4.25 ** 1.5, rel=1e-12)
 
 
 def test_map_forward_reference_points():
@@ -247,10 +247,11 @@ def test_map_round_trip():
 
 
 def test_map_jacobian_reference_value():
-    # no transform, delta = 0: d(eta)/d(I2) = 1 / band width
-    cfg = DomainMapConfig(u_max=10.0, delta=0.0, use_polyconvex=False)
+    # delta = 0: d(eta)/d(I2) = T'(I2) / band width, with T' = 1.5 sqrt(I2)
+    cfg = DomainMapConfig(u_max=10.0, delta=0.0)
     jac = map_jacobian(5.0, 5.25, cfg)
-    assert jac.deta_di2 == pytest.approx(1.0 / 2.406854249492381, rel=1e-10)
+    band = (1.0 + 4.0 * math.sqrt(2.0)) ** 1.5 - 4.25 ** 1.5
+    assert jac.deta_di2 == pytest.approx(1.5 * math.sqrt(5.25) / band, rel=1e-10)
     cfg2 = DomainMapConfig(u_max=60.0)
     assert map_jacobian(30.0, 40.0, cfg2).dxi_di1 == pytest.approx(1.0 / 57.0)
 
@@ -289,3 +290,5 @@ def test_domain_config_validation():
         DomainMapConfig(u_max=10.0, u_min=2.0)
     with pytest.raises(ValueError):
         DomainMapConfig(u_max=10.0, delta=-1e-3)
+    with pytest.raises(TypeError):  # I2 always goes through the transform
+        DomainMapConfig(u_max=10.0, use_polyconvex=False)

@@ -12,7 +12,7 @@ from hyperspline import (
     max_invariants,
     stress_coefficients,
 )
-from hyperspline.domain import cubic_residual
+from oracles import cubic_residual
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 
