@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -250,10 +250,6 @@ def bundled_treloar_path() -> Path:
     return Path(__file__).parent / "data" / "treloar1944.csv"
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _write_atomic(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
@@ -347,13 +343,12 @@ def load_model(path) -> tuple:
 
 @dataclass
 class CalibrationResult:
+    problem: CalibrationProblem  # its lambda_pen is the weight solved at
     state: ModelState
-    lambda_pen: float
     fit: object
-    act: object
     sol: object
+    samples: list
     lcurve_result: object = None
-    samples: list = field(default_factory=list)
 
 
 def _resolve_lambda(cfg: RunConfig, kind: ModelKind):
@@ -364,53 +359,30 @@ def _resolve_lambda(cfg: RunConfig, kind: ModelKind):
     return float(cfg.lambda_pen)
 
 
-@contextlib.contextmanager
-def _classified_errors():
-    """Map bad input to InputError and solver failures to NumericalError."""
-    try:
-        yield
-    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
-        raise NumericalError(str(exc)) from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def build_problem(cfg: RunConfig, kind: ModelKind, samples, lambda_pen):
-    """Spec and calibration problem (design, curvature penalty, shape
-    constraints, pinned parameters) of one model kind."""
+def run_calibration(cfg: RunConfig, samples, kind: ModelKind) -> CalibrationResult:
+    """Fit one model kind to samples already read; the one code that
+    assembles a fit.  Builds the spec and the calibration problem (design,
+    curvature penalty, shape constraints, pinned parameters), then runs
+    the L-curve sweep at the automatic weight or one solve at a fixed one,
+    and the fit metrics.  Reads no file; ``main`` maps what it raises to
+    an exit code."""
     spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
     A, y = assemble_design(spec, samples)
-    ineq = inequality_operator(spec, monotone_1=cfg.monotone_1,
-                               monotone_2=cfg.monotone_2,
+    ineq = inequality_operator(spec, monotone_1=cfg.monotone_1, monotone_2=cfg.monotone_2,
                                convex_1=cfg.convex_1, convex_2=cfg.convex_2)
     problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
-                                 lambda_pen=lambda_pen, A_ineq=ineq.rows,
+                                 lambda_pen=_resolve_lambda(cfg, kind), A_ineq=ineq.rows,
                                  fixed_zero=fixed_zero_indices(spec))
-    return spec, problem
-
-
-def _sweep(cfg: RunConfig, problem: CalibrationProblem):
-    return lcurve(problem, default_lambda_grid(cfg.lcurve_count, cfg.lcurve_min,
-                                               cfg.lcurve_max))
-
-
-def run_calibration(cfg: RunConfig, kind: ModelKind | None = None) -> CalibrationResult:
-    """Full calibration workflow for one model kind."""
-    kind = kind if kind is not None else cfg.model_kind()
-    samples = ingest(cfg.data, cfg.stress_scale)
-    with _classified_errors():
-        spec, problem = build_problem(cfg, kind, samples, _resolve_lambda(cfg, kind))
-        lc = None
-        if problem.lambda_pen == AUTO:
-            lc = _sweep(cfg, problem)
-            problem.lambda_pen, sol = lc.lambda_chosen, lc.solution
-        else:
-            sol = solve(problem)
+    lc = None
+    if problem.lambda_pen == AUTO:
+        lc = lcurve(problem, default_lambda_grid(cfg.lcurve_count, cfg.lcurve_min,
+                                                 cfg.lcurve_max))
+        problem.lambda_pen, sol = lc.lambda_chosen, lc.solution
+    else:
+        sol = solve(problem)
     state = ModelState(spec=spec, theta=sol.theta)
-    fit = metrics(state, samples)
-    return CalibrationResult(state=state, lambda_pen=float(problem.lambda_pen),
-                             fit=fit, act=activation(problem.A), sol=sol,
-                             lcurve_result=lc, samples=samples)
+    return CalibrationResult(problem=problem, state=state, fit=metrics(state, samples),
+                             sol=sol, samples=samples, lcurve_result=lc)
 
 
 def _prediction_columns(result: CalibrationResult) -> dict:
@@ -426,7 +398,7 @@ def _prediction_columns(result: CalibrationResult) -> dict:
 
 def _activation_columns(result: CalibrationResult) -> dict:
     """Site coordinates of each parameter and its column activation."""
-    spec = result.state.spec
+    spec, act = result.state.spec, activation(result.problem.A)
     n1, n2 = spec.n1, spec.n2
     if spec.kind is ModelKind.MAPPED_SURFACE:
         site1, site2 = list(spec.sites1), list(spec.sites2)
@@ -441,7 +413,7 @@ def _activation_columns(result: CalibrationResult) -> dict:
         i, j = [a for a in range(n1) for _ in range(n2)], [*range(n2)] * n1
         site1, site2 = [c for c in site1 for _ in range(n2)], site2 * n1
     return {"i": i, "j": j, "site1": site1, "site2": site2,
-            "a": result.act.norms, "log10_rel": result.act.log10_relative}
+            "a": act.norms, "log10_rel": act.log10_relative}
 
 
 def _lcurve_columns(lc) -> dict:
@@ -452,7 +424,7 @@ def _lcurve_columns(lc) -> dict:
 
 def _write_calibration(result: CalibrationResult, outdir: Path, data_path):
     prov = _provenance(data_path)
-    model = model_to_dict(result.state, result.lambda_pen, result.fit, prov)
+    model = model_to_dict(result.state, result.problem.lambda_pen, result.fit, prov)
     _write_atomic(outdir / "model.json", json.dumps(model, indent=2) + "\n")
     _write_csv(outdir / "predictions.csv", _prediction_columns(result))
     _write_csv(outdir / "activation.csv", _activation_columns(result))
@@ -463,19 +435,18 @@ def _write_calibration(result: CalibrationResult, outdir: Path, data_path):
 def _cmd_calibrate(args) -> int:
     cfg = load_config(args.config)
     outdir = Path(args.output or cfg.output)
-    result = run_calibration(cfg)
+    samples = ingest(cfg.data, cfg.stress_scale)
+    result = run_calibration(cfg, samples, cfg.model_kind())
     _write_calibration(result, outdir, cfg.data)
-    counts = mode_counts(result.samples)
-    print(f"ingested {len(result.samples)} samples: "
+    counts = mode_counts(samples)
+    print(f"ingested {len(samples)} samples: "
           + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     print(f"kind={cfg.kind} params={result.state.spec.n_params} "
-          f"lambda_pen={_fmt(result.lambda_pen)} "
+          f"lambda_pen={result.problem.lambda_pen} "
           f"iterations={result.sol.iterations}")
     for mode in sorted(result.fit.mse, key=lambda m: m.value):
-        r2 = result.fit.r2.get(mode)
-        r2_text = _fmt(r2) if r2 is not None else "n/a"
-        print(f"  {mode.value}: mse={_fmt(result.fit.mse[mode])} r2={r2_text}")
-    print(f"combined mse={_fmt(result.fit.mse_combined)}")
+        print(f"  {mode.value}: mse={result.fit.mse[mode]} r2={result.fit.r2.get(mode, 'n/a')}")
+    print(f"combined mse={result.fit.mse_combined}")
     print(f"wrote {outdir}/model.json")
     return 0
 
@@ -516,12 +487,10 @@ def _cmd_predict(args) -> int:
 def _cmd_lcurve(args) -> int:
     cfg = load_config(args.config)
     samples = ingest(cfg.data, cfg.stress_scale)
-    with _classified_errors():
-        _, problem = build_problem(cfg, cfg.model_kind(), samples, AUTO)
-        lc = _sweep(cfg, problem)
+    lc = run_calibration(replace(cfg, lambda_pen=AUTO), samples, cfg.model_kind()).lcurve_result
     outdir = Path(args.output or cfg.output)
     _write_csv(outdir / "lcurve.csv", _lcurve_columns(lc))
-    print(f"corner lambda={_fmt(lc.lambda_corner)} chosen={_fmt(lc.lambda_chosen)}")
+    print(f"corner lambda={lc.lambda_corner} chosen={lc.lambda_chosen}")
     print(f"wrote {outdir}/lcurve.csv")
     return 0
 
@@ -534,8 +503,10 @@ def _cmd_compare(args) -> int:
     for name in kind_names:
         if name not in _KIND_NAMES:
             raise InputError(f"unknown model kind {name!r}")
-    # Fit each distinct kind once so repeated kinds produce identical rows.
-    results = {name: run_calibration(cfg, kind=_KIND_NAMES[name])
+    # Read the data once and fit each distinct kind once, so repeated kinds
+    # produce identical rows.
+    samples = ingest(cfg.data, cfg.stress_scale)
+    results = {name: run_calibration(cfg, samples, _KIND_NAMES[name])
                for name in dict.fromkeys(kind_names)}
     fits = [results[name] for name in kind_names]
     columns = {"kind": kind_names, "n_params": [r.state.spec.n_params for r in fits],

@@ -185,13 +185,6 @@ def _off_axis(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
     return (i1 < cfg.u_min - grace) | (i1 > cfg.u_max + grace)
 
 
-def _check_i1(i1: np.ndarray, cfg: DomainMapConfig) -> np.ndarray:
-    bad = _off_axis(i1, cfg)
-    if bad.any():
-        raise ValueError(f"I1 = {float(i1[first(bad)])!r} outside [{cfg.u_min}, {cfg.u_max}]")
-    return np.clip(i1, cfg.u_min, cfg.u_max)
-
-
 def _band(i1: np.ndarray, cfg: DomainMapConfig):
     """Transformed boundary values, their derivatives and effective width."""
     be = boundary(i1)
@@ -209,7 +202,10 @@ def _band(i1: np.ndarray, cfg: DomainMapConfig):
 def width(i1, cfg: DomainMapConfig):
     """Effective band width ``sqrt(gap^2 + delta^2)`` and its I1-derivative."""
     i1, scalar = points(i1)
-    _, _, _, _, eff, deff = _band(_check_i1(i1, cfg), cfg)
+    bad = _off_axis(i1, cfg)
+    if bad.any():
+        raise ValueError(f"I1 = {float(i1[first(bad)])!r} outside [{cfg.u_min}, {cfg.u_max}]")
+    _, _, _, _, eff, deff = _band(np.clip(i1, cfg.u_min, cfg.u_max), cfg)
     return unbatch(eff, scalar), unbatch(deff, scalar)
 
 
@@ -275,7 +271,7 @@ def map_inverse(xi, eta, cfg: DomainMapConfig):
 
 
 def _jacobian(i2: np.ndarray, band, cfg: DomainMapConfig) -> MapJacobian:
-    """``map_jacobian`` on arrays, at a checked I1 whose band is given."""
+    """``map_jacobian`` on arrays, at an I1 on the axis whose band is given."""
     t, tp = poly_transform(i2)
     t_lo, d_lo, _, _, eff, deff = band
     if (eff <= 0.0).any():
@@ -287,9 +283,11 @@ def _jacobian(i2: np.ndarray, band, cfg: DomainMapConfig) -> MapJacobian:
 
 
 def map_jacobian(i1, i2, cfg: DomainMapConfig) -> MapJacobian:
-    """Partial derivatives of (xi, eta) with respect to (I1, I2)."""
+    """Partial derivatives of (xi, eta) with respect to (I1, I2) at
+    admissible points; a point ``map_forward`` rejects raises the same."""
     i1, i2, scalar = pairs(i1, i2)
-    jac = _jacobian(i2, _band(_check_i1(i1, cfg), cfg), cfg)
+    _, _, jac, outside = _map_with_jacobian(i1, i2, cfg)
+    admitted(outside, i1, i2)
     return MapJacobian(*(unbatch(v, scalar) for v in vars(jac).values()))
 
 
@@ -297,8 +295,9 @@ def _map_with_jacobian(i1: np.ndarray, i2: np.ndarray, cfg: DomainMapConfig):
     """``(xi, eta, Jacobian, outside)`` at arrays of invariant points, from
     one band per point.  ``_locate`` projects the points and the Jacobian
     is taken at each point's own I2 on the band at its clipped I1, so an
-    admissible point gets the bits of ``map_forward`` plus ``map_jacobian``;
-    an outside point takes the I2 at its clipped eta on that band."""
+    admissible point gets the bits of ``map_forward``, and ``map_jacobian``
+    is this call at admissible points.  An outside point takes the I2 at
+    its clipped eta on that band."""
     xi, eta, outside, band = _locate(i1, i2, cfg)
     if outside.any():
         i2 = i2.copy()

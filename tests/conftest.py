@@ -10,20 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hyperspline import (
-    CalibrationProblem,
-    ModelKind,
-    ModelState,
-    assemble_design,
-    curvature_operator,
-    default_spec,
-    fixed_zero_indices,
-    inequality_operator,
-    lcurve,
-    metrics,
-    solve,
-)
-from hyperspline.cli import bundled_treloar_path, ingest
+from hyperspline import ModelKind
+from hyperspline.cli import RunConfig, bundled_treloar_path, ingest, run_calibration
 
 
 @pytest.fixture(scope="session")
@@ -35,30 +23,21 @@ def treloar():
 def treloar_fit(treloar):
     """Factory returning cached calibration products for one model kind.
 
-    The separable split is solved without a penalty; the surface kinds
-    take their weight and fit from the default L-curve sweep, matching the
-    command-line defaults.
+    Each is the command-line fit of the kind at the default config, built
+    by ``run_calibration``: the separable split is solved without a
+    penalty, and the surface kinds take their weight and fit from the
+    default L-curve sweep.
     """
     cache = {}
 
     def build(kind: ModelKind) -> SimpleNamespace:
         if kind not in cache:
-            spec = default_spec(kind, treloar, 20, 5)
-            A, y = assemble_design(spec, treloar)
-            pen = curvature_operator(spec)
-            ineq = inequality_operator(spec)
-            problem = CalibrationProblem(
-                A=A, y=y, A_pen=pen.rows, lambda_pen=0.0,
-                A_ineq=ineq.rows, fixed_zero=fixed_zero_indices(spec))
-            if kind is ModelKind.SEPARABLE:
-                lc, sol = None, solve(problem)
-            else:
-                lc = lcurve(problem)
-                problem.lambda_pen, sol = lc.lambda_chosen, lc.solution
-            state = ModelState(spec=spec, theta=sol.theta)
+            cfg = RunConfig(kind=kind.value, data=str(bundled_treloar_path()))
+            result = run_calibration(cfg, treloar, kind)
+            problem = result.problem
             cache[kind] = SimpleNamespace(
-                spec=spec, A=A, y=y, pen=pen, ineq=ineq, problem=problem,
-                lcurve=lc, sol=sol, state=state, fit=metrics(state, treloar))
+                A=problem.A, y=problem.y, problem=problem, lcurve=result.lcurve_result,
+                sol=result.sol, state=result.state, fit=result.fit)
         return cache[kind]
 
     return build

@@ -351,7 +351,7 @@ def test_criterion_08_constraint_compliance(capsys, treloar_fit):
         fitres = treloar_fit(kind)
         theta = fitres.state.theta
         scale = max(1.0, float(np.abs(theta).max()))
-        slack = float(np.max(fitres.ineq.rows @ theta))
+        slack = float(np.max(fitres.problem.A_ineq @ theta))
         if kind is ModelKind.SEPARABLE:
             worst = _separable_state_min_derivatives(fitres.state)
         else:

@@ -213,6 +213,11 @@ def test_mapped_coordinates_solve_one_band_per_point_with_the_same_bits():
     jac = hs.map_jacobian(i1, i2, cfg)
     for a, b in zip(got, (xi, eta, jac.dxi_di1, jac.deta_di1, jac.deta_di2)):
         np.testing.assert_array_equal(a[~outside], b)
+    # map_jacobian runs the same call, so hold it to the band at the
+    # clipped I1 and the Jacobian at the point's own I2, composed apart
+    ref = domain._jacobian(i2, domain._band(np.clip(i1, cfg.u_min, cfg.u_max), cfg), cfg)
+    for a, b in zip(vars(jac).values(), vars(ref).values()):
+        np.testing.assert_array_equal(a, b)
 
 
 def _scalar_reference(state, mode, lam):
@@ -451,6 +456,9 @@ def test_scalar_errors_are_unchanged():
         (lambda: hs.map_forward(25.0, 30.0, cfg),
          "point (I1, I2) = (25.0, 30.0) is not admissible"),
         (lambda: hs.map_forward(5.0, 3.0, cfg), "point (I1, I2) = (5.0, 3.0) is not admissible"),
+        (lambda: hs.map_jacobian(25.0, 30.0, cfg),
+         "point (I1, I2) = (25.0, 30.0) is not admissible"),
+        (lambda: hs.map_jacobian(5.0, 3.0, cfg), "point (I1, I2) = (5.0, 3.0) is not admissible"),
         (lambda: hs.map_inverse(0.5, 1.5, cfg), "eta = 1.5 outside [0, 1]"),
         (lambda: splines.basis_row(kv, 1.5), "evaluation point 1.5 outside spline domain"),
     ]

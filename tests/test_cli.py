@@ -424,12 +424,16 @@ def test_lcurve_subcommand(tmp_path, capsys):
                   n1=6, n2=4, lcurve_min=1e-8, lcurve_max=1e-2, lcurve_count=7,
                   output=str(tmp_path / "out"))
     assert main(["lcurve", "--config", str(cfg)]) == 0
-    rows = (tmp_path / "out" / "lcurve.csv").read_text().splitlines()
+    text = (tmp_path / "out" / "lcurve.csv").read_text()
+    rows = text.splitlines()
     assert rows[0] == "lambda,misfit,seminorm,kappa,chosen"
     assert len(rows) == 8
     flags = [int(r.split(",")[4]) for r in rows[1:]]
     assert sum(flags) == 1  # exactly one corner row is marked
     assert "corner lambda=" in capsys.readouterr().out
+    # one pipeline: calibrate at the automatic weight writes the same curve
+    assert main(["calibrate", "--config", str(cfg), "--output", str(tmp_path / "cal")]) == 0
+    assert (tmp_path / "cal" / "lcurve.csv").read_text() == text
 
 
 def test_compare_requires_two_kinds(tmp_path, capsys):
@@ -453,12 +457,15 @@ def test_compare_repeated_kind_rows_are_identical(tmp_path):
     assert rows[1] == rows[2]
 
 
-def test_compare_two_kinds(tmp_path):
+def test_compare_two_kinds(tmp_path, monkeypatch):
     data = _neo_hookean_csv(tmp_path / "nh.csv", n=10)
     cfg = _config(tmp_path / "cfg.json", kind="separable", data=str(data),
                   n1=8, n2=4, lambda_pen=1e-6)
+    reads = []
+    monkeypatch.setattr(cli, "ingest", lambda *a: reads.append(a) or ingest(*a))
     assert main(["compare", "--config", str(cfg), "--kinds", "separable,mapped",
                  "--output", str(tmp_path / "out")]) == 0
+    assert len(reads) == 1  # the data file is read once for all kinds
     rows = (tmp_path / "out" / "compare.csv").read_text().splitlines()
     assert len(rows) == 3
     assert rows[1].split(",")[0] == "separable"

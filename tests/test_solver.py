@@ -647,12 +647,14 @@ def test_the_entering_row_is_violated_beyond_the_tolerance_before_it_is_priced(m
     assert stat <= 1e-12 and feas <= solver.FEAS_TOL and comp <= 1e-12
 
 
-def test_calibration_warm_starts_the_chosen_weight(treloar_fit):
+def test_calibration_warm_starts_the_chosen_weight(treloar, treloar_fit):
     """The automatic surface fit is the sweep's fit at its chosen weight."""
-    result = run_calibration(RunConfig(kind="surface", data=str(bundled_treloar_path())))
-    assert result.lambda_pen == result.lcurve_result.lambda_chosen
+    cfg = RunConfig(kind="surface", data=str(bundled_treloar_path()))
+    result = run_calibration(cfg, treloar, ModelKind.SURFACE)
+    lam = result.problem.lambda_pen
+    assert lam == result.lcurve_result.lambda_chosen
     assert result.sol is result.lcurve_result.solution
-    cold = solve(replace(treloar_fit(ModelKind.SURFACE).problem, lambda_pen=result.lambda_pen))
+    cold = solve(replace(treloar_fit(ModelKind.SURFACE).problem, lambda_pen=lam))
     assert result.sol.objective == pytest.approx(cold.objective, rel=1e-9)
     assert result.sol.iterations < 20
 
