@@ -117,17 +117,15 @@ def mode_groups(modes) -> dict:
 
 
 def max_invariants(samples):
-    """Largest I1, I2 and transformed I2 over a set of samples.
+    """Largest I1 and transformed I2 over a set of samples.
 
-    Returns ``(i1_max, i2_max, i2t_max)`` where the last entry pushes
-    ``i2_max`` through the polyconvex transform (monotone, so the maximum
-    commutes with it).
+    Returns ``(i1_max, i2t_max)``: the largest I1 and the largest I2 pushed
+    through the polyconvex transform (monotone, so the maximum commutes
+    with it), each at least its undeformed value.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("empty dataset")
     i1, i2 = invariants([s.mode for s in samples], [s.stretch for s in samples])
-    i1_max = max(3.0, float(i1.max()))
-    i2_max = max(3.0, float(i2.max()))
-    i2t_max, _ = poly_transform(i2_max)
-    return i1_max, i2_max, i2t_max
+    i2t_max, _ = poly_transform(max(3.0, float(i2.max())))
+    return max(3.0, float(i1.max())), i2t_max

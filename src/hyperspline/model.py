@@ -113,7 +113,7 @@ def default_spec(kind: ModelKind, samples, n1: int = 20, n2: int = 5, *,
     Axis extents take the dataset maxima with a relative margin of 1e-6 so
     every sample ends up strictly inside the evaluable region.
     """
-    i1_max, _, i2t_max = max_invariants(samples)
+    i1_max, i2t_max = max_invariants(samples)
     if i1_max <= 3.0:
         raise ValueError("dataset spans no invariant range (all stretches are 1)")
     cfg = DomainMapConfig(u_max=i1_max * (1.0 + 1e-6), u_min=3.0, delta=delta)

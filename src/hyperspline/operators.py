@@ -2,11 +2,19 @@
 
 The curvature penalty integrates the squared non-mixed second derivatives
 of the energy over its parameter square (or over each axis for the
-separable split) with per-span Gauss-Legendre quadrature, expressed as
-rows of a least-squares block: ``||A_pen @ theta||^2`` equals the
-integral exactly because the integrand is piecewise polynomial of degree
-at most 6 per axis.  The mixed second derivative is deliberately not
-penalised, so additively separable and bilinear surfaces are free.
+separable split), expressed as rows of a least-squares block:
+``||A_pen @ theta||^2`` equals the integral exactly.  Per-span
+Gauss-Legendre quadrature integrates each axis exactly, as the integrand
+is piecewise polynomial of degree at most 6 per axis, and the quadrature
+rows of an axis enter only through the triangular factor R of their Gram
+matrix.  For surfaces the Gram matrix of the quadrature rows is a sum of
+two Kronecker products of 1-D Gram matrices (the array structure of
+Currie, Durban & Eilers, J. R. Stat. Soc. B 68, 2006), so the penalty is
+the 2 n1 n2 rows [R_u'' (x) R_v; R_u (x) R_v''], with R_u'' the factor of
+the sqrt(w)-weighted second-derivative rows along u, and so on; for the
+separable split it is the n1 + n2 rows of the block diagonal of R_u'' and
+R_v''.  The mixed second derivative is deliberately not penalised, so
+additively separable and bilinear surfaces are free.
 
 The inequality operator collects the B-spline coefficients of the first
 and second derivative splines along each axis.  Nonnegative coefficients
@@ -71,6 +79,11 @@ def _gauss_points(kv):
     return (0.5 * (a + b) + half * nodes).ravel(), (half * weights).ravel()
 
 
+def _gram_factor(w, rows):
+    """Triangular R with R^T R = rows^T diag(w) rows, the quadrature sum."""
+    return np.linalg.qr(np.sqrt(w)[:, None] * rows, mode="r")
+
+
 def curvature_operator(spec: ModelSpec) -> PenaltyOperator:
     """Least-squares rows of the curvature seminorm.
 
@@ -83,23 +96,18 @@ def curvature_operator(spec: ModelSpec) -> PenaltyOperator:
     xv, wv = _gauss_points(ops.v.kv)
 
     if spec.kind is ModelKind.SEPARABLE:
-        rows = np.zeros((xu.size + xv.size, spec.n_params))
-        rows[: xu.size, : spec.n1] = np.sqrt(wu)[:, None] * ops.u.value_row(xu, 2)
-        rows[xu.size :, spec.n1 :] = np.sqrt(wv)[:, None] * ops.v.value_row(xv, 2)
+        ru2 = _gram_factor(wu, ops.u.value_row(xu, 2))
+        rv2 = _gram_factor(wv, ops.v.value_row(xv, 2))
+        rows = np.zeros((ru2.shape[0] + rv2.shape[0], spec.n_params))
+        rows[: ru2.shape[0], : spec.n1] = ru2
+        rows[ru2.shape[0] :, spec.n1 :] = rv2
         return PenaltyOperator(rows=rows)
 
-    s = np.sqrt(wu[:, None] * wv[None, :])
-
-    def outer(a, b):
-        """Rows s_ij * kron(a_i, b_j) for every pair of quadrature nodes."""
-        return s[:, :, None, None] * (a[:, None, :, None] * b[None, :, None, :])
-
     # value and second-derivative rows of each axis from one basis pass
-    ru0, ru2 = ops.u._rows(xu, (0, 2))
-    rv0, rv2 = ops.v._rows(xv, (0, 2))
-    # node pair (i, j) contributes its W_xixi row, then its W_etaeta row
-    rows = np.stack([outer(ru2, rv0), outer(ru0, rv2)], axis=2)
-    return PenaltyOperator(rows=rows.reshape(-1, spec.n_params))
+    ru0, ru2 = (_gram_factor(wu, r) for r in ops.u._rows(xu, (0, 2)))
+    rv0, rv2 = (_gram_factor(wv, r) for r in ops.v._rows(xv, (0, 2)))
+    # the W_xixi rows, then the W_etaeta rows
+    return PenaltyOperator(rows=np.vstack([np.kron(ru2, rv0), np.kron(ru0, rv2)]))
 
 
 def inequality_operator(spec: ModelSpec, *, monotone_1: bool = True,

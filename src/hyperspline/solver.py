@@ -11,7 +11,9 @@ formed.  Each block taller than its free columns, [A | y] and A_pen, is
 reduced to its triangular factor, and ``_Factor`` takes the generalized SVD
 of the reduced [A; A_pen] once per problem or sweep in Paige & Saunders'
 QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981; Elden, BIT 22, 1982).  A
-weight is then a diagonal scaling D of ||L theta - c||, L = D W^T R0.
+weight is then a diagonal scaling D of ||L theta - c||, L = D W^T R0, and
+of the LDP rows G L^-1 = B D^-1: B = G R0^-1 W, B * B and [B; R0^-1 W]
+are formed once per factor, so a weight forms only its d.
 
 That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
 1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
@@ -20,12 +22,16 @@ which keeps cond(L) under the ridge's threshold.  The loop then moves
 u = L theta, with rows F = G L^-1 and the identity metric: a working set's
 optimum is the projection u = Z Z^T c onto the null space Z = Q[:, k:] of
 F_W, a direction is Z Z^T f_p, and theta = L^-1 u plus one refinement step
-is formed once per solve.  Other weights (``_stacked``, ridged or not) run
-the loop in theta, with F = G, the metric R^T R and a QR of R Z per step.
-Of F_W^T = Q[:, :k] T only Q and T^-1 are kept: an add is one Householder
-reflector on the null-space columns (Gill, Golub, Murray & Saunders, 1974),
-a drop one on the working columns, as row p of T^-1 is orthogonal to the
-other working columns of T.
+is formed once per solve.  A row of F is B_j / d, the row norms are
+sqrt((B * B) d^-2), and the pricing's F u and the theta of its tolerance
+come from one product [B; R0^-1 W] (u / d).  Other weights (``_stacked``,
+ridged or not) run the loop in theta, with F = G, the metric R^T R and a
+QR of R Z per step.  Of F_W^T = Q[:, :k] T only Q^T, stored row-major so
+that its working rows Q^T[:k] and null-space rows Q^T[k:] are contiguous
+blocks, and T^-1 are kept: an add is one Householder reflector on the
+null-space rows (Gill, Golub, Murray & Saunders, 1974), a drop one on the
+working rows and on the columns of T^-1, as row p of T^-1 is orthogonal to
+the other working columns of T.
 
 The dual loop needs no feasible start: from the optimum on the rows handed
 over by an earlier solve (``working``) or on none, it drops the row with the
@@ -187,7 +193,9 @@ class _Factor:
     [A; A_pen] = [Q_A; Q_P] R0 on the free columns, Q_A = U C W^T, and s
     the column norms of Q_P W.  As A^T A + lam A_pen^T A_pen = L^T L with
     L = D W^T R0, D = diag(sqrt(c^2 + lam s^2)), a weight's target is
-    D^-1 C U^T y and its LDP rows G L^-1 = (G R0^-1 W) D^-1."""
+    D^-1 C U^T y and its LDP rows G L^-1 = B D^-1.  The weight-independent
+    B = G R0^-1 W, B * B and the stack [B; R0^-1 W] are kept, so a weight
+    forms only d."""
 
     def __init__(self, problem: CalibrationProblem):
         self.problem, self.free = problem, _free(problem)
@@ -204,8 +212,9 @@ class _Factor:
             self.c, self.b = np.zeros(n), np.zeros(n)
             self.c[:c.size], self.b[:c.size] = c, c * (U[:, :c.size].T @ problem.y)
             self.s = np.linalg.norm(Q[m:] @ Wt.T, axis=0)
-            self.WtR0, self.Rinv = Wt @ R0, np.linalg.solve(R0, Wt.T)
-            self.F = self.G @ self.Rinv
+            self.WtR0, Rinv = Wt @ R0, np.linalg.solve(R0, Wt.T)
+            self.stack = np.vstack([self.G @ Rinv, Rinv])
+            self.BB = self.stack[:self.G.shape[0]] ** 2
 
     def at(self, lam: float):
         """(R, c, working factor) at weight lam: L, D^-1 C U^T y and the LDP
@@ -213,7 +222,7 @@ class _Factor:
         if self.ldp:
             d = np.sqrt(self.c ** 2 + lam * self.s ** 2)
             if self.cond * d.max() * RANK_TOL <= d.min():
-                work = _WorkingFactor(self.F / d, self.Rinv / d)
+                work = _WorkingFactor(self.stack, d, self.BB)
                 return d[:, None] * self.WtR0, self.b / d, work
         return *_reduce(*_stacked(self.problem, self.free, lam)), _WorkingFactor(self.G)
 
@@ -230,22 +239,45 @@ def _reflector(x: np.ndarray):
 
 
 class _WorkingFactor:
-    """Rows F (G, or with ``Rinv`` = L^-1 the LDP rows G L^-1) and their
-    norms; Q and Ti = T^-1 of the working rows' F_W^T = Q[:, :k] T, Q[:, k:]
-    spanning their null space.  ``rows`` and Ti's rows follow the adds."""
+    """The loop's rows F, their norms and the factor of its working rows.
+    Given only ``stack`` = G, F = G.  In the LDP form ``stack`` = [B; Rinv]
+    with B = G R0^-1 W and Rinv = R0^-1 W, shared by a sweep's weights,
+    and the weight's scaling d gives F = B D^-1 and L^-1 = Rinv D^-1
+    without a scaled copy: a row of F is B_j / d, the norms are
+    sqrt((B * B) d^-2) (``BB`` = B * B), and F x and L^-1 x come from one
+    product, stack (x / d).  Of F_W^T = Q[:, :k] T only Qt = Q^T, stored
+    row-major, and Ti = T^-1 are kept, Qt[k:] spanning the working rows'
+    null space.  ``rows`` and Ti's rows follow the adds."""
 
-    def __init__(self, F: np.ndarray, Rinv: np.ndarray | None = None):
-        self.F, self.Rinv, self.Q = F, Rinv, np.eye(F.shape[1])
-        self.Ti, self.norms = np.zeros_like(self.Q), np.linalg.norm(F, axis=1)
-        self.rows, self.mask = [], np.zeros(F.shape[0], dtype=bool)
+    def __init__(self, stack: np.ndarray, d: np.ndarray | None = None,
+                 BB: np.ndarray | None = None):
+        n = stack.shape[1]
+        self.stack, self.d, self.Qt, self.Ti = stack, d, np.eye(n), np.zeros((n, n))
+        if d is None:
+            self.B, self.Rinv, self.norms = stack, None, np.linalg.norm(stack, axis=1)
+        else:
+            self.B, self.Rinv = stack[:-n], stack[-n:]
+            self.norms = np.sqrt(BB @ (1.0 / d ** 2))
+        self.rows, self.mask = [], np.zeros(self.B.shape[0], dtype=bool)
+
+    def row(self, j) -> np.ndarray:
+        """Row j of F (rows j for a list)."""
+        return self.B[j] if self.Rinv is None else self.B[j] / self.d
+
+    def price(self, x: np.ndarray):
+        """(F x, theta at x before refinement) from one product."""
+        if self.Rinv is None:
+            return self.B @ x, x
+        y = self.stack @ (x / self.d)
+        return y[:self.B.shape[0]], y[self.B.shape[0]:]
 
     def add(self, j: int, w: np.ndarray | None = None) -> None:
         """Append row j, which lies outside the working span; w = Q^T F[j]
         where ``directions`` has formed it."""
         k = len(self.rows)
-        w = self.Q.T @ self.F[j] if w is None else w
+        w = self.Qt @ self.row(j) if w is None else w
         beta, tau, v = _reflector(w[k:])
-        self.Q[:, k:] -= (tau * (self.Q[:, k:] @ v))[:, None] * v
+        self.Qt[k:] -= v[:, None] * (tau * (v @ self.Qt[k:]))
         self.Ti[:k, k] = -(self.Ti[:k, :k] @ w[:k]) / beta
         self.Ti[k, k] = 1.0 / beta
         self.rows.append(j)
@@ -255,13 +287,12 @@ class _WorkingFactor:
         """Start from independent rows (an earlier solve's working set) with
         one QR of their transpose; raise ValueError if they are dependent."""
         rows, k = list(rows), len(rows)
-        if not all(0 <= j < self.F.shape[0] for j in rows):
-            raise ValueError(f"working rows out of range 0..{self.F.shape[0] - 1}")
-        F = self.F[rows]
-        Q, T = np.linalg.qr(F.T, mode="complete")
+        if not all(0 <= j < self.B.shape[0] for j in rows):
+            raise ValueError(f"working rows out of range 0..{self.B.shape[0] - 1}")
+        Q, T = np.linalg.qr(self.row(rows).T, mode="complete")
         if k > T.shape[0] or np.any(np.abs(np.diag(T)) <= INDEP_TOL * self.norms[rows]):
             raise ValueError("working rows are linearly dependent")
-        self.Q, self.rows = Q, rows
+        self.Qt, self.rows = np.ascontiguousarray(Q.T), rows
         self.Ti[:k, :k] = np.linalg.inv(T[:k])
         self.mask[rows] = True
 
@@ -272,50 +303,52 @@ class _WorkingFactor:
         k = len(self.rows)
         _, tau, v = _reflector(self.Ti[p, k - 1::-1])
         v = v[::-1]
-        for B in (self.Q[:, :k], self.Ti[:k, :k]):
-            B -= (tau * (B @ v))[:, None] * v
-        self.Ti[p:k - 1, :k] = self.Ti[p + 1:k, :k]
-        self.Ti[k - 1, :k] = self.Ti[:k, k - 1] = 0.0
+        self.Qt[:k] -= v[:, None] * (tau * (v @ self.Qt[:k]))
+        self.Ti[:k, :k] -= (tau * (self.Ti[:k, :k] @ v))[:, None] * v
+        self.Ti[p:k - 1] = self.Ti[p + 1:k]
+        self.Ti[k - 1] = self.Ti[:k, k - 1] = 0.0
         self.mask[self.rows.pop(p)] = False
 
     def step(self, R: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Minimise ||R x - c|| subject to F_W x = 0: in the LDP form x = u
         is the projection Z Z^T c, otherwise x = theta = Z z with z from the
         triangular factor of [R Z | c]."""
-        Z = self.Q[:, len(self.rows):]
+        Zt = self.Qt[len(self.rows):]
         if self.Rinv is not None:
-            return Z @ (Z.T @ c)
-        m = Z.shape[1]
-        Rz, cz = _reduce(R @ Z, c)
-        return Z @ np.linalg.solve(Rz[:m], cz[:m])
+            return (Zt @ c) @ Zt
+        m = Zt.shape[0]
+        Rz, cz = _reduce(R @ Zt.T, c)
+        return np.linalg.solve(Rz[:m], cz[:m]) @ Zt
 
     def theta(self, x: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
         """theta at the loop's x: L^-1 u in the LDP form, refined once given R = L."""
-        t = x if self.Rinv is None else self.Rinv @ x
-        return t if self.Rinv is None or R is None else t + self.Rinv @ (x - R @ t)
+        if self.Rinv is None:
+            return x
+        t = self.Rinv @ (x / self.d)
+        return t if R is None else t + self.Rinv @ ((x - R @ t) / self.d)
 
     def multipliers(self, R: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Working-row multipliers at x, F_W^T mu = -g: g = 2 (x - c), or 2 R^T (R x - c) on G."""
         k = len(self.rows)
         g = 2.0 * (x - c) if self.Rinv is not None else 2.0 * R.T @ (R @ x - c)
-        return -(self.Ti[:k, :k] @ (self.Q[:, :k].T @ g))
+        return -(self.Ti[:k, :k] @ (self.Qt[:k] @ g))
 
     def directions(self, R: np.ndarray, j: int):
         """Goldfarb & Idnani's directions for adding row j, f_j = H z + F_W^T r
         with F_W z = 0, H = I in the LDP form and R^T R on G: (z, r, f_j . z,
         Q^T f_j for ``add``), z = 0 where f_j lies in the working span."""
-        k, f = len(self.rows), self.F[j]
-        qf = self.Q.T @ f
-        Z, w, h = self.Q[:, k:], qf[k:], qf[:k]
+        k, f = len(self.rows), self.row(j)
+        qf = self.Qt @ f
+        Zt, w, h = self.Qt[k:], qf[k:], qf[:k]
         z, gz, ww = np.zeros(f.size), 0.0, float(w @ w)
         if ww > (INDEP_TOL * self.norms[j]) ** 2:
             if self.Rinv is not None:
-                z, gz = Z @ w, ww
+                z, gz = w @ Zt, ww
             else:  # z = Z (R Z)^+ (R Z)^+T Z^T f
-                Rz = np.linalg.qr(R @ Z, mode="r")
+                Rz = np.linalg.qr(R @ Zt.T, mode="r")
                 v = np.linalg.solve(Rz.T, w)
-                z, gz = Z @ np.linalg.solve(Rz, v), float(v @ v)
-                h = h - self.Q[:, :k].T @ (R.T @ (R @ z))
+                z, gz = np.linalg.solve(Rz, v) @ Zt, float(v @ v)
+                h = h - self.Qt[:k] @ (R.T @ (R @ z))
         return z, self.Ti[:k, :k] @ h, gz, qf
 
 
@@ -325,13 +358,14 @@ def _dual_active_set(R, c, work, max_iter=None):
     a step s towards adding row p moves x by -s z / 2, the multipliers mu by
     -s r and p's by s.  The cap is 10 (columns + rows of F) + 100 unless
     ``max_iter`` is given.  Returns (x, working rows, mu, iterations, adds, drops)."""
-    F, norms = work.F, work.norms
+    norms = work.norms
+    m, n = work.B.shape
     if max_iter is None:
-        max_iter = 10 * (F.shape[1] + F.shape[0]) + 100
+        max_iter = 10 * (n + m) + 100
     x = work.step(R, c)
     mu = work.multipliers(R, c, x)
     adds = drops = 0
-    p, skip = -1, np.zeros(F.shape[0], dtype=bool)  # skip: rows violated by roundoff
+    p, skip = -1, np.zeros(m, dtype=bool)  # skip: rows violated by roundoff
     for it in range(max_iter):  # it: the steps taken so far
         if p < 0:
             if mu.size and mu.min() < -MULT_TOL:  # the start is not dual feasible
@@ -340,9 +374,9 @@ def _dual_active_set(R, c, work, max_iter=None):
                 x = work.step(R, c)
                 mu = work.multipliers(R, c, x)
                 continue
-            Fx = F @ x
-            tol = ADD_TOL * max(1.0, float(np.max(np.abs(work.theta(x)))))
-            dist = np.full(F.shape[0] + 1, -np.inf)  # the violated rows' distances
+            Fx, th = work.price(x)
+            tol = ADD_TOL * max(1.0, float(np.max(np.abs(th))))
+            dist = np.full(m + 1, -np.inf)  # the violated rows' distances
             np.divide(Fx, norms, out=dist[:-1], where=(Fx > tol) & ~(work.mask | skip))
             p, mu_p = int(np.argmax(dist)), 0.0
             if dist[p] == -np.inf:  # no row is violated
@@ -352,7 +386,7 @@ def _dual_active_set(R, c, work, max_iter=None):
         np.divide(mu, r, out=ratios[:-1], where=r > 0.0)
         l = int(np.argmin(ratios))
         s1 = ratios[l]
-        s2 = 2.0 * float(F[p] @ x) / gz if gz > 0.0 else np.inf
+        s2 = 2.0 * float(work.row(p) @ x) / gz if gz > 0.0 else np.inf
         if s1 == s2 == np.inf:  # in the working span: violated only by roundoff
             skip[p], p = True, -1  # and back to the working rows' optimum
             x = work.step(R, c)
@@ -378,13 +412,16 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     """Solve the calibration QP, from the unconstrained optimum or from the
     rows named by ``working``, e.g. the ``active_set`` of a solve at another
     weight (independence of rows does not depend on the weight).  ``lcurve``
-    passes its sweep's ``_Factor`` as ``_factor``."""
+    passes its sweep's ``_Factor`` as ``_factor``, with a problem it has
+    already reduced, so the blocks are not reduced again."""
     if isinstance(problem.lambda_pen, str):
         raise ValueError("lambda_pen is 'auto'; run lcurve() first and solve "
                          "with the chosen numeric weight")
     t_start = time.perf_counter()
-    problem = _reduce_blocks(problem)
-    factor = _Factor(problem) if _factor is None else _factor
+    factor = _factor
+    if factor is None:
+        problem = _reduce_blocks(problem)
+        factor = _Factor(problem)
     n, free, G = problem.n_params, factor.free, factor.G
     R, c, work = factor.at(float(problem.lambda_pen))
     if working is not None:

@@ -1,13 +1,14 @@
 """Test oracles the package itself does not need: the boundary cubic of the
-admissible domain, and tensor-product surface interpolation with dense
-grid evaluation."""
+admissible domain, tensor-product surface interpolation with dense grid
+evaluation, and the curvature penalty as one row per quadrature node."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from hyperspline import splines
+from hyperspline import ModelKind, operators, splines
 from hyperspline._batch import pairs, unbatch
+from hyperspline.model import spec_ops
 
 
 def cubic_residual(i1, i2):
@@ -50,3 +51,25 @@ def eval_grid(surf: splines.Surface, xs, ys, rx: int = 0, ry: int = 0) -> np.nda
     Ru = splines.basis_row(surf.ku, np.atleast_1d(xs), rx)
     Rv = splines.basis_row(surf.kw, np.atleast_1d(ys), ry)
     return Ru @ surf.coeffs @ Rv.T
+
+
+def quadrature_penalty_rows(spec) -> np.ndarray:
+    """The curvature seminorm's quadrature rows at ``operators.QUAD_ORDER``:
+    one sqrt(w)-weighted second-derivative row per node of each axis for
+    the separable split; for surfaces, per node pair (i, j), the W_xixi row
+    then the W_etaeta row, kron(a_i, b_j) of value rows of orders 0 and 2
+    taken one at a time."""
+    ops = spec_ops(spec)
+    xu, wu = operators._gauss_points(ops.u.kv)
+    xv, wv = operators._gauss_points(ops.v.kv)
+    if spec.kind is ModelKind.SEPARABLE:
+        rows = np.zeros((xu.size + xv.size, spec.n_params))
+        rows[: xu.size, : spec.n1] = np.sqrt(wu)[:, None] * ops.u.value_row(xu, 2)
+        rows[xu.size :, spec.n1 :] = np.sqrt(wv)[:, None] * ops.v.value_row(xv, 2)
+        return rows
+    s = np.sqrt(wu[:, None] * wv[None, :])[:, :, None, None]
+    ru0, ru2 = ops.u.value_row(xu, 0), ops.u.value_row(xu, 2)
+    rv0, rv2 = ops.v.value_row(xv, 0), ops.v.value_row(xv, 2)
+    w_xixi = s * (ru2[:, None, :, None] * rv0[None, :, None, :])
+    w_etaeta = s * (ru0[:, None, :, None] * rv2[None, :, None, :])
+    return np.stack([w_xixi, w_etaeta], axis=2).reshape(-1, spec.n_params)

@@ -9,17 +9,44 @@ every weight is checked against the LSI -> LDP -> NNLS oracle (scipy) and
 steps of the solver's loop over the passing seeds and the largest share of
 its iteration cap that one solve took, against the cap ``solve`` uses,
 10 (n_free + m) + 100 for n_free free parameters and m inequality rows;
-exits 1 if any seed fails.
+then, so that steps stand next to time, the total loop steps and the wall
+time of the default Treloar sweeps of the surface and mapped kinds (their
+25 weights and the chosen one).  Exits 1 if any seed fails.
 """
 
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from hyperspline import AUTO, ModelKind, lcurve, solver  # noqa: E402
+from hyperspline.cli import RunConfig, bundled_treloar_path, ingest, run_calibration  # noqa: E402
 from test_solver import check_random_sweep  # noqa: E402
+
+
+def treloar_sweeps():
+    """(kind, loop steps, wall time in s) of the default Treloar sweep of
+    each surface kind, its steps counted through ``solver.solve``."""
+    data = bundled_treloar_path()
+    samples, solve, out = ingest(data), solver.solve, []
+    for kind in (ModelKind.SURFACE, ModelKind.MAPPED_SURFACE):
+        fit = run_calibration(RunConfig(kind=kind.value, data=str(data)), samples, kind)
+        problem, steps = replace(fit.problem, lambda_pen=AUTO), []
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            steps.append(sol.iterations)
+            return sol
+
+        with mock.patch.object(solver, "solve", counted):
+            start = time.perf_counter()
+            lcurve(problem)
+            out.append((kind.value, sum(steps), time.perf_counter() - start))
+    return out
 
 
 def main(argv=None) -> int:
@@ -42,6 +69,8 @@ def main(argv=None) -> int:
     print(f"{len(seeds) - len(failed)} of {len(seeds)} seeds passed "
           f"in {time.perf_counter() - start:.1f} s; {steps} loop steps, "
           f"at most {worst[0]:.3f} of the iteration cap (seed {worst[1]})")
+    for kind, steps, wall in treloar_sweeps():
+        print(f"default Treloar {kind} sweep: {steps} loop steps in {wall:.3f} s")
     return 1 if failed else 0
 
 

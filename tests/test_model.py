@@ -58,7 +58,7 @@ def test_default_spec_axes_cover_the_data(treloar):
     assert 5000.0 < spec.i2_axis_max < 8600.0
     # margin: the extreme sample must land strictly inside
     from hyperspline import max_invariants
-    i1_max, _, i2t_max = max_invariants(treloar)
+    i1_max, i2t_max = max_invariants(treloar)
     assert spec.domain.u_max > i1_max
     assert spec.i2_axis_max > i2t_max
 

@@ -23,6 +23,7 @@ from hyperspline import (
 )
 from hyperspline import operators
 from hyperspline.model import spec_ops
+from oracles import quadrature_penalty_rows
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 
@@ -68,35 +69,45 @@ def test_penalty_separable_axis_blocks():
     assert float(np.sum((pen.rows @ theta2) ** 2)) == pytest.approx(8.0, abs=1e-8)
 
 
+def _assert_gram_matches_the_quadrature_rows(spec):
+    """The factored rows' Gram matrix is the quadrature rows' Gram matrix,
+    to 1e-12 relative in the Frobenius norm."""
+    rows, ref = curvature_operator(spec).rows, quadrature_penalty_rows(spec)
+    gram, ref_gram = rows.T @ rows, ref.T @ ref
+    assert np.linalg.norm(gram - ref_gram) <= 1e-12 * np.linalg.norm(ref_gram)
+
+
 def test_penalty_gauss_order_is_already_exact(monkeypatch):
-    """The integrand is piecewise polynomial; doubling the rule changes nothing."""
+    """The integrand is piecewise polynomial; doubling the rule changes
+    nothing.  The factor has 2 n1 n2 rows at either rule, with the Gram
+    matrix of that rule's quadrature rows."""
     spec = _spec(ModelKind.SURFACE, n1=8, n2=6)
     rng = np.random.default_rng(61)
     theta = rng.normal(size=spec.n_params)
     rows4 = curvature_operator(spec).rows
+    _assert_gram_matches_the_quadrature_rows(spec)
     monkeypatch.setattr(operators, "QUAD_ORDER", 2 * operators.QUAD_ORDER)
     rows8 = curvature_operator(spec).rows
-    assert rows8.shape[0] == 4 * rows4.shape[0]  # twice the nodes on each axis
+    _assert_gram_matches_the_quadrature_rows(spec)
+    assert rows4.shape == rows8.shape == (2 * spec.n1 * spec.n2, spec.n_params)
     p4 = float(np.sum((rows4 @ theta) ** 2))
     p8 = float(np.sum((rows8 @ theta) ** 2))
     assert p8 == pytest.approx(p4, rel=1e-10)
 
 
-@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
-def test_penalty_rows_match_separate_value_rows(kind):
-    """One basis pass per axis gives the bits of the value rows of orders 0
-    and 2 taken one at a time."""
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE,
+                                  ModelKind.SEPARABLE])
+def test_penalty_rows_match_separate_value_rows(kind, monkeypatch):
+    """The factored rows (one basis pass per axis) have the Gram matrix of
+    the quadrature rows built from the value rows of orders 0 and 2 taken
+    one at a time, at the default rule and at twice its nodes: 2 n1 n2
+    rows for a surface, n1 + n2 for the separable split."""
     spec = _spec(kind)
-    ops = spec_ops(spec)
-    xu, wu = operators._gauss_points(ops.u.kv)
-    xv, wv = operators._gauss_points(ops.v.kv)
-    s = np.sqrt(wu[:, None] * wv[None, :])[:, :, None, None]
-    ru0, ru2 = ops.u.value_row(xu, 0), ops.u.value_row(xu, 2)
-    rv0, rv2 = ops.v.value_row(xv, 0), ops.v.value_row(xv, 2)
-    w_xixi = s * (ru2[:, None, :, None] * rv0[None, :, None, :])
-    w_etaeta = s * (ru0[:, None, :, None] * rv2[None, :, None, :])
-    expected = np.stack([w_xixi, w_etaeta], axis=2).reshape(-1, spec.n_params)
-    np.testing.assert_array_equal(curvature_operator(spec).rows, expected)
+    n_rows = spec.n1 + spec.n2 if kind is ModelKind.SEPARABLE else 2 * spec.n1 * spec.n2
+    for order in (4, 8):
+        monkeypatch.setattr(operators, "QUAD_ORDER", order)
+        _assert_gram_matches_the_quadrature_rows(spec)
+        assert curvature_operator(spec).rows.shape == (n_rows, spec.n_params)
 
 
 def test_penalty_gram_matrix_is_psd():

@@ -523,7 +523,9 @@ def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, m
     """Each weight of the default sweep starts from the working rows of the
     weight above it, the chosen weight from those of its nearest swept
     weight, and every weight reaches the LSI -> LDP -> NNLS optimum.
-    ``working`` must name rows of A_ineq, independent ones."""
+    Each of the 26 solves is a call of the module-level ``solver.solve``,
+    the name a tracer wraps to see every solve.  ``working`` must name rows
+    of A_ineq, independent ones."""
     pytest.importorskip("scipy")
     fit = treloar_fit(kind)
     handed, solved = [], []
@@ -543,6 +545,7 @@ def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, m
     lc = lcurve(replace(fit.problem, lambda_pen=AUTO))
     assert len(handed) >= lc.lambdas.size and sum(handed) > 0
     assert lc.lambda_chosen == fit.lcurve.lambda_chosen
+    assert lc.lambdas.size == 25 and len(solved) == 26
     assert [lam for lam, _ in solved] == [*lc.lambdas[::-1].tolist(), lc.lambda_chosen]
     assert solved[-1][1] is lc.solution
     for lam, sol in solved:
@@ -561,7 +564,7 @@ def _assert_matches_a_fresh_factor(work, G):
     """The updated factor against np.linalg.qr of the working rows' transpose:
     Q orthogonal, Ti the inverse of Q[:, :k]^T G_W^T and zero elsewhere."""
     k, n = len(work.rows), G.shape[1]
-    Q, Ti = work.Q, work.Ti
+    Q, Ti = work.Qt.T, work.Ti
     assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
     assert np.all(Ti[k:] == 0.0) and np.all(Ti[:, k:] == 0.0)
     Gw = G[work.rows]
@@ -600,6 +603,34 @@ def test_factor_updates_match_a_fresh_qr(start):
         _assert_matches_a_fresh_factor(work, G)
 
 
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_factor_stays_exact_through_the_default_sweep(kind, treloar_fit, monkeypatch):
+    """At the end of every weight of the default Treloar sweep, its solve at
+    the chosen weight included, the factor the loop updated is still one of
+    its working rows: Q orthogonal and F_W^T = Q[:, :k] T, T = Ti^-1, to
+    1e-12 relative; and the row norms read through the weight's scaling
+    are those of the rows F."""
+    problem = replace(treloar_fit(kind).problem, lambda_pen=AUTO)
+    loop, factors = solver._dual_active_set, []
+
+    def record(R, c, work, *args, **kwargs):
+        out = loop(R, c, work, *args, **kwargs)
+        factors.append(work)
+        return out
+
+    monkeypatch.setattr(solver, "_dual_active_set", record)
+    lc = lcurve(problem)
+    assert len(factors) == lc.lambdas.size + 1
+    for work in factors:
+        k, Q = len(work.rows), work.Qt.T
+        assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0])) <= 1e-12
+        Fw = work.row(work.rows)
+        err = np.linalg.norm(Fw.T - Q[:, :k] @ np.linalg.inv(work.Ti[:k, :k]))
+        assert err <= 1e-12 * np.linalg.norm(Fw)
+        F = work.row(slice(None))
+        np.testing.assert_allclose(work.norms, np.linalg.norm(F, axis=1), rtol=1e-12, atol=0.0)
+
+
 def test_drops_and_adds_on_rows_of_minus_identity_keep_a_signed_permutation():
     """On rows of -I from an empty working set, the start of ``_nnls``,
     every add and drop is a signed permutation of Q's columns, so Q holds
@@ -614,7 +645,7 @@ def test_drops_and_adds_on_rows_of_minus_identity_keep_a_signed_permutation():
             work.drop(int(rng.integers(k)))
         else:
             work.add(int(rng.choice(np.flatnonzero(~work.mask))))
-        assert np.isin(work.Q, (-1.0, 0.0, 1.0)).all()
+        assert np.isin(work.Qt, (-1.0, 0.0, 1.0)).all()
         assert np.isin(work.Ti, (-1.0, 0.0, 1.0)).all()
         _assert_matches_a_fresh_factor(work, G)
 
@@ -633,8 +664,7 @@ def test_the_entering_row_is_violated_beyond_the_tolerance_before_it_is_priced(m
 
     def record(self, R, c):
         forms.append(self.Rinv is not None)
-        norms = np.linalg.norm(self.F, axis=1)
-        assert norms[1] > 1e11 * norms[0]
+        assert self.norms[1] > 1e11 * self.norms[0]
         return factor_step(self, R, c)
 
     monkeypatch.setattr(solver._WorkingFactor, "step", record)
