@@ -239,15 +239,12 @@ def _reflector(x: np.ndarray):
 
 
 class _WorkingFactor:
-    """The loop's rows F, their norms and the factor of its working rows.
-    Given only ``stack`` = G, F = G.  In the LDP form ``stack`` = [B; Rinv]
-    with B = G R0^-1 W and Rinv = R0^-1 W, shared by a sweep's weights,
-    and the weight's scaling d gives F = B D^-1 and L^-1 = Rinv D^-1
-    without a scaled copy: a row of F is B_j / d, the norms are
-    sqrt((B * B) d^-2) (``BB`` = B * B), and F x and L^-1 x come from one
-    product, stack (x / d).  Of F_W^T = Q[:, :k] T only Qt = Q^T, stored
-    row-major, and Ti = T^-1 are kept, Qt[k:] spanning the working rows'
-    null space.  ``rows`` and Ti's rows follow the adds."""
+    """The loop's rows F, their norms and the factor of its working rows
+    (module docstring).  Given ``stack`` = G alone, F = G; in the LDP form
+    ``stack`` = [B; R0^-1 W] and ``BB`` = B * B, shared by a sweep, and the
+    weight's scaling d give F = B D^-1 and L^-1 = R0^-1 W D^-1.  Qt = Q^T
+    and Ti = T^-1 of F_W^T = Q[:, :k] T; ``rows`` and Ti's rows follow the
+    adds."""
 
     def __init__(self, stack: np.ndarray, d: np.ndarray | None = None,
                  BB: np.ndarray | None = None):
