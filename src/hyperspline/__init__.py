@@ -17,7 +17,7 @@ from .model import (ActivationReport, FitMetrics, ModelKind, ModelSpec,
                     predict_stress_clamped, sensitivity_derivatives)
 from .operators import (InequalityOperator, PenaltyOperator,
                         curvature_operator, inequality_operator)
-from .solver import (AUTO, CalibrationProblem, LCurveResult, Solution,
+from .solver import (CalibrationProblem, LCurveResult, Solution,
                      default_lambda_grid, discrete_curvature, kkt_check,
                      lcurve, solve)
 from .splines import (Curve, DirectionOps, KnotVector, Surface, basis_at,
@@ -28,7 +28,6 @@ from .splines import (Curve, DirectionOps, KnotVector, Surface, basis_at,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AUTO",
     "ActivationReport",
     "BoundaryEval",
     "CalibrationProblem",

@@ -8,10 +8,12 @@ cells; a request row needs two and may carry more, which are ignored.
 Modes are the exact names UT, BT and PS, numbers are read by ``float``,
 and an error names the first failing line of the file.
 
-All outputs are plain JSON/CSV written atomically (temp file plus rename)
-and byte-deterministic for identical inputs, except the measured
-``wall_time_s`` column of ``compare.csv``.  One writer emits every CSV:
-a header line and one line per row, each ending in a newline, with no
+A config's ``lambda_pen`` may be ``"auto"`` (``AUTO``, the surface kinds'
+default): the fit is then the L-curve sweep with its solve at the chosen
+weight, and reports the loop steps of all its solves.  All outputs are
+plain JSON/CSV written atomically (temp file plus rename) and
+byte-deterministic for identical inputs.  One writer emits every CSV: a
+header line and one line per row, each ending in a newline, with no
 quoting; floats are serialised with ``repr``, which emits the shortest
 digit string that round-trips.  Exit codes: 0 success, 2 input/config
 error, 3 numerical failure.
@@ -42,8 +44,9 @@ from .model import (ModelKind, ModelSpec, ModelState, activation,
                     metrics, predict_stress_clamped)
 from .model import predict_stress  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .operators import curvature_operator, inequality_operator
-from .solver import AUTO, CalibrationProblem, default_lambda_grid, lcurve, solve
+from .solver import CalibrationProblem, default_lambda_grid, lcurve, solve
 
+AUTO = "auto"  # the config value of lambda_pen that asks for the L-curve sweep
 SCHEMA_VERSION = 1
 STRETCH_MIN = 0.05
 STRETCH_MAX = 20.0
@@ -76,7 +79,6 @@ class RunConfig:
     lcurve_max: float = 1e2
     lcurve_count: int = 25
     stress_scale: float = 1.0
-    unit: str = "kPa"
     monotone_1: bool = True
     monotone_2: bool = True
     convex_1: bool = True
@@ -348,41 +350,37 @@ class CalibrationResult:
     fit: object
     sol: object
     samples: list
+    iterations: int  # loop steps of every solve the fit made
     lcurve_result: object = None
-
-
-def _resolve_lambda(cfg: RunConfig, kind: ModelKind):
-    if cfg.lambda_pen is None:
-        return 0.0 if kind is ModelKind.SEPARABLE else AUTO
-    if cfg.lambda_pen == AUTO:
-        return AUTO
-    return float(cfg.lambda_pen)
 
 
 def run_calibration(cfg: RunConfig, samples, kind: ModelKind) -> CalibrationResult:
     """Fit one model kind to samples already read; the one code that
     assembles a fit.  Builds the spec and the calibration problem (design,
     curvature penalty, shape constraints, pinned parameters), then runs
-    the L-curve sweep at the automatic weight or one solve at a fixed one,
-    and the fit metrics.  Reads no file; ``main`` maps what it raises to
-    an exit code."""
+    the L-curve sweep at the automatic weight, the problem taking its
+    chosen weight, or one solve at a fixed one, and the fit metrics.  Reads
+    no file; ``main`` maps what it raises to an exit code."""
     spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
     A, y = assemble_design(spec, samples)
     ineq = inequality_operator(spec, monotone_1=cfg.monotone_1, monotone_2=cfg.monotone_2,
                                convex_1=cfg.convex_1, convex_2=cfg.convex_2)
     problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
-                                 lambda_pen=_resolve_lambda(cfg, kind), A_ineq=ineq.rows,
-                                 fixed_zero=fixed_zero_indices(spec))
-    lc = None
-    if problem.lambda_pen == AUTO:
+                                 A_ineq=ineq.rows, fixed_zero=fixed_zero_indices(spec))
+    lam, lc = cfg.lambda_pen, None
+    if lam is None:  # the kind's default
+        lam = 0.0 if kind is ModelKind.SEPARABLE else AUTO
+    if lam == AUTO:
         lc = lcurve(problem, default_lambda_grid(cfg.lcurve_count, cfg.lcurve_min,
                                                  cfg.lcurve_max))
-        problem.lambda_pen, sol = lc.lambda_chosen, lc.solution
+        problem, sol = replace(problem, lambda_pen=lc.lambda_chosen), lc.solution
     else:
+        problem = replace(problem, lambda_pen=lam)
         sol = solve(problem)
     state = ModelState(spec=spec, theta=sol.theta)
     return CalibrationResult(problem=problem, state=state, fit=metrics(state, samples),
-                             sol=sol, samples=samples, lcurve_result=lc)
+                             sol=sol, samples=samples, lcurve_result=lc,
+                             iterations=sol.iterations if lc is None else lc.iterations)
 
 
 def _prediction_columns(result: CalibrationResult) -> dict:
@@ -443,7 +441,7 @@ def _cmd_calibrate(args) -> int:
           + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     print(f"kind={cfg.kind} params={result.state.spec.n_params} "
           f"lambda_pen={result.problem.lambda_pen} "
-          f"iterations={result.sol.iterations}")
+          f"iterations={result.iterations}")
     for mode in sorted(result.fit.mse, key=lambda m: m.value):
         print(f"  {mode.value}: mse={result.fit.mse[mode]} r2={result.fit.r2.get(mode, 'n/a')}")
     print(f"combined mse={result.fit.mse_combined}")
@@ -513,8 +511,7 @@ def _cmd_compare(args) -> int:
                **{f"{metric}_{mode.value}": [getattr(r.fit, metric).get(mode, "") for r in fits]
                   for metric in ("mse", "r2") for mode in DeformationMode},
                "mse_combined": [r.fit.mse_combined for r in fits],
-               "iterations": [r.sol.iterations for r in fits],
-               "wall_time_s": [round(r.sol.wall_time, 6) for r in fits]}
+               "iterations": [r.iterations for r in fits]}
     outdir = Path(args.output or cfg.output)
     _write_csv(outdir / "compare.csv", columns)
     print(f"wrote {outdir}/compare.csv ({len(fits)} kinds)")

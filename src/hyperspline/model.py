@@ -133,8 +133,7 @@ def _axes_coords(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
     cfg = spec.domain
     x1 = (i1 - cfg.u_min) / (cfg.u_max - cfg.u_min)
     t, tp = poly_transform(i2)
-    t0, _ = poly_transform(np.array([3.0]))
-    x2 = (t - t0) / spec.i2_axis_max
+    x2 = t / spec.i2_axis_max
     return (np.clip(x1, 0.0, 1.0), np.clip(x2, 0.0, 1.0), tp / spec.i2_axis_max,
             _beyond(x1, 1e-9) | _beyond(x2, 1e-9))
 

@@ -51,13 +51,10 @@ optimum, gives ``kkt_check``'s nonnegative multipliers (``_nnls``).
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-AUTO = "auto"
 
 
 @dataclass
@@ -67,7 +64,7 @@ class CalibrationProblem:
     A: np.ndarray
     y: np.ndarray
     A_pen: np.ndarray | None = None
-    lambda_pen: float | str = 0.0
+    lambda_pen: float = 0.0
     A_ineq: np.ndarray | None = None  # rows of A_ineq theta <= 0
     fixed_zero: tuple = field(default_factory=tuple)
 
@@ -82,11 +79,9 @@ class CalibrationProblem:
                 setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
                 if getattr(self, name).shape[1] != n:
                     raise ValueError(f"{name} has the wrong number of columns")
-        if isinstance(self.lambda_pen, str):
-            if self.lambda_pen != AUTO:
-                raise ValueError("lambda_pen must be a number or 'auto'")
-        elif self.lambda_pen < 0.0:
-            raise ValueError("lambda_pen must be nonnegative")
+        if isinstance(self.lambda_pen, str) or self.lambda_pen < 0.0:
+            raise ValueError("lambda_pen must be a nonnegative number")
+        self.lambda_pen = float(self.lambda_pen)
         bad = [i for i in self.fixed_zero if not 0 <= int(i) < n]
         if bad:
             raise ValueError(f"fixed_zero indices out of range: {bad}")
@@ -106,7 +101,6 @@ class Solution:
     iterations: int  # steps of the loop: adds, drops and skipped rows
     adds: int  # working-set changes made by the iterations (a seed is not counted)
     drops: int
-    wall_time: float
 
 
 @dataclass
@@ -119,6 +113,7 @@ class LCurveResult:
     lambda_corner: float
     lambda_chosen: float
     solution: Solution  # the fit at lambda_chosen
+    iterations: int  # loop steps of every solve, the one at lambda_chosen included
 
 
 FEAS_TOL = 1e-9
@@ -282,13 +277,16 @@ class _WorkingFactor:
 
     def hand_over(self, rows) -> None:
         """Start from independent rows (an earlier solve's working set) with
-        one QR of their transpose; raise ValueError if they are dependent."""
+        one QR of their transpose.  Rows out of range, repeated or too many
+        raise ValueError, rows the QR finds dependent RuntimeError."""
         rows, k = list(rows), len(rows)
         if not all(0 <= j < self.B.shape[0] for j in rows):
             raise ValueError(f"working rows out of range 0..{self.B.shape[0] - 1}")
+        if len(set(rows)) < k or k > self.B.shape[1]:
+            raise ValueError("working rows repeat or outnumber the columns: they are dependent")
         Q, T = np.linalg.qr(self.row(rows).T, mode="complete")
-        if k > T.shape[0] or np.any(np.abs(np.diag(T)) <= INDEP_TOL * self.norms[rows]):
-            raise ValueError("working rows are linearly dependent")
+        if np.any(np.abs(np.diag(T)) <= INDEP_TOL * self.norms[rows]):
+            raise RuntimeError("handed-over working rows are numerically dependent")
         self.Qt, self.rows = np.ascontiguousarray(Q.T), rows
         self.Ti[:k, :k] = np.linalg.inv(T[:k])
         self.mask[rows] = True
@@ -411,16 +409,12 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     weight (independence of rows does not depend on the weight).  ``lcurve``
     passes its sweep's ``_Factor`` as ``_factor``, with a problem it has
     already reduced, so the blocks are not reduced again."""
-    if isinstance(problem.lambda_pen, str):
-        raise ValueError("lambda_pen is 'auto'; run lcurve() first and solve "
-                         "with the chosen numeric weight")
-    t_start = time.perf_counter()
     factor = _factor
     if factor is None:
         problem = _reduce_blocks(problem)
         factor = _Factor(problem)
     n, free, G = problem.n_params, factor.free, factor.G
-    R, c, work = factor.at(float(problem.lambda_pen))
+    R, c, work = factor.at(problem.lambda_pen)
     if working is not None:
         work.hand_over(working)
     x, rows, mu, iters, adds, drops = _dual_active_set(R, c, work, max_iter)
@@ -429,11 +423,10 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     kkt = float(np.linalg.norm(2.0 * R.T @ (R @ th_free - c) + G[rows].T @ np.clip(mu, 0.0, None)))
 
     obj = float(np.sum((problem.A @ theta - problem.y) ** 2))
-    if problem.A_pen is not None and float(problem.lambda_pen) > 0.0:
-        obj += float(problem.lambda_pen) * float(np.sum((problem.A_pen @ theta) ** 2))
+    if problem.A_pen is not None and problem.lambda_pen > 0.0:
+        obj += problem.lambda_pen * float(np.sum((problem.A_pen @ theta) ** 2))
     return Solution(theta=theta, objective=obj, active_set=tuple(sorted(int(j) for j in rows)),
-                    kkt_residual=kkt, iterations=iters, adds=adds, drops=drops,
-                    wall_time=time.perf_counter() - t_start)
+                    kkt_residual=kkt, iterations=iters, adds=adds, drops=drops)
 
 
 def _nnls(B: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -454,12 +447,10 @@ def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
     The near-active rows' multipliers are the nonnegative least-squares fit
     of the negated gradient, so stationarity is the smallest residual that
     any admissible multipliers leave."""
-    if isinstance(problem.lambda_pen, str):
-        raise ValueError("lambda_pen must be numeric for a KKT check")
     theta = np.asarray(theta, dtype=float).ravel()
     problem = _reduce_blocks(problem)
     free = _free(problem)
-    M, d = _stacked(problem, free, float(problem.lambda_pen))
+    M, d = _stacked(problem, free, problem.lambda_pen)
     th = theta[free]
     g = 2.0 * M.T @ (M @ th - d)
     G = _ineq(problem, free)
@@ -493,12 +484,13 @@ def default_lambda_grid(count: int = 25, low: float = 1e-10, high: float = 1e2) 
 
 
 def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
-    """Sweep penalty weights, pick one decade below the L-curve corner (the
-    maximum discrete curvature of the log-log (misfit, seminorm) polyline)
-    and solve there.  All weights share one ``_Factor``.  Solves run from the
-    largest weight down, each from the working rows of the one above it, and
-    the chosen weight from those of the swept weight nearest it on a log
-    scale.  Misfit is ``||A theta - y||^2``, seminorm ``||A_pen theta||^2``.
+    """Sweep penalty weights (``problem.lambda_pen`` is not read), pick one
+    decade below the L-curve corner (the maximum discrete curvature of the
+    log-log (misfit, seminorm) polyline) and solve there.  All weights share
+    one ``_Factor``.  Solves run from the largest weight down, each from the
+    working rows of the one above it, and the chosen weight from those of
+    the swept weight nearest it on a log scale.  Misfit is
+    ``||A theta - y||^2``, seminorm ``||A_pen theta||^2``.
     """
     if problem.A_pen is None:
         raise ValueError("lcurve requires a penalty operator")
@@ -512,11 +504,8 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     factor = _Factor(reduced)  # one factor for every weight
 
     def solve_from(lam: float, start: Solution | None) -> Solution:
-        sub = replace(reduced, lambda_pen=lam)
-        try:
-            return solve(sub, working=start and start.active_set, _factor=factor)
-        except ValueError:  # rows dependent at this weight: start cold
-            return solve(sub, _factor=factor)
+        return solve(replace(reduced, lambda_pen=lam), working=start and start.active_set,
+                     _factor=factor)
 
     sols: list = []
     for lam in grid[::-1]:  # each from the one above it
@@ -529,6 +518,8 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     lam_corner = float(grid[corner])
     lam = lam_corner / 10.0
     nearest = sols[int(np.argmin(np.abs(np.log(grid / lam))))]
+    sols.append(solve_from(lam, nearest))  # the fit, at lambda_chosen
     return LCurveResult(lambdas=grid, misfits=misfits, seminorms=seminorms,
                         kappas=kappas, corner_index=corner, lambda_corner=lam_corner,
-                        lambda_chosen=lam, solution=solve_from(lam, nearest))
+                        lambda_chosen=lam, solution=sols[-1],
+                        iterations=sum(s.iterations for s in sols))

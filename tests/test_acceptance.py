@@ -416,7 +416,7 @@ def test_criterion_10_lcurve_suite(capsys):
                                np.array([0.0, 0.0, 1.0]))[1]
     right_err = abs(right - 1.0 / math.sqrt(2.0))
     problem = CalibrationProblem(A=np.diag([1.0, 1e-3]), y=np.array([1.0, 1.0]),
-                                 A_pen=np.array([[0.0, 1.0]]), lambda_pen="auto")
+                                 A_pen=np.array([[0.0, 1.0]]))
     result = lcurve(problem)
     knee = int(np.argmin(np.abs(np.log10(result.lambdas) + 6.0)))
     within = abs(result.corner_index - knee) <= 1

@@ -1,6 +1,8 @@
 """Active-set least squares, KKT diagnostics and the L-curve sweep."""
 
+import contextlib
 import itertools
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -10,7 +12,6 @@ import numpy as np
 import pytest
 
 from hyperspline import (
-    AUTO,
     CalibrationProblem,
     DeformationMode,
     ModelKind,
@@ -29,7 +30,7 @@ from hyperspline import (
     stress_coefficients,
 )
 from hyperspline import solver
-from hyperspline.cli import RunConfig, bundled_treloar_path, run_calibration
+from hyperspline.cli import RunConfig, bundled_treloar_path, main, run_calibration
 from hyperspline.solver import _stacked
 
 
@@ -80,13 +81,11 @@ def test_zero_data_gives_zero_solution():
     assert sol.objective == 0.0
 
 
-def test_auto_weight_must_be_resolved_first():
-    problem = CalibrationProblem(A=np.eye(2), y=np.ones(2), A_pen=np.eye(2),
-                                 lambda_pen=AUTO)
-    with pytest.raises(ValueError):
-        solve(problem)
-    with pytest.raises(ValueError):
-        kkt_check(problem, np.zeros(2))
+def test_a_string_weight_raises_value_error():
+    """The weight is a number below the command line; "auto" is a config value."""
+    for weight in ("auto", "1e-4", ""):
+        with pytest.raises(ValueError, match="nonnegative number"):
+            CalibrationProblem(A=np.eye(2), y=np.ones(2), A_pen=np.eye(2), lambda_pen=weight)
 
 
 def test_fixed_parameters_are_eliminated(rng):
@@ -542,7 +541,7 @@ def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, m
 
     monkeypatch.setattr(solver._WorkingFactor, "hand_over", record_rows)
     monkeypatch.setattr(solver, "solve", record_solution)
-    lc = lcurve(replace(fit.problem, lambda_pen=AUTO))
+    lc = lcurve(fit.problem)
     assert len(handed) >= lc.lambdas.size and sum(handed) > 0
     assert lc.lambda_chosen == fit.lcurve.lambda_chosen
     assert lc.lambdas.size == 25 and len(solved) == 26
@@ -610,7 +609,7 @@ def test_factor_stays_exact_through_the_default_sweep(kind, treloar_fit, monkeyp
     its working rows: Q orthogonal and F_W^T = Q[:, :k] T, T = Ti^-1, to
     1e-12 relative; and the row norms read through the weight's scaling
     are those of the rows F."""
-    problem = replace(treloar_fit(kind).problem, lambda_pen=AUTO)
+    problem = treloar_fit(kind).problem
     loop, factors = solver._dual_active_set, []
 
     def record(R, c, work, *args, **kwargs):
@@ -761,51 +760,55 @@ def test_default_lambda_grid_shape():
     assert np.all(np.diff(grid) > 0.0)
 
 
-def test_lcurve_starts_cold_where_the_handed_rows_are_refused(treloar, monkeypatch):
-    """``lcurve``'s fallback: where ``hand_over`` refuses the rows of the
-    weight above, that weight is solved cold, with the bits of a cold
-    ``solve``, and the sweep still picks the unpatched sweep's weight."""
-    spec = default_spec(ModelKind.SURFACE, treloar, 8, 5)
-    A, y = assemble_design(spec, treloar)
-    problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
-                                 lambda_pen=AUTO, A_ineq=inequality_operator(spec).rows,
-                                 fixed_zero=fixed_zero_indices(spec))
-    grid = np.logspace(-8.0, 0.0, 9)
-    plain = lcurve(problem, grid)
-    hand_over, handed, solved = solver._WorkingFactor.hand_over, [], []
+@contextlib.contextmanager
+def hand_over_margins():
+    """Record, for each ``_WorkingFactor.hand_over`` of a nonempty working
+    set, the smallest |T_ii| / (INDEP_TOL ||F_j||) of its rows: how far they
+    stand from the independence test that would refuse them (a margin of 1)."""
+    margins, hand_over = [], solver._WorkingFactor.hand_over
 
-    def refuse_the_fourth(self, rows):
-        handed.append(len(rows))
-        if len(handed) == 4:
-            raise ValueError("working rows are linearly dependent")
-        return hand_over(self, rows)
+    def record(self, rows):
+        hand_over(self, rows)
+        k = len(self.rows)
+        if k:  # T is triangular, so its diagonal inverts that of Ti = T^-1
+            t = 1.0 / np.abs(np.diag(self.Ti[:k, :k]))
+            margins.append(float(np.min(t / (solver.INDEP_TOL * self.norms[self.rows]))))
 
-    def record_solution(sub, *args, **kwargs):  # lcurve looks solve up by module name
-        try:
-            sol = solve(sub, *args, **kwargs)
-        except ValueError:
-            solved.append((float(sub.lambda_pen), None))
-            raise
-        solved.append((float(sub.lambda_pen), sol))
-        return sol
+    with mock.patch.object(solver._WorkingFactor, "hand_over", record):
+        yield margins
 
-    monkeypatch.setattr(solver._WorkingFactor, "hand_over", refuse_the_fourth)
-    monkeypatch.setattr(solver, "solve", record_solution)
-    lc = lcurve(problem, grid)
-    refused = [k for k, (_, sol) in enumerate(solved) if sol is None]
-    assert len(refused) == 1 and handed[3] > 0  # a nonempty working set was refused
-    lam, sol = solved[refused[0] + 1]
-    assert lam == solved[refused[0]][0] == grid[-5]
-    cold = solve(replace(problem, lambda_pen=lam))
-    assert sol.theta.tobytes() == cold.theta.tobytes()
-    # the cold start moves only the last bits of the misfits
-    np.testing.assert_allclose(lc.misfits, plain.misfits, rtol=1e-12, atol=0)
-    assert lc.lambda_chosen == plain.lambda_chosen
+
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_sweep_hand_overs_stand_far_from_refusal(kind, treloar_fit):
+    """Every weight of a default Treloar sweep starts from the rows of the
+    weight before it, with no cold start to fall back on; the rows' smallest
+    |T_ii| / (INDEP_TOL ||F_j||) is about 1.4e8, and 1e3 is asked."""
+    with hand_over_margins() as margins:
+        lcurve(treloar_fit(kind).problem)
+    assert margins and min(margins) >= 1e3
+
+
+def test_a_refused_hand_over_in_the_sweep_exits_3(tmp_path, monkeypatch, capsys):
+    """Rows the hand-over finds dependent are a numerical failure: forced
+    here by INDEP_TOL = 1, which |T_ii| <= ||F_j|| never clears, the sweep
+    raises RuntimeError and ``lcurve`` exits 3 without writing its curve."""
+    hand_over = solver._WorkingFactor.hand_over
+
+    def refuse(self, rows):
+        with mock.patch.object(solver, "INDEP_TOL", 1.0):
+            return hand_over(self, rows)
+
+    monkeypatch.setattr(solver._WorkingFactor, "hand_over", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "surface", "data": str(bundled_treloar_path()),
+                               "output": str(tmp_path / "out")}))
+    assert main(["lcurve", "--config", str(cfg)]) == 3
+    assert "numerically dependent" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_lcurve_validation():
-    problem = CalibrationProblem(A=np.eye(2), y=np.ones(2), A_pen=np.eye(2),
-                                 lambda_pen=AUTO)
+    problem = CalibrationProblem(A=np.eye(2), y=np.ones(2), A_pen=np.eye(2))
     with pytest.raises(ValueError):
         lcurve(problem, np.array([1e-4, 1e-3, 1e-2]))  # too few
     with pytest.raises(ValueError):
@@ -823,8 +826,7 @@ def _knee_problem():
     # lambda = (small singular value)^2 = 1e-6.
     A = np.diag([1.0, 1e-3])
     y = np.array([1.0, 1.0])
-    return CalibrationProblem(A=A, y=y, A_pen=np.array([[0.0, 1.0]]),
-                              lambda_pen=AUTO)
+    return CalibrationProblem(A=A, y=y, A_pen=np.array([[0.0, 1.0]]))
 
 
 def test_lcurve_finds_the_constructed_knee():
@@ -853,7 +855,6 @@ def test_solution_reporting_fields():
     sol = solve(_nonneg_problem(np.eye(2), np.array([3.0, -1.0])))
     assert sol.iterations >= 1
     assert (sol.adds, sol.drops) == (1, 0)  # one blocking row, then optimal
-    assert sol.wall_time >= 0.0
     assert isinstance(sol.active_set, tuple)
 
 
@@ -1022,7 +1023,7 @@ def _mooney_rivlin_draw(rng):
     ineq = inequality_operator(spec, **dict(zip(
         ("monotone_1", "monotone_2", "convex_1", "convex_2"), flags.tolist())))
     A, y = assemble_design(spec, samples)
-    return CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows, lambda_pen=AUTO,
+    return CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
                               A_ineq=ineq.rows, fixed_zero=fixed_zero_indices(spec))
 
 
