@@ -52,11 +52,6 @@ STRETCH_MIN = 0.05
 STRETCH_MAX = 20.0
 
 _MODES = {m.value: m for m in DeformationMode}
-_KIND_NAMES = {
-    "separable": ModelKind.SEPARABLE,
-    "surface": ModelKind.SURFACE,
-    "mapped": ModelKind.MAPPED_SURFACE,
-}
 
 
 class InputError(ValueError):
@@ -87,10 +82,10 @@ class RunConfig:
 
     def model_kind(self) -> ModelKind:
         try:
-            return _KIND_NAMES[self.kind]
-        except KeyError:
+            return ModelKind(self.kind)
+        except ValueError:
             raise InputError(f"unknown model kind {self.kind!r}; "
-                             f"expected one of {sorted(_KIND_NAMES)}") from None
+                             f"expected one of {sorted(k.value for k in ModelKind)}") from None
 
 
 def _read_text(path, what: str) -> str:
@@ -322,7 +317,7 @@ def model_from_dict(data: dict) -> tuple:
         raise InputError(f"unsupported model file (expected schema_version "
                          f"{SCHEMA_VERSION})")
     try:
-        kind = _KIND_NAMES[data["kind"]]
+        kind = ModelKind(data["kind"])
         if data["use_polyconvex"] is not True:
             raise ValueError("use_polyconvex must be true, got "
                              + json.dumps(data["use_polyconvex"]))
@@ -498,14 +493,16 @@ def _cmd_compare(args) -> int:
     kind_names = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if len(kind_names) < 2:
         raise InputError("compare needs at least two kinds")
+    kinds = {}
     for name in kind_names:
-        if name not in _KIND_NAMES:
-            raise InputError(f"unknown model kind {name!r}")
+        try:
+            kinds[name] = ModelKind(name)
+        except ValueError:
+            raise InputError(f"unknown model kind {name!r}") from None
     # Read the data once and fit each distinct kind once, so repeated kinds
     # produce identical rows.
     samples = ingest(cfg.data, cfg.stress_scale)
-    results = {name: run_calibration(cfg, samples, _KIND_NAMES[name])
-               for name in dict.fromkeys(kind_names)}
+    results = {name: run_calibration(cfg, samples, kind) for name, kind in kinds.items()}
     fits = [results[name] for name in kind_names]
     columns = {"kind": kind_names, "n_params": [r.state.spec.n_params for r in fits],
                **{f"{metric}_{mode.value}": [getattr(r.fit, metric).get(mode, "") for r in fits]

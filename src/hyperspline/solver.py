@@ -7,13 +7,14 @@ The calibration problem is
 
 a convex QP solved with Goldfarb & Idnani's dual active-set method (Math.
 Programming 27, 1983) in least-squares form; the normal equations are never
-formed.  Each block taller than its free columns, [A | y] and A_pen, is
-reduced to its triangular factor, and ``_Factor`` takes the generalized SVD
-of the reduced [A; A_pen] once per problem or sweep in Paige & Saunders'
-QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981; Elden, BIT 22, 1982).  A
-weight is then a diagonal scaling D of ||L theta - c||, L = D W^T R0, and
-of the LDP rows G L^-1 = B D^-1: B = G R0^-1 W, B * B and [B; R0^-1 W]
-are formed once per factor, so a weight forms only its d.
+formed.  ``_blocks`` cuts a problem to its free columns and reduces each
+block taller than them, [A | y] and A_pen, to its triangular factor.
+``_Factor`` keeps those blocks and takes the generalized SVD of [A; A_pen]
+once per problem or sweep in Paige & Saunders' QR-plus-CS form (SIAM J.
+Numer. Anal. 18, 1981; Elden, BIT 22, 1982).  A weight is then a diagonal
+scaling D of ||L theta - c||, L = D W^T R0, and of the LDP rows
+G L^-1 = B D^-1: B = G R0^-1 W, B * B and [B; R0^-1 W] are formed once per
+factor, so a weight forms only its d.
 
 That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
 1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
@@ -124,50 +125,44 @@ RANK_TOL = 1e-12
 RIDGE = math.sqrt(np.finfo(float).eps)
 
 
-def _free(problem: CalibrationProblem) -> np.ndarray:
-    return np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero], dtype=int)
-
-
-def _ineq(problem: CalibrationProblem, free: np.ndarray) -> np.ndarray:
-    """Inequality rows on the free parameters (none without A_ineq)."""
-    return np.zeros((0, free.size)) if problem.A_ineq is None else problem.A_ineq[:, free]
-
-
-def _reduce_blocks(problem: CalibrationProblem) -> CalibrationProblem:
-    """The problem with each block taller than its free columns replaced by
-    the triangular QR factor of those columns (y counts as one more column
-    of A), zero on the pinned ones: exact and norm-preserving for every theta
-    with the pinned parameters at zero, and a second call changes nothing."""
-    free = _free(problem)
-    A, y, A_pen = problem.A, problem.y, problem.A_pen
+def _blocks(problem: CalibrationProblem):
+    """(free, A, y, A_pen, G): the problem's blocks on its free columns.  A
+    block taller than its free columns becomes its triangular QR factor, y
+    counting as one more column of A, which keeps ||A t - y|| and
+    ||A_pen t|| for every t.  G, the inequality rows, has none without
+    A_ineq.  A factor is stored column-major, as a column slice is, so a
+    product with a block (``kkt_check``'s gradient) takes one BLAS path
+    whether the block was reduced or not."""
+    free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero], dtype=int)
+    A, y, A_pen = problem.A[:, free], problem.y, problem.A_pen
     if A.shape[0] > free.size + 1:
-        R, y = _reduce(A[:, free], y)
-        A = np.zeros((free.size + 1, problem.n_params))
-        A[:, free] = R
-    if A_pen is not None and A_pen.shape[0] > free.size:
-        A_pen = np.zeros((free.size, problem.n_params))
-        A_pen[:, free] = np.linalg.qr(problem.A_pen[:, free], mode="r")
-    return replace(problem, A=A, y=y, A_pen=A_pen)
+        A, y = _reduce(A, y)
+        A = np.asfortranarray(A)
+    if A_pen is not None:
+        A_pen = A_pen[:, free]
+        if A_pen.shape[0] > free.size:
+            A_pen = np.asfortranarray(np.linalg.qr(A_pen, mode="r"))
+    G = np.zeros((0, free.size)) if problem.A_ineq is None else problem.A_ineq[:, free]
+    return free, A, y, A_pen, G
 
 
-def _stacked(problem: CalibrationProblem, free: np.ndarray, lam: float):
-    """Stacked least-squares system (M, d) on the free parameters, with
+def _stacked(A: np.ndarray, y: np.ndarray, A_pen: np.ndarray | None, lam: float):
+    """Stacked least-squares system (M, d) of the free-column blocks, with
     ridge fallback.  The blocks enter as they are, reduced or not.  A stack
     with cond > 1 / RANK_TOL gets micro-ridge rows sqrt(eps) * ||A|| * I,
     with a warning: eps * ||A||^2 on the normal matrix, the perturbation
     that forming A^T A in double precision already makes.  It damps only
     the directions whose singular value is below sqrt(eps) * ||A||.
     """
-    Af = problem.A[:, free]
-    parts = [Af]
-    if problem.A_pen is not None and lam > 0.0:
-        parts.append(math.sqrt(lam) * problem.A_pen[:, free])
+    parts = [A]
+    if A_pen is not None and lam > 0.0:
+        parts.append(math.sqrt(lam) * A_pen)
     M = np.vstack(parts)
-    d = np.concatenate([problem.y, np.zeros(M.shape[0] - Af.shape[0])])
+    d = np.concatenate([y, np.zeros(M.shape[0] - A.shape[0])])
     sv = np.linalg.svd(M, compute_uv=False)
     smin = sv[-1] if M.shape[0] >= M.shape[1] else 0.0  # a wide stack's zeros
     if sv.size and sv[0] > 0 and smin < RANK_TOL * sv[0]:
-        anorm = np.linalg.norm(Af, 2) if Af.size else 0.0
+        anorm = np.linalg.norm(A, 2) if A.size else 0.0
         if anorm > 0.0:
             warnings.warn("rank-deficient stacked system; adding micro-ridge "
                           "(consider a positive penalty weight or a coarser grid)",
@@ -184,8 +179,8 @@ def _reduce(M: np.ndarray, d: np.ndarray):
 
 
 class _Factor:
-    """One problem's factor, shared by its weights (module docstring):
-    [A; A_pen] = [Q_A; Q_P] R0 on the free columns, Q_A = U C W^T, and s
+    """One problem's blocks (``_blocks``) and factor, shared by its weights
+    (module docstring): [A; A_pen] = [Q_A; Q_P] R0, Q_A = U C W^T, and s
     the column norms of Q_P W.  As A^T A + lam A_pen^T A_pen = L^T L with
     L = D W^T R0, D = diag(sqrt(c^2 + lam s^2)), a weight's target is
     D^-1 C U^T y and its LDP rows G L^-1 = B D^-1.  The weight-independent
@@ -193,19 +188,17 @@ class _Factor:
     forms only d."""
 
     def __init__(self, problem: CalibrationProblem):
-        self.problem, self.free = problem, _free(problem)
+        self.free, self.A, self.y, self.A_pen, self.G = _blocks(problem)
         if self.free.size == 0:
             raise ValueError("all parameters are pinned")
-        self.G = _ineq(problem, self.free)
-        m, n = problem.A.shape[0], self.free.size
-        blocks = [problem.A] if problem.A_pen is None else [problem.A, problem.A_pen]
-        Q, R0 = np.linalg.qr(np.vstack(blocks)[:, self.free])
+        m, n = self.A.shape[0], self.free.size
+        Q, R0 = np.linalg.qr(np.vstack([self.A] if self.A_pen is None else [self.A, self.A_pen]))
         self.cond = np.linalg.cond(R0) if R0.shape[0] == n else np.inf
         self.ldp = bool(self.cond <= FEAS_TOL / np.finfo(float).eps)
         if self.ldp:
             U, c, Wt = np.linalg.svd(Q[:m])
             self.c, self.b = np.zeros(n), np.zeros(n)
-            self.c[:c.size], self.b[:c.size] = c, c * (U[:, :c.size].T @ problem.y)
+            self.c[:c.size], self.b[:c.size] = c, c * (U[:, :c.size].T @ self.y)
             self.s = np.linalg.norm(Q[m:] @ Wt.T, axis=0)
             self.WtR0, Rinv = Wt @ R0, np.linalg.solve(R0, Wt.T)
             self.stack = np.vstack([self.G @ Rinv, Rinv])
@@ -219,7 +212,7 @@ class _Factor:
             if self.cond * d.max() * RANK_TOL <= d.min():
                 work = _WorkingFactor(self.stack, d, self.BB)
                 return d[:, None] * self.WtR0, self.b / d, work
-        return *_reduce(*_stacked(self.problem, self.free, lam)), _WorkingFactor(self.G)
+        return *_reduce(*_stacked(self.A, self.y, self.A_pen, lam)), _WorkingFactor(self.G)
 
 
 def _reflector(x: np.ndarray):
@@ -407,24 +400,22 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     """Solve the calibration QP, from the unconstrained optimum or from the
     rows named by ``working``, e.g. the ``active_set`` of a solve at another
     weight (independence of rows does not depend on the weight).  ``lcurve``
-    passes its sweep's ``_Factor`` as ``_factor``, with a problem it has
-    already reduced, so the blocks are not reduced again."""
-    factor = _factor
-    if factor is None:
-        problem = _reduce_blocks(problem)
-        factor = _Factor(problem)
-    n, free, G = problem.n_params, factor.free, factor.G
-    R, c, work = factor.at(problem.lambda_pen)
+    passes the ``_Factor`` of the problem it sweeps as ``_factor``; then only
+    the problem's weight and parameter count are read."""
+    factor = _Factor(problem) if _factor is None else _factor
+    lam = problem.lambda_pen
+    R, c, work = factor.at(lam)
     if working is not None:
         work.hand_over(working)
     x, rows, mu, iters, adds, drops = _dual_active_set(R, c, work, max_iter)
-    theta, th_free = np.zeros(n), work.theta(x, R)
-    theta[free] = th_free
-    kkt = float(np.linalg.norm(2.0 * R.T @ (R @ th_free - c) + G[rows].T @ np.clip(mu, 0.0, None)))
+    free, A, y, A_pen, G = factor.free, factor.A, factor.y, factor.A_pen, factor.G
+    theta, th = np.zeros(problem.n_params), work.theta(x, R)
+    theta[free] = th
+    kkt = float(np.linalg.norm(2.0 * R.T @ (R @ th - c) + G[rows].T @ np.clip(mu, 0.0, None)))
 
-    obj = float(np.sum((problem.A @ theta - problem.y) ** 2))
-    if problem.A_pen is not None and problem.lambda_pen > 0.0:
-        obj += problem.lambda_pen * float(np.sum((problem.A_pen @ theta) ** 2))
+    obj = float(np.sum((A @ th - y) ** 2))
+    if A_pen is not None and lam > 0.0:
+        obj += lam * float(np.sum((A_pen @ th) ** 2))
     return Solution(theta=theta, objective=obj, active_set=tuple(sorted(int(j) for j in rows)),
                     kkt_residual=kkt, iterations=iters, adds=adds, drops=drops)
 
@@ -447,13 +438,10 @@ def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
     The near-active rows' multipliers are the nonnegative least-squares fit
     of the negated gradient, so stationarity is the smallest residual that
     any admissible multipliers leave."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    problem = _reduce_blocks(problem)
-    free = _free(problem)
-    M, d = _stacked(problem, free, problem.lambda_pen)
-    th = theta[free]
+    free, A, y, A_pen, G = _blocks(problem)
+    M, d = _stacked(A, y, A_pen, problem.lambda_pen)
+    th = np.asarray(theta, dtype=float).ravel()[free]
     g = 2.0 * M.T @ (M @ th - d)
-    G = _ineq(problem, free)
     slack = G @ th
     act = np.flatnonzero(slack >= -1e-8 * (1.0 + float(np.linalg.norm(th))))
     mu = _nnls(G[act].T, -g) if act.size else np.zeros(0)
@@ -500,11 +488,10 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     if np.any(grid <= 0.0) or not np.all(np.diff(grid) > 0.0):
         raise ValueError("penalty weights must be positive and strictly increasing")
 
-    reduced = _reduce_blocks(problem)
-    factor = _Factor(reduced)  # one factor for every weight
+    factor = _Factor(problem)  # one factor for every weight
 
     def solve_from(lam: float, start: Solution | None) -> Solution:
-        return solve(replace(reduced, lambda_pen=lam), working=start and start.active_set,
+        return solve(replace(problem, lambda_pen=lam), working=start and start.active_set,
                      _factor=factor)
 
     sols: list = []

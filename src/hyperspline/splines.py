@@ -64,22 +64,20 @@ class KnotVector:
         return np.asarray(self.knots, dtype=float)
 
 
-def make_knots(sites, degree: int = DEGREE) -> KnotVector:
-    """Build a clamped knot vector for interpolation at the given sites.
+def make_knots(sites) -> KnotVector:
+    """Build a clamped cubic knot vector for interpolation at the given sites.
 
-    The first and last knots repeat ``degree + 1`` times; each interior
-    knot is the average of ``degree`` consecutive interior sites.  For
-    strictly increasing sites the resulting interior knots are strictly
-    increasing and lie strictly inside the site range, which guarantees
-    the Schoenberg-Whitney interlacing condition.
+    The first and last knots repeat four times; each interior knot is the
+    average of three consecutive interior sites.  For strictly increasing
+    sites the resulting interior knots are strictly increasing and lie
+    strictly inside the site range, which guarantees the Schoenberg-Whitney
+    interlacing condition.
     """
-    if degree != DEGREE:
-        raise ValueError("only cubic (degree 3) knot vectors are supported")
     s = _as_sites(sites)
-    m = s.size
-    interior = [float(np.mean(s[i + 1 : i + 1 + degree])) for i in range(m - degree - 1)]
-    knots = [float(s[0])] * (degree + 1) + interior + [float(s[-1])] * (degree + 1)
-    return KnotVector(knots=tuple(knots), degree=degree)
+    m, p = s.size, DEGREE
+    interior = [float(np.mean(s[i + 1 : i + 1 + p])) for i in range(m - p - 1)]
+    knots = [float(s[0])] * (p + 1) + interior + [float(s[-1])] * (p + 1)
+    return KnotVector(knots=tuple(knots))
 
 
 def find_span(kv: KnotVector, x: float) -> int:

@@ -34,6 +34,13 @@ from hyperspline.cli import RunConfig, bundled_treloar_path, main, run_calibrati
 from hyperspline.solver import _stacked
 
 
+def _full_stack(problem, free):
+    """The solver's stacked system (``_stacked``) of the unreduced blocks on
+    the free columns, at the problem's weight."""
+    pen = None if problem.A_pen is None else problem.A_pen[:, free]
+    return _stacked(problem.A[:, free], problem.y, pen, float(problem.lambda_pen))
+
+
 def _nonneg_problem(A, y, **kw):
     n = np.atleast_2d(A).shape[1]
     return CalibrationProblem(A=A, y=y, A_ineq=-np.eye(n), **kw)
@@ -363,7 +370,7 @@ def _lsi_objective(problem, kkt_tol=NNLS_KKT_TOL):
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        M, d = _stacked(problem, free, float(problem.lambda_pen))
+        M, d = _full_stack(problem, free)
     G = problem.A_ineq[:, free]
     Q, R = np.linalg.qr(M)
     f1 = Q.T @ d
@@ -407,7 +414,7 @@ def test_treloar_surface_fit_matches_the_nnls_oracle(weight, treloar_fit):
 
 def test_cold_mapped_treloar_solve_at_zero_weight_converges(treloar_fit):
     """The unpenalised mapped Treloar fit (the micro-ridge, 99 free
-    parameters, 325 rows) takes about 3450 dual steps from a cold start,
+    parameters, 325 rows) takes 3181 dual steps from a cold start,
     past a cap of 10 n_free + 100 = 1090 but within the cap tied to the row
     count, 10 (n_free + m) + 100 = 4340.  It reaches the optimum, to 1e-9,
     and a KKT point within the benchmark gate's bounds."""
@@ -474,7 +481,7 @@ def test_subproblem_step_matches_the_svd_reference(weight, treloar_fit, monkeypa
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # at zero weight the ridge engages
             solve(problem)
-            M, d = _stacked(problem, free, float(problem.lambda_pen))
+            M, d = _full_stack(problem, free)
         for rows, step in steps:
             Gw = G[rows]
             ref = _svd_step(M, d, Gw)
@@ -498,7 +505,7 @@ def test_stage_form_follows_the_conditioning_bound(pen_scale, ldp, treloar_fit, 
     pytest.importorskip("scipy")
     base = treloar_fit(ModelKind.SURFACE).problem
     problem = replace(base, A_pen=pen_scale * base.A_pen, lambda_pen=1e-10 / pen_scale ** 2)
-    factor = solver._Factor(solver._reduce_blocks(problem))
+    factor = solver._Factor(problem)
     assert factor.ldp is ldp
     assert (factor.at(problem.lambda_pen)[2].Rinv is not None) is ldp
     forms = []
@@ -523,8 +530,10 @@ def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, m
     weight above it, the chosen weight from those of its nearest swept
     weight, and every weight reaches the LSI -> LDP -> NNLS optimum.
     Each of the 26 solves is a call of the module-level ``solver.solve``,
-    the name a tracer wraps to see every solve.  ``working`` must name rows
-    of A_ineq, independent ones."""
+    the name a tracer wraps to see every solve, and a lone ``solve`` at the
+    chosen weight from the rows handed to it repeats the sweep's fit, which
+    ran on the sweep's shared factor, bit for bit.  ``working`` must name
+    rows of A_ineq, independent ones."""
     pytest.importorskip("scipy")
     fit = treloar_fit(kind)
     handed, solved = [], []
@@ -536,7 +545,7 @@ def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, m
 
     def record_solution(problem, *args, **kwargs):  # lcurve looks solve up by module name
         sol = solve(problem, *args, **kwargs)
-        solved.append((float(problem.lambda_pen), sol))
+        solved.append((float(problem.lambda_pen), sol, kwargs["working"]))
         return sol
 
     monkeypatch.setattr(solver._WorkingFactor, "hand_over", record_rows)
@@ -545,9 +554,11 @@ def test_sweep_hands_its_working_rows_from_weight_to_weight(kind, treloar_fit, m
     assert len(handed) >= lc.lambdas.size and sum(handed) > 0
     assert lc.lambda_chosen == fit.lcurve.lambda_chosen
     assert lc.lambdas.size == 25 and len(solved) == 26
-    assert [lam for lam, _ in solved] == [*lc.lambdas[::-1].tolist(), lc.lambda_chosen]
+    assert [lam for lam, _, _ in solved] == [*lc.lambdas[::-1].tolist(), lc.lambda_chosen]
     assert solved[-1][1] is lc.solution
-    for lam, sol in solved:
+    lone = solve(replace(fit.problem, lambda_pen=lc.lambda_chosen), working=solved[-1][2])
+    assert lone.theta.tobytes() == lc.solution.theta.tobytes()
+    for lam, sol, _ in solved:
         best, M, d, free = _lsi_objective(replace(fit.problem, lambda_pen=lam))
         assert float(np.sum((M @ sol.theta[free] - d) ** 2)) == pytest.approx(best, rel=1e-9)
         _assert_independent(fit.problem.A_ineq, sol.active_set)
@@ -861,7 +872,7 @@ def test_solution_reporting_fields():
 def _near_active_system(problem, theta):
     """Gradient and near-active constraint rows as ``kkt_check`` forms them."""
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero])
-    M, d = _stacked(problem, free, float(problem.lambda_pen))
+    M, d = _full_stack(problem, free)
     g = 2.0 * M.T @ (M @ theta[free] - d)
     G = problem.A_ineq[:, free]
     act = G @ theta[free] >= -1e-8 * (1.0 + np.linalg.norm(theta[free]))
@@ -923,41 +934,39 @@ def test_kkt_check_reports_a_perturbed_fit(treloar_fit, kind):
 # ------------------------------------------------------- block reduction
 
 
-def test_reduce_blocks_preserves_both_norms(rng):
+def test_blocks_preserve_both_norms(rng):
     """A tall data block and a tall penalty become n_free + 1 and n_free
-    rows, zero on the pinned columns, and both norms stay put for every
-    theta with the pinned parameters at zero."""
+    rows on the free columns, and both norms stay put for every theta with
+    the pinned parameters at zero."""
     m, n, fixed = 300, 12, (0, 5)
     problem = CalibrationProblem(A=rng.normal(size=(m, n)), y=rng.normal(size=m),
                                  A_pen=rng.normal(size=(40, n)), lambda_pen=1e-3,
                                  A_ineq=-np.eye(n), fixed_zero=fixed)
-    reduced = solver._reduce_blocks(problem)
+    free, A, y, A_pen, G = solver._blocks(problem)
     n_free = n - len(fixed)
-    assert reduced.A.shape == (n_free + 1, n) and reduced.y.shape == (n_free + 1,)
-    assert reduced.A_pen.shape == (n_free, n)
-    assert not np.any(reduced.A[:, fixed]) and not np.any(reduced.A_pen[:, fixed])
+    assert free.tolist() == [i for i in range(n) if i not in fixed]
+    assert A.shape == (n_free + 1, n_free) and y.shape == (n_free + 1,)
+    assert A_pen.shape == (n_free, n_free)
+    assert G.tobytes() == problem.A_ineq[:, free].tobytes()
     for _ in range(20):
         theta = rng.normal(size=n)
         theta[list(fixed)] = 0.0
-        for before, after in ((problem.A @ theta - problem.y, reduced.A @ theta - reduced.y),
-                              (problem.A_pen @ theta, reduced.A_pen @ theta)):
+        for before, after in ((problem.A @ theta - problem.y, A @ theta[free] - y),
+                              (problem.A_pen @ theta, A_pen @ theta[free])):
             assert abs(np.linalg.norm(after) - np.linalg.norm(before)) <= (
                 1e-12 * np.linalg.norm(before))
-    again = solver._reduce_blocks(reduced)
-    for a, b in ((reduced.A, again.A), (reduced.y, again.y), (reduced.A_pen, again.A_pen)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_reduce_blocks_keeps_a_short_data_block(treloar_fit):
+def test_blocks_keep_a_short_data_block(treloar_fit):
     """Treloar's 56 samples are fewer than the free columns plus one, so
     its data block passes through bit for bit; only the penalty shrinks."""
     problem = treloar_fit(ModelKind.SURFACE).problem
-    reduced = solver._reduce_blocks(problem)
+    free, A, y, A_pen, _ = solver._blocks(problem)
     n_free = problem.n_params - len(problem.fixed_zero)
     assert problem.A.shape[0] <= n_free + 1
-    assert reduced.A.tobytes() == problem.A.tobytes()
-    assert reduced.y.tobytes() == problem.y.tobytes()
-    assert reduced.A_pen.shape == (n_free, problem.n_params)
+    assert A.tobytes() == problem.A[:, free].tobytes()
+    assert y.tobytes() == problem.y.tobytes()
+    assert A_pen.shape == (n_free, n_free)
 
 
 def _dense_surface_problem():
