@@ -7,32 +7,37 @@ The calibration problem is
 
 a convex QP solved with Goldfarb & Idnani's dual active-set method (Math.
 Programming 27, 1983) in least-squares form; the normal equations are never
-formed.  ``_blocks`` cuts a problem to its free columns and reduces each
-block taller than them, [A | y] and A_pen, to its triangular factor.
-``_Factor`` keeps those blocks and takes the generalized SVD of [A; A_pen]
-once per problem or sweep in Paige & Saunders' QR-plus-CS form (SIAM J.
-Numer. Anal. 18, 1981; Elden, BIT 22, 1982).  A weight is then a diagonal
-scaling D of ||L theta - c||, L = D W^T R0, and of the LDP rows
-G L^-1 = B D^-1: B = G R0^-1 W, B * B and [B; R0^-1 W] are formed once per
-factor, so a weight forms only its d.
+formed.  ``_blocks`` cuts a problem to its free columns and reduces [A | y]
+where it is taller than them, and A_pen where it has more rows than the
+problem has columns (``curvature_operator``'s separable rows are already
+triangular factors), to its triangular factor.  ``_Factor`` keeps those
+blocks and takes the generalized SVD of [A; A_pen] once per problem or sweep
+in Paige & Saunders' QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981; Elden,
+BIT 22, 1982).  A weight is then a diagonal scaling D of ||L theta - c||,
+L = D W^T R0, and of the LDP rows G L^-1 = B D^-1: B = G R0^-1 W, B * B and
+[B; R0^-1 W] are formed once per factor, so a weight forms only its d.
 
 That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
 1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
 theta = R0^-1 W D^-1 u adds to G theta, and cond(R0) cond(D) <= 1 / RANK_TOL,
-which keeps cond(L) under the ridge's threshold.  The loop then moves
-u = L theta, with rows F = G L^-1 and the identity metric: a working set's
-optimum is the projection u = Z Z^T c onto the null space Z = Q[:, k:] of
-F_W, a direction is Z Z^T f_p, and theta = L^-1 u plus one refinement step
-is formed once per solve.  A row of F is B_j / d, the row norms are
+which keeps cond(L) under the ridge's threshold.  Both rules read cond(R0)
+as its upper bound ||R0||_F ||R0^-1||_F, R0^-1 being formed for L^-1 anyway,
+and an SVD gives cond(R0) itself only where the bound fails a rule
+(``_Factor._holds``).  The loop then moves u = L theta, with rows
+F = G L^-1 and the identity metric: a working set's optimum is the
+projection u = Z Z^T c onto the null space Z = Q[:, k:] of F_W, a direction
+is Z Z^T f_p, and theta = L^-1 u plus one refinement step is formed once
+per solve.  A row of F is B_j / d, the row norms are
 sqrt((B * B) d^-2), and the pricing's F u and the theta of its tolerance
 come from one product [B; R0^-1 W] (u / d).  Other weights (``_stacked``,
 ridged or not) run the loop in theta, with F = G, the metric R^T R and a
 QR of R Z per step.  Of F_W^T = Q[:, :k] T only Q^T, stored row-major so
 that its working rows Q^T[:k] and null-space rows Q^T[k:] are contiguous
-blocks, and T^-1 are kept: an add is one Householder reflector on the
-null-space rows (Gill, Golub, Murray & Saunders, 1974), a drop one on the
-working rows and on the columns of T^-1, as row p of T^-1 is orthogonal to
-the other working columns of T.
+blocks, and T^-1 are kept.  Handed-over rows enter with one complete QR
+of F_W^T, T^-1 coming from ``_triangular_inverse``; then an add is one
+Householder reflector on the null-space rows (Gill, Golub, Murray &
+Saunders, 1974), a drop one on the working rows and on the columns of T^-1,
+as row p of T^-1 is orthogonal to the other working columns of T.
 
 The dual loop needs no feasible start: from the optimum on the rows handed
 over by an earlier solve (``working``) or on none, it drops the row with the
@@ -112,9 +117,9 @@ class LCurveResult:
     kappas: np.ndarray
     corner_index: int
     lambda_corner: float
-    lambda_chosen: float
-    solution: Solution  # the fit at lambda_chosen
-    iterations: int  # loop steps of every solve, the one at lambda_chosen included
+    lambda_chosen: float  # the swept weight nearest lambda_corner / 10
+    solution: Solution  # the sweep's fit at lambda_chosen
+    iterations: int  # loop steps of every swept weight's solve
 
 
 FEAS_TOL = 1e-9
@@ -127,9 +132,11 @@ RIDGE = math.sqrt(np.finfo(float).eps)
 
 def _blocks(problem: CalibrationProblem):
     """(free, A, y, A_pen, G): the problem's blocks on its free columns.  A
-    block taller than its free columns becomes its triangular QR factor, y
-    counting as one more column of A, which keeps ||A t - y|| and
-    ||A_pen t|| for every t.  G, the inequality rows, has none without
+    data block taller than its free columns, y counting as one more column,
+    and a penalty with more rows than the problem has columns become their
+    triangular QR factors, which keeps ||A t - y|| and ||A_pen t|| for
+    every t; a penalty no taller than that, such as the separable split's
+    factors, enters as it is.  G, the inequality rows, has none without
     A_ineq.  A factor is stored column-major, as a column slice is, so a
     product with a block (``kkt_check``'s gradient) takes one BLAS path
     whether the block was reduced or not."""
@@ -140,7 +147,7 @@ def _blocks(problem: CalibrationProblem):
         A = np.asfortranarray(A)
     if A_pen is not None:
         A_pen = A_pen[:, free]
-        if A_pen.shape[0] > free.size:
+        if A_pen.shape[0] > problem.n_params:
             A_pen = np.asfortranarray(np.linalg.qr(A_pen, mode="r"))
     G = np.zeros((0, free.size)) if problem.A_ineq is None else problem.A_ineq[:, free]
     return free, A, y, A_pen, G
@@ -178,6 +185,23 @@ def _reduce(M: np.ndarray, d: np.ndarray):
     return Rc[:, :-1], Rc[:, -1]
 
 
+TRI_BLOCK = 24
+
+
+def _triangular_inverse(T: np.ndarray) -> np.ndarray:
+    """X = T^-1 of a nonsingular upper triangular T, by blocks J of TRI_BLOCK
+    columns: X[J, J] inverts T[J, J] (an LU of a triangle needs no pivot)
+    and X[:j, J] = -X[:j, :j] T[:j, J] X[J, J] uses the columns before it."""
+    k = T.shape[0]
+    X = np.zeros((k, k))
+    for j in range(0, k, TRI_BLOCK):
+        J = slice(j, min(j + TRI_BLOCK, k))
+        X[J, J] = np.linalg.inv(T[J, J])
+        if j:
+            X[:j, J] = -(X[:j, :j] @ T[:j, J]) @ X[J, J]
+    return X
+
+
 class _Factor:
     """One problem's blocks (``_blocks``) and factor, shared by its weights
     (module docstring): [A; A_pen] = [Q_A; Q_P] R0, Q_A = U C W^T, and s
@@ -185,7 +209,11 @@ class _Factor:
     L = D W^T R0, D = diag(sqrt(c^2 + lam s^2)), a weight's target is
     D^-1 C U^T y and its LDP rows G L^-1 = B D^-1.  The weight-independent
     B = G R0^-1 W, B * B and the stack [B; R0^-1 W] are kept, so a weight
-    forms only d."""
+    forms only d.  The LDP rules read cond(R0) through ``_holds``: first
+    as its upper bound ||R0||_F ||R0^-1||_F, then, where a rule fails on
+    the bound, as np.linalg.cond, so the form is the one cond(R0) picks;
+    cond is infinite where max |R0_ii| / min |R0_ii|, a lower bound,
+    already exceeds FEAS_TOL / eps."""
 
     def __init__(self, problem: CalibrationProblem):
         self.free, self.A, self.y, self.A_pen, self.G = _blocks(problem)
@@ -193,26 +221,39 @@ class _Factor:
             raise ValueError("all parameters are pinned")
         m, n = self.A.shape[0], self.free.size
         Q, R0 = np.linalg.qr(np.vstack([self.A] if self.A_pen is None else [self.A, self.A_pen]))
-        self.cond = np.linalg.cond(R0) if R0.shape[0] == n else np.inf
-        self.ldp = bool(self.cond <= FEAS_TOL / np.finfo(float).eps)
+        limit = FEAS_TOL / np.finfo(float).eps
+        self.R0, self.cond, self.cond_exact = R0, np.inf, True
+        r = np.abs(np.diagonal(R0))
+        if R0.shape[0] == n and 0.0 < r.max() <= limit * r.min():
+            R0inv = _triangular_inverse(R0)
+            self.cond, self.cond_exact = float(np.linalg.norm(R0) * np.linalg.norm(R0inv)), False
+        self.ldp = self._holds(lambda cond: cond <= limit)
         if self.ldp:
             U, c, Wt = np.linalg.svd(Q[:m])
             self.c, self.b = np.zeros(n), np.zeros(n)
             self.c[:c.size], self.b[:c.size] = c, c * (U[:, :c.size].T @ self.y)
             self.s = np.linalg.norm(Q[m:] @ Wt.T, axis=0)
-            self.WtR0, Rinv = Wt @ R0, np.linalg.solve(R0, Wt.T)
+            self.WtR0, Rinv = Wt @ R0, R0inv @ Wt.T
             self.stack = np.vstack([self.G @ Rinv, Rinv])
             self.BB = self.stack[:self.G.shape[0]] ** 2
 
-    def at(self, lam: float):
+    def _holds(self, rule) -> bool:
+        """rule(cond(R0)) for a rule that holds for every smaller cond."""
+        if not rule(self.cond) and not self.cond_exact:  # the bound does not settle it
+            self.cond, self.cond_exact = float(np.linalg.cond(self.R0)), True
+        return bool(rule(self.cond))
+
+    def at(self, lam: float, working=None):
         """(R, c, working factor) at weight lam: L, D^-1 C U^T y and the LDP
-        rows where the rule holds, else the stack's [R | c] and the rows G."""
+        rows where the rule holds, else the stack's [R | c] and the rows G;
+        the factor starts from the rows ``working`` where they are given."""
         if self.ldp:
             d = np.sqrt(self.c ** 2 + lam * self.s ** 2)
-            if self.cond * d.max() * RANK_TOL <= d.min():
-                work = _WorkingFactor(self.stack, d, self.BB)
+            if self._holds(lambda cond: cond * d.max() * RANK_TOL <= d.min()):
+                work = _WorkingFactor(self.stack, d, self.BB, working)
                 return d[:, None] * self.WtR0, self.b / d, work
-        return *_reduce(*_stacked(self.A, self.y, self.A_pen, lam)), _WorkingFactor(self.G)
+        R, c = _reduce(*_stacked(self.A, self.y, self.A_pen, lam))
+        return R, c, _WorkingFactor(self.G, rows=working)
 
 
 def _reflector(x: np.ndarray):
@@ -232,18 +273,23 @@ class _WorkingFactor:
     ``stack`` = [B; R0^-1 W] and ``BB`` = B * B, shared by a sweep, and the
     weight's scaling d give F = B D^-1 and L^-1 = R0^-1 W D^-1.  Qt = Q^T
     and Ti = T^-1 of F_W^T = Q[:, :k] T; ``rows`` and Ti's rows follow the
-    adds."""
+    adds.  The factor starts from the rows ``rows`` (``hand_over``) or,
+    without them, from none."""
 
     def __init__(self, stack: np.ndarray, d: np.ndarray | None = None,
-                 BB: np.ndarray | None = None):
+                 BB: np.ndarray | None = None, rows=None):
         n = stack.shape[1]
-        self.stack, self.d, self.Qt, self.Ti = stack, d, np.eye(n), np.zeros((n, n))
+        self.stack, self.d, self.Ti = stack, d, np.zeros((n, n))
         if d is None:
             self.B, self.Rinv, self.norms = stack, None, np.linalg.norm(stack, axis=1)
         else:
             self.B, self.Rinv = stack[:-n], stack[-n:]
             self.norms = np.sqrt(BB @ (1.0 / d ** 2))
         self.rows, self.mask = [], np.zeros(self.B.shape[0], dtype=bool)
+        if rows is None:
+            self.Qt = np.eye(n)
+        else:
+            self.hand_over(rows)
 
     def row(self, j) -> np.ndarray:
         """Row j of F (rows j for a list)."""
@@ -263,7 +309,7 @@ class _WorkingFactor:
         w = self.Qt @ self.row(j) if w is None else w
         beta, tau, v = _reflector(w[k:])
         self.Qt[k:] -= v[:, None] * (tau * (v @ self.Qt[k:]))
-        self.Ti[:k, k] = -(self.Ti[:k, :k] @ w[:k]) / beta
+        self.Ti[:k, k] = (self.Ti[:k, :k] @ w[:k]) / -beta
         self.Ti[k, k] = 1.0 / beta
         self.rows.append(j)
         self.mask[j] = True
@@ -273,7 +319,7 @@ class _WorkingFactor:
         one QR of their transpose.  Rows out of range, repeated or too many
         raise ValueError, rows the QR finds dependent RuntimeError."""
         rows, k = list(rows), len(rows)
-        if not all(0 <= j < self.B.shape[0] for j in rows):
+        if rows and not (0 <= min(rows) and max(rows) < self.B.shape[0]):
             raise ValueError(f"working rows out of range 0..{self.B.shape[0] - 1}")
         if len(set(rows)) < k or k > self.B.shape[1]:
             raise ValueError("working rows repeat or outnumber the columns: they are dependent")
@@ -281,7 +327,7 @@ class _WorkingFactor:
         if np.any(np.abs(np.diag(T)) <= INDEP_TOL * self.norms[rows]):
             raise RuntimeError("handed-over working rows are numerically dependent")
         self.Qt, self.rows = np.ascontiguousarray(Q.T), rows
-        self.Ti[:k, :k] = np.linalg.inv(T[:k])
+        self.Ti[:k, :k] = _triangular_inverse(T[:k])
         self.mask[rows] = True
 
     def drop(self, p: int) -> None:
@@ -318,17 +364,17 @@ class _WorkingFactor:
     def multipliers(self, R: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Working-row multipliers at x, F_W^T mu = -g: g = 2 (x - c), or 2 R^T (R x - c) on G."""
         k = len(self.rows)
-        g = 2.0 * (x - c) if self.Rinv is not None else 2.0 * R.T @ (R @ x - c)
-        return -(self.Ti[:k, :k] @ (self.Qt[:k] @ g))
+        g = x - c if self.Rinv is not None else R.T @ (R @ x - c)  # g / 2
+        return (self.Ti[:k, :k] @ (self.Qt[:k] @ g)) * -2.0
 
     def directions(self, R: np.ndarray, j: int):
         """Goldfarb & Idnani's directions for adding row j, f_j = H z + F_W^T r
         with F_W z = 0, H = I in the LDP form and R^T R on G: (z, r, f_j . z,
-        Q^T f_j for ``add``), z = 0 where f_j lies in the working span."""
+        Q^T f_j for ``add``, f_j), z None where f_j lies in the working span."""
         k, f = len(self.rows), self.row(j)
         qf = self.Qt @ f
         Zt, w, h = self.Qt[k:], qf[k:], qf[:k]
-        z, gz, ww = np.zeros(f.size), 0.0, float(w @ w)
+        z, gz, ww = None, 0.0, float(w @ w)
         if ww > (INDEP_TOL * self.norms[j]) ** 2:
             if self.Rinv is not None:
                 z, gz = w @ Zt, ww
@@ -337,7 +383,7 @@ class _WorkingFactor:
                 v = np.linalg.solve(Rz.T, w)
                 z, gz = np.linalg.solve(Rz, v) @ Zt, float(v @ v)
                 h = h - self.Qt[:k] @ (R.T @ (R @ z))
-        return z, self.Ti[:k, :k] @ h, gz, qf
+        return z, self.Ti[:k, :k] @ h, gz, qf, f
 
 
 def _dual_active_set(R, c, work, max_iter=None):
@@ -353,45 +399,51 @@ def _dual_active_set(R, c, work, max_iter=None):
     x = work.step(R, c)
     mu = work.multipliers(R, c, x)
     adds = drops = 0
-    p, skip = -1, np.zeros(m, dtype=bool)  # skip: rows violated by roundoff
+    p, skip, skipped = -1, np.zeros(m, dtype=bool), False  # skip: rows violated by roundoff
+    dist, ratio_buf = np.empty(m + 1), np.empty(n + 1)
     for it in range(max_iter):  # it: the steps taken so far
         if p < 0:
             if mu.size and mu.min() < -MULT_TOL:  # the start is not dual feasible
-                work.drop(int(np.argmin(mu * norms[work.rows])))
+                work.drop(int((mu * norms[work.rows]).argmin()))
                 drops += 1
                 x = work.step(R, c)
                 mu = work.multipliers(R, c, x)
                 continue
             Fx, th = work.price(x)
-            tol = ADD_TOL * max(1.0, float(np.max(np.abs(th))))
-            dist = np.full(m + 1, -np.inf)  # the violated rows' distances
-            np.divide(Fx, norms, out=dist[:-1], where=(Fx > tol) & ~(work.mask | skip))
-            p, mu_p = int(np.argmax(dist)), 0.0
+            tol = ADD_TOL * max(1.0, float(np.abs(th).max()))
+            dist.fill(-np.inf)  # the violated rows' distances
+            blocked = (work.mask | skip) if skipped else work.mask
+            np.divide(Fx, norms, out=dist[:-1], where=(Fx > tol) & ~blocked)
+            p, mu_p = int(dist.argmax()), 0.0
             if dist[p] == -np.inf:  # no row is violated
                 return x, work.rows, work.multipliers(R, c, x), it, adds, drops
-        z, r, gz, qf = work.directions(R, p)
-        ratios = np.full(r.size + 1, np.inf)  # r.size where no working multiplier reaches zero
+        z, r, gz, qf, f = work.directions(R, p)
+        ratios = ratio_buf[:r.size + 1]  # r.size where no working multiplier reaches zero
+        ratios.fill(np.inf)
         np.divide(mu, r, out=ratios[:-1], where=r > 0.0)
-        l = int(np.argmin(ratios))
-        s1 = ratios[l]
-        s2 = 2.0 * float(work.row(p) @ x) / gz if gz > 0.0 else np.inf
+        l = int(ratios.argmin())
+        s1 = float(ratios[l])
+        s2 = 2.0 * float(f @ x) / gz if gz > 0.0 else np.inf
         if s1 == s2 == np.inf:  # in the working span: violated only by roundoff
-            skip[p], p = True, -1  # and back to the working rows' optimum
+            skip[p], p, skipped = True, -1, True  # and back to the working rows' optimum
             x = work.step(R, c)
             mu = work.multipliers(R, c, x)
             continue
         s = min(s1, s2)
-        x, mu, mu_p = x - 0.5 * s * z, mu - s * r, mu_p + s
-        skip[:] = False
+        if z is not None:
+            x = x - 0.5 * s * z
+        mu, mu_p = mu - s * r, mu_p + s
+        if skipped:
+            skip[:], skipped = False, False
         if s2 <= s1:
             work.add(p, qf)
             adds += 1
-            mu, p = np.append(mu, mu_p), -1
+            mu, p = np.concatenate((mu, (mu_p,))), -1
             x = work.step(R, c)
         else:
             work.drop(l)
             drops += 1
-            mu = np.delete(mu, l)
+            mu = np.concatenate((mu[:l], mu[l + 1:]))
     raise RuntimeError(f"active-set solver failed to converge in {max_iter} iterations")
 
 
@@ -404,9 +456,7 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     the problem's weight and parameter count are read."""
     factor = _Factor(problem) if _factor is None else _factor
     lam = problem.lambda_pen
-    R, c, work = factor.at(lam)
-    if working is not None:
-        work.hand_over(working)
+    R, c, work = factor.at(lam, working)
     x, rows, mu, iters, adds, drops = _dual_active_set(R, c, work, max_iter)
     free, A, y, A_pen, G = factor.free, factor.A, factor.y, factor.A_pen, factor.G
     theta, th = np.zeros(problem.n_params), work.theta(x, R)
@@ -416,7 +466,7 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     obj = float(np.sum((A @ th - y) ** 2))
     if A_pen is not None and lam > 0.0:
         obj += lam * float(np.sum((A_pen @ th) ** 2))
-    return Solution(theta=theta, objective=obj, active_set=tuple(sorted(int(j) for j in rows)),
+    return Solution(theta=theta, objective=obj, active_set=tuple(sorted(map(int, rows))),
                     kkt_residual=kkt, iterations=iters, adds=adds, drops=drops)
 
 
@@ -472,13 +522,13 @@ def default_lambda_grid(count: int = 25, low: float = 1e-10, high: float = 1e2) 
 
 
 def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
-    """Sweep penalty weights (``problem.lambda_pen`` is not read), pick one
-    decade below the L-curve corner (the maximum discrete curvature of the
-    log-log (misfit, seminorm) polyline) and solve there.  All weights share
-    one ``_Factor``.  Solves run from the largest weight down, each from the
-    working rows of the one above it, and the chosen weight from those of
-    the swept weight nearest it on a log scale.  Misfit is
-    ``||A theta - y||^2``, seminorm ``||A_pen theta||^2``.
+    """Sweep penalty weights (``problem.lambda_pen`` is not read) and pick
+    the swept weight nearest, on a log scale, to one decade below the
+    L-curve corner (the maximum discrete curvature of the log-log (misfit,
+    seminorm) polyline); its swept solve is the fit.  All weights share one
+    ``_Factor``.  Solves run from the largest weight down, each from the
+    working rows of the one above it.  Misfit is ``||A theta - y||^2``,
+    seminorm ``||A_pen theta||^2``.
     """
     if problem.A_pen is None:
         raise ValueError("lcurve requires a penalty operator")
@@ -503,10 +553,8 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
     kappas = discrete_curvature(*np.log10(np.maximum([misfits, seminorms], 1e-300)))
     corner = int(np.argmax(kappas))
     lam_corner = float(grid[corner])
-    lam = lam_corner / 10.0
-    nearest = sols[int(np.argmin(np.abs(np.log(grid / lam))))]
-    sols.append(solve_from(lam, nearest))  # the fit, at lambda_chosen
+    chosen = int(np.argmin(np.abs(np.log(grid / (lam_corner / 10.0)))))
     return LCurveResult(lambdas=grid, misfits=misfits, seminorms=seminorms,
                         kappas=kappas, corner_index=corner, lambda_corner=lam_corner,
-                        lambda_chosen=lam, solution=sols[-1],
+                        lambda_chosen=float(grid[chosen]), solution=sols[chosen],
                         iterations=sum(s.iterations for s in sols))

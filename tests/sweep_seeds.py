@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/sweep_seeds.py 5001 6000
 
 Each seed's random surface or mapped draw goes through a five-weight L-curve
-sweep and its solve at the chosen weight (``test_solver.check_random_sweep``):
+sweep, whose fit is its chosen weight's solve (``test_solver.check_random_sweep``):
 every weight is checked against the LSI -> LDP -> NNLS oracle (scipy) and
 ``kkt_check``.  Prints each failing seed and a summary line with the total
 steps of the solver's loop over the passing seeds and the largest share of
@@ -14,7 +14,7 @@ the independence test, |T_ii| / (INDEP_TOL ||F_j||) (``hand_over_margins``;
 a margin at or below 1 would be a refusal, which ``lcurve`` raises); then,
 so that steps stand next to time, the total loop steps and the wall time of
 the default Treloar sweeps of the surface and mapped kinds (their 25
-weights and the chosen one).  Exits 1 if any seed fails.
+weights).  Exits 1 if any seed fails.
 """
 
 import sys

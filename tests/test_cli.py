@@ -475,8 +475,8 @@ def test_compare_two_kinds(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind, steps", [("separable", 9), ("surface", 555), ("mapped", 394)])
 def test_a_fit_reports_the_loop_steps_of_all_its_solves(kind, steps, tmp_path, monkeypatch,
                                                         capsys):
-    """A fit is its sweep and the solve at the chosen weight, or its one
-    solve: ``calibrate``'s ``iterations=`` and ``compare.csv``'s
+    """A fit is its sweep's 25 solves, the chosen weight's among them, or
+    its one solve: ``calibrate``'s ``iterations=`` and ``compare.csv``'s
     ``iterations`` are the steps of every ``solver.solve`` call it made,
     counted as ``tests/sweep_seeds.py`` counts them, on Treloar at the
     default weights."""
@@ -494,6 +494,7 @@ def test_a_fit_reports_the_loop_steps_of_all_its_solves(kind, steps, tmp_path, m
     assert main(["calibrate", "--config", str(cfg)]) == 0
     printed = re.findall(r"iterations=(\d+)", capsys.readouterr().out)
     assert len(printed) == 1 and int(printed[0]) == sum(counted) == steps
+    assert len(counted) == (1 if kind == "separable" else 25)
     counted.clear()
     assert main(["compare", "--config", str(cfg), "--kinds", f"{kind},{kind}"]) == 0
     with open(tmp_path / "out" / "compare.csv", newline="") as handle:
