@@ -539,14 +539,10 @@ def lcurve(problem: CalibrationProblem, lambda_grid=None) -> LCurveResult:
         raise ValueError("penalty weights must be positive and strictly increasing")
 
     factor = _Factor(problem)  # one factor for every weight
-
-    def solve_from(lam: float, start: Solution | None) -> Solution:
-        return solve(replace(problem, lambda_pen=lam), working=start and start.active_set,
-                     _factor=factor)
-
     sols: list = []
-    for lam in grid[::-1]:  # each from the one above it
-        sols.insert(0, solve_from(float(lam), sols[0] if sols else None))
+    for lam in grid[::-1]:  # each from the working rows of the one above it
+        sols.insert(0, solve(replace(problem, lambda_pen=float(lam)),
+                             working=sols[0].active_set if sols else None, _factor=factor))
     misfits = np.array([float(np.sum((problem.A @ s.theta - problem.y) ** 2)) for s in sols])
     seminorms = np.array([float(np.sum((problem.A_pen @ s.theta) ** 2)) for s in sols])
 

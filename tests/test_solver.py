@@ -1088,10 +1088,11 @@ def _mooney_rivlin_draw(rng):
 
 def check_random_sweep(seed):
     """A five-weight L-curve sweep, whose fit is its solve at the chosen
-    weight, on the random draw of ``seed``: every solve raises nothing but RuntimeError, and
-    every weight reaches the LSI -> LDP -> NNLS optimum (to 1e-8 relative,
-    with a floor of 1e-12 ||y||^2) and passes ``kkt_check``.  Returns the
-    problem and the (weight, solution) pairs in the order solved."""
+    weight, on the random draw of ``seed``: every solve raises nothing but
+    RuntimeError, and every weight reaches the LSI -> LDP -> NNLS optimum
+    (to 1e-8 relative, with a floor of 1e-12 ||y||^2) and passes
+    ``kkt_check``.  Returns the problem and the (weight, solution) pairs in
+    the order solved."""
     rng = np.random.default_rng(seed)
     problem = _mooney_rivlin_draw(rng)
     grid = 10.0 ** rng.uniform(-8.0, 0.0) * np.logspace(-2.0, 2.0, 5)
