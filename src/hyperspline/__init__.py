@@ -9,7 +9,7 @@ stress data by constrained linear least squares.
 from .domain import (BoundaryEval, DomainMapConfig, MapJacobian, boundary,
                      map_forward, map_inverse, map_jacobian, poly_transform,
                      poly_transform_inverse, width)
-from .kinematics import (DeformationMode, Sample, StressCoefficients,
+from .kinematics import (Dataset, DeformationMode, Sample, StressCoefficients,
                          invariants, max_invariants, stress_coefficients)
 from .model import (ActivationReport, FitMetrics, ModelKind, ModelSpec,
                     ModelState, activation, assemble_design, default_spec,
@@ -32,6 +32,7 @@ __all__ = [
     "BoundaryEval",
     "CalibrationProblem",
     "Curve",
+    "Dataset",
     "DeformationMode",
     "DirectionOps",
     "DomainMapConfig",

@@ -6,7 +6,9 @@ predict's ``mode,stretch`` request): blank lines and lines starting with
 and the first other line is the header.  Data rows have exactly three
 cells; a request row needs two and may carry more, which are ignored.
 Modes are the exact names UT, BT and PS, numbers are read by ``float``,
-and an error names the first failing line of the file.
+and an error names the first failing line of the file.  ``ingest`` builds
+the ``Dataset`` that every stage of a fit, and every kind of a
+``compare``, reads.
 
 A config's ``lambda_pen`` may be ``"auto"`` (``AUTO``, the surface kinds'
 default): the fit is then the L-curve sweep with its solve at the chosen
@@ -38,7 +40,7 @@ import numpy as np
 from . import __version__
 from ._batch import first
 from .domain import DomainMapConfig
-from .kinematics import DeformationMode, Sample, mode_groups
+from .kinematics import Dataset, DeformationMode, mode_groups
 from .model import (ModelKind, ModelSpec, ModelState, activation,
                     assemble_design, fixed_zero_indices, default_spec,
                     metrics, predict_stress_clamped)
@@ -213,8 +215,8 @@ def _check_rows(path, lines, checks):
         raise InputError(f"{path}:{lines[k]}: {message(k) if callable(message) else message}")
 
 
-def ingest(path, stress_scale: float = 1.0):
-    """Read a ``mode,stretch,stress`` CSV into samples.
+def ingest(path, stress_scale: float = 1.0) -> Dataset:
+    """Read a ``mode,stretch,stress`` CSV into a ``Dataset``.
 
     Duplicates are kept.  Stretches outside [0.05, 20] and unknown modes
     are rejected with the offending line number.
@@ -234,12 +236,11 @@ def ingest(path, stress_scale: float = 1.0):
     ])
     if not lines:
         raise InputError(f"{path}: no data rows")
-    return [Sample(mode=m, stretch=x, stress=y * stress_scale)
-            for m, x, y in zip(modes, stretch.tolist(), stress.tolist())]
+    return Dataset(modes, stretch, stress * stress_scale)
 
 
 def mode_counts(samples) -> dict:
-    return {mode.value: idx.size for mode, idx in mode_groups([s.mode for s in samples]).items()}
+    return {mode.value: idx.size for mode, idx in Dataset.of(samples).groups.items()}
 
 
 def bundled_treloar_path() -> Path:
@@ -344,7 +345,7 @@ class CalibrationResult:
     state: ModelState
     fit: object
     sol: object
-    samples: list
+    samples: Dataset
     iterations: int  # loop steps of every solve the fit made
     lcurve_result: object = None
 
@@ -356,6 +357,7 @@ def run_calibration(cfg: RunConfig, samples, kind: ModelKind) -> CalibrationResu
     the L-curve sweep at the automatic weight, the problem taking its
     chosen weight, or one solve at a fixed one, and the fit metrics.  Reads
     no file; ``main`` maps what it raises to an exit code."""
+    samples = Dataset.of(samples)
     spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
     A, y = assemble_design(spec, samples)
     ineq = inequality_operator(spec, monotone_1=cfg.monotone_1, monotone_2=cfg.monotone_2,
@@ -379,13 +381,11 @@ def run_calibration(cfg: RunConfig, samples, kind: ModelKind) -> CalibrationResu
 
 
 def _prediction_columns(result: CalibrationResult) -> dict:
-    samples = result.samples
-    names = np.empty(len(samples), dtype=object)
-    for mode, idx in mode_groups([s.mode for s in samples]).items():
+    data = result.samples
+    names = np.empty(len(data), dtype=object)
+    for mode, idx in data.groups.items():
         names[idx] = mode.value
-    return {"mode": names.tolist(),
-            "stretch": [s.stretch for s in samples],
-            "stress_exp": [s.stress for s in samples],
+    return {"mode": names.tolist(), "stretch": data.stretch, "stress_exp": data.stress,
             "stress_model": result.fit.predictions}
 
 
@@ -412,7 +412,7 @@ def _activation_columns(result: CalibrationResult) -> dict:
 def _lcurve_columns(lc) -> dict:
     return {"lambda": lc.lambdas, "misfit": lc.misfits, "seminorm": lc.seminorms,
             "kappa": lc.kappas,
-            "chosen": (np.arange(lc.lambdas.size) == lc.corner_index).astype(int)}
+            "chosen": (lc.lambdas == lc.lambda_chosen).astype(int)}
 
 
 def _write_calibration(result: CalibrationResult, outdir: Path, data_path):

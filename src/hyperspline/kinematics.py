@@ -13,11 +13,13 @@ thickness direction.  The kinematic functions take one stretch or a 1-D
 array of them, and one mode for every stretch or a list, tuple or array
 holding each stretch's own mode, so that a dataset of mixed modes is one
 batch.  Every stretch takes its own mode's formula, elementwise, so a
-value does not depend on the batch it is computed in.
+value does not depend on the batch it is computed in.  A ``Dataset``
+holds a fit's samples as columns, grouped and through the formulas once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,21 +70,34 @@ def _groups(mode, n: int) -> dict:
     return mode_groups(mode)
 
 
+# Each mode's (I1, I2) and (alpha, beta) at an array of stretches x
+_INVARIANTS = {
+    DeformationMode.UT: lambda x: (x * x + 2.0 / x, 1.0 / (x * x) + 2.0 * x),
+    DeformationMode.BT: lambda x: (2.0 * x * x + x ** -4, 2.0 / (x * x) + x ** 4),
+    DeformationMode.PS: lambda x: (x * x + 1.0 + 1.0 / (x * x),) * 2,
+}
+_COEFFICIENTS = {
+    DeformationMode.UT: lambda x: (2.0 * (x - x ** -2), 2.0 * (1.0 - x ** -3)),
+    DeformationMode.BT: lambda x: (2.0 * (x - x ** -5), 2.0 * (x ** 3 - x ** -3)),
+    DeformationMode.PS: lambda x: (2.0 * (x - x ** -3),) * 2,
+}
+
+
+def _by_mode(formulas: dict, groups: dict, lam: np.ndarray):
+    """Two columns at checked stretches, each group by its mode's formulas."""
+    a, b = np.empty((2, lam.size))
+    for m, idx in groups.items():
+        if not isinstance(m, DeformationMode):
+            raise ValueError(f"unknown mode {m!r}")
+        a[idx], b[idx] = formulas[m](lam[idx])
+    return a, b
+
+
 def invariants(mode, lam):
     """Isochoric invariants (I1, I2) at the stretch(es), for one mode or one
     mode per stretch."""
     lam, scalar = _check_stretch(lam)
-    i1, i2 = np.empty((2, lam.size))
-    for m, idx in _groups(mode, lam.size).items():
-        x = lam[idx]
-        if m is DeformationMode.UT:
-            i1[idx], i2[idx] = x * x + 2.0 / x, 1.0 / (x * x) + 2.0 * x
-        elif m is DeformationMode.BT:
-            i1[idx], i2[idx] = 2.0 * x * x + x ** -4, 2.0 / (x * x) + x ** 4
-        elif m is DeformationMode.PS:
-            i1[idx] = i2[idx] = x * x + 1.0 + 1.0 / (x * x)
-        else:
-            raise ValueError(f"unknown mode {m!r}")
+    i1, i2 = _by_mode(_INVARIANTS, _groups(mode, lam.size), lam)
     return unbatch(i1, scalar), unbatch(i2, scalar)
 
 
@@ -90,17 +105,7 @@ def stress_coefficients(mode, lam) -> StressCoefficients:
     """Coefficients (alpha, beta) of P = alpha * W_I1 + beta * W_I2, for one
     mode or one mode per stretch."""
     lam, scalar = _check_stretch(lam)
-    alpha, beta = np.empty((2, lam.size))
-    for m, idx in _groups(mode, lam.size).items():
-        x = lam[idx]
-        if m is DeformationMode.UT:
-            alpha[idx], beta[idx] = 2.0 * (x - x ** -2), 2.0 * (1.0 - x ** -3)
-        elif m is DeformationMode.BT:
-            alpha[idx], beta[idx] = 2.0 * (x - x ** -5), 2.0 * (x ** 3 - x ** -3)
-        elif m is DeformationMode.PS:
-            alpha[idx] = beta[idx] = 2.0 * (x - x ** -3)
-        else:
-            raise ValueError(f"unknown mode {m!r}")
+    alpha, beta = _by_mode(_COEFFICIENTS, _groups(mode, lam.size), lam)
     return StressCoefficients(alpha=unbatch(alpha, scalar), beta=unbatch(beta, scalar))
 
 
@@ -116,6 +121,47 @@ def mode_groups(modes) -> dict:
     return dict(sorted(((m, idx) for m, idx in groups if idx.size), key=lambda g: g[1][0]))
 
 
+class Dataset(Sequence):
+    """Samples held as columns, for the whole-dataset stages of a fit.
+
+    Holds each row's mode (``modes``), the ``stretch`` and ``stress``
+    arrays, the mode ``groups`` of one ``mode_groups`` call and the rows'
+    invariants ``i1``, ``i2`` and stress coefficients ``alpha``, ``beta``,
+    each computed once, with the bits of ``invariants`` and
+    ``stress_coefficients``.  It is a read-only sequence of ``Sample``s:
+    ``len``, indexing and iteration work as on a list.  A non-mode entry,
+    a non-positive stretch or no rows at all raise.
+    """
+
+    def __init__(self, modes, stretch, stress):
+        self.modes = list(modes)
+        if not self.modes:
+            raise ValueError("empty dataset")
+        self.groups = mode_groups(self.modes)
+        self.stretch, _ = _check_stretch(stretch)
+        self.stress = np.asarray(stress, dtype=float)
+        self.i1, self.i2 = _by_mode(_INVARIANTS, self.groups, self.stretch)
+        self.alpha, self.beta = _by_mode(_COEFFICIENTS, self.groups, self.stretch)
+
+    @classmethod
+    def of(cls, samples) -> Dataset:
+        """A ``Dataset`` as it is, or one built from an iterable of samples."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        return cls([s.mode for s in samples], [s.stretch for s in samples],
+                   [s.stress for s in samples])
+
+    def __len__(self) -> int:
+        return len(self.modes)
+
+    def __getitem__(self, k) -> Sample:
+        return Sample(self.modes[k], float(self.stretch[k]), float(self.stress[k]))
+
+    def __iter__(self):
+        return map(Sample, self.modes, self.stretch.tolist(), self.stress.tolist())
+
+
 def max_invariants(samples):
     """Largest I1 and transformed I2 over a set of samples.
 
@@ -123,9 +169,6 @@ def max_invariants(samples):
     through the polyconvex transform (monotone, so the maximum commutes
     with it), each at least its undeformed value.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty dataset")
-    i1, i2 = invariants([s.mode for s in samples], [s.stretch for s in samples])
-    i2t_max, _ = poly_transform(max(3.0, float(i2.max())))
-    return max(3.0, float(i1.max())), i2t_max
+    data = Dataset.of(samples)
+    i2t_max, _ = poly_transform(max(3.0, float(data.i2.max())))
+    return max(3.0, float(data.i1.max())), i2t_max

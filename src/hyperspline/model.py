@@ -15,7 +15,8 @@ nominal stress of every homogeneous mode is linear in the energy
 derivatives and those are linear in theta, each measured sample
 contributes one linear equation; ``assemble_design`` builds the weighted
 system whose least-squares misfit equals the mode-averaged mean squared
-stress error.
+stress error.  ``assemble_design``, ``metrics`` and ``default_spec`` take
+a ``Dataset`` or samples, and read its mode groups and kinematics.
 
 Evaluation is batched: the evaluators take one stretch (or invariant pair)
 or a 1-D array of them, and the stretch evaluators take one deformation
@@ -43,7 +44,7 @@ from ._batch import pairs, points, unbatch
 from .domain import (DomainMapConfig, admitted, map_forward, poly_transform,
                      _map_with_jacobian)
 from .domain import map_inverse, map_jacobian  # noqa: F401  (perfbench/tracing.py counts them here)
-from .kinematics import (Sample, invariants, max_invariants, mode_groups,
+from .kinematics import (Dataset, DeformationMode, invariants, max_invariants,
                          stress_coefficients)
 
 
@@ -188,46 +189,51 @@ def sensitivity_derivatives(spec: ModelSpec, i1, i2):
     return (dw1[0], dw2[0]) if scalar else (dw1, dw2)
 
 
+def _stress_rows(spec: ModelSpec, alpha, beta, i1, i2) -> np.ndarray:
+    """(N, n_params) design rows at N points of known kinematics."""
+    rows = np.zeros((alpha.size, spec.n_params))
+    live = (alpha != 0.0) | (beta != 0.0)  # stretch 1 has an exact zero row
+    if live.any():
+        dw1, dw2 = sensitivity_derivatives(spec, i1[live], i2[live])
+        rows[live] = alpha[live, None] * dw1 + beta[live, None] * dw2
+    return rows
+
+
 def stress_row(spec: ModelSpec, mode, lam) -> np.ndarray:
     """Row a with predicted stress a @ theta for one mode/stretch pair;
     (N, n_params) rows for N stretches, of one mode or one mode each."""
     lam, scalar = points(lam)
     sc = stress_coefficients(mode, lam)
-    i1, i2 = invariants(mode, lam)
-    rows = np.zeros((lam.size, spec.n_params))
-    live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 has an exact zero row
-    if live.any():
-        dw1, dw2 = sensitivity_derivatives(spec, i1[live], i2[live])
-        rows[live] = sc.alpha[live, None] * dw1 + sc.beta[live, None] * dw2
+    rows = _stress_rows(spec, sc.alpha, sc.beta, *invariants(mode, lam))
     return rows[0] if scalar else rows
 
 
 def assemble_design(spec: ModelSpec, samples):
-    """Weighted design matrix and stress vector for a list of samples.
+    """Weighted design matrix and stress vector for a ``Dataset`` or samples.
 
     Each row is scaled by 1/sqrt(N_mode) so that the squared residual norm
     equals the sum over modes of the per-mode mean squared stress error.
     The rows are built in one batch; if it fails, the error names the first
     sample that cannot be assembled.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty dataset")
-    modes = [s.mode for s in samples]
-    w = np.empty(len(samples))
-    for idx in mode_groups(modes).values():
-        w[idx] = 1.0 / math.sqrt(idx.size)
+    samples = samples if isinstance(samples, Dataset) else list(samples)  # read again on failure
     try:
-        A = w[:, None] * stress_row(spec, modes, [s.stretch for s in samples])
+        data = Dataset.of(samples)
+        A = _stress_rows(spec, data.alpha, data.beta, data.i1, data.i2)
     except ValueError:
-        for k, s in enumerate(samples):
-            try:
-                stress_row(spec, s.mode, s.stretch)
-            except ValueError as exc:
-                raise ValueError(f"sample {k} ({s.mode.value}, stretch {s.stretch})"
-                                 f" cannot be assembled: {exc}") from exc
+        # a non-mode entry fails the grouping, which names it; else name the sample
+        if all(isinstance(s.mode, DeformationMode) for s in samples):
+            for k, s in enumerate(samples):
+                try:
+                    stress_row(spec, s.mode, s.stretch)
+                except ValueError as exc:
+                    raise ValueError(f"sample {k} ({s.mode.value}, stretch {s.stretch})"
+                                     f" cannot be assembled: {exc}") from exc
         raise
-    return A, w * np.array([s.stress for s in samples])
+    w = np.empty(len(data))
+    for idx in data.groups.values():
+        w[idx] = 1.0 / math.sqrt(idx.size)
+    return w[:, None] * A, w * data.stress
 
 
 @dataclass
@@ -259,14 +265,12 @@ def _energy_splines(state: ModelState):
     return splines.Surface(ops.u.kv, ops.v.kv, grid)
 
 
-def _predict(state: ModelState, mode, lam: np.ndarray):
-    """Stresses at an array of stretches, with the invariants projected
+def _predict(state: ModelState, alpha, beta, i1, i2):
+    """Stresses at points of known kinematics, with the invariants projected
     onto the calibrated domain, and the mask of projected points."""
-    sc = stress_coefficients(mode, lam)
-    i1, i2 = invariants(mode, lam)
-    value = np.zeros(lam.size)
-    outside = np.zeros(lam.size, dtype=bool)
-    live = (sc.alpha != 0.0) | (sc.beta != 0.0)  # stretch 1 is exactly stress-free
+    value = np.zeros(alpha.size)
+    outside = np.zeros(alpha.size, dtype=bool)
+    live = (alpha != 0.0) | (beta != 0.0)  # stretch 1 is exactly stress-free
     if live.any():
         x, y, d1x, d1y, d2y, outside[live] = _coordinates(state.spec, i1[live], i2[live])
         w = _energy_splines(state)
@@ -274,7 +278,7 @@ def _predict(state: ModelState, mode, lam: np.ndarray):
             wx, wy = w[0](x, 1), w[1](y, 1)
         else:
             wx, wy = w.gradient(x, y)
-        value[live] = sc.alpha[live] * (d1x * wx + d1y * wy) + sc.beta[live] * (d2y * wy)
+        value[live] = alpha[live] * (d1x * wx + d1y * wy) + beta[live] * (d2y * wy)
     return value, outside
 
 
@@ -283,9 +287,10 @@ def predict_stress(state: ModelState, mode, lam):
     or one mode each.  Raises where ``predict_stress_clamped`` would flag,
     naming the invariants of the first such stretch."""
     lam, scalar = points(lam)
-    value, outside = _predict(state, mode, lam)
-    if outside.any():
-        admitted(outside, *invariants(mode, lam))
+    sc = stress_coefficients(mode, lam)
+    i1, i2 = invariants(mode, lam)
+    value, outside = _predict(state, sc.alpha, sc.beta, i1, i2)
+    admitted(outside, i1, i2)
     return unbatch(value, scalar)
 
 
@@ -297,7 +302,8 @@ def predict_stress_clamped(state: ModelState, mode, lam):
     mode or one mode each, both are arrays.
     """
     lam, scalar = points(lam)
-    value, outside = _predict(state, mode, lam)
+    sc = stress_coefficients(mode, lam)
+    value, outside = _predict(state, sc.alpha, sc.beta, *invariants(mode, lam))
     return (float(value[0]), bool(outside[0])) if scalar else (value, outside)
 
 
@@ -348,19 +354,19 @@ class FitMetrics:
 
 
 def metrics(state: ModelState, samples) -> FitMetrics:
-    """Per-mode mean squared error and coefficient of determination.
+    """Per-mode mean squared error and coefficient of determination over a
+    ``Dataset`` or samples, which must lie in the calibrated domain.
 
     Modes with fewer than two samples (or zero stress variance) report no
     R^2.  The combined figure is the Euclidean norm of the per-mode MSEs.
     """
-    samples = list(samples)
-    modes = [s.mode for s in samples]
-    stress = np.array([s.stress for s in samples])
-    predictions = predict_stress(state, modes, [s.stretch for s in samples])
+    data = Dataset.of(samples)
+    predictions, outside = _predict(state, data.alpha, data.beta, data.i1, data.i2)
+    admitted(outside, data.i1, data.i2)
     mse = {}
     r2 = {}
-    for mode, idx in mode_groups(modes).items():  # each mode's rows in sample order
-        exp = stress[idx]
+    for mode, idx in data.groups.items():  # each mode's rows in sample order
+        exp = data.stress[idx]
         resid = predictions[idx] - exp
         mse[mode] = float(np.mean(resid ** 2))
         if idx.size >= 2:

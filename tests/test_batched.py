@@ -483,6 +483,22 @@ def test_assemble_design_names_the_first_failing_sample():
         hs.assemble_design(spec, bad)
 
 
+def test_assemble_design_names_a_sample_of_nonpositive_stretch():
+    samples = [hs.Sample(mode, float(lam), 0.0)
+               for mode in (UT, BT, PS) for lam in np.linspace(1.0, 3.0, 6)]
+    spec = hs.default_spec(hs.ModelKind.SURFACE, samples, 8, 4)
+    with pytest.raises(ValueError, match=r"^sample 1 \(UT, stretch -1\.0\) cannot be assembled: "
+                                         r"stretch must be positive, got -1\.0$"):
+        hs.assemble_design(spec, [hs.Sample(UT, 2.0, 1.0), hs.Sample(UT, -1.0, 1.0)])
+    # an entry that is no mode is named by the mode grouping, before any stretch
+    with pytest.raises(ValueError, match=r"^unknown mode 'UT'$"):
+        hs.assemble_design(spec, [hs.Sample(UT, -1.0, 1.0), hs.Sample("UT", 2.0, 1.0)])
+    with pytest.raises(ValueError, match=r"^empty dataset$"):
+        hs.assemble_design(spec, [])
+    with pytest.raises(ValueError, match=r"^empty dataset$"):
+        hs.max_invariants([])
+
+
 def test_predict_reports_the_line_of_a_failing_row(tmp_path, capsys):
     # a mapped model without the apex width floor cannot be evaluated where
     # I1 rounds to exactly 3: stretch 1 + 1e-9 gives a zero band width

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperspline import DeformationMode, ModelKind, cli, solver, stress_coefficients
+from hyperspline import (DeformationMode, ModelKind, ModelState, Sample, assemble_design, cli,
+                         default_spec, fixed_zero_indices, invariants, kinematics,
+                         max_invariants, metrics, solver, stress_coefficients)
 from hyperspline.cli import (
     InputError,
     _write_csv,
@@ -181,6 +183,69 @@ def test_ingest_keeps_duplicates_and_scales(tmp_path):
     assert len(samples) == 2  # repeat measurements are data, not errors
     scaled = ingest(p, stress_scale=1000.0)
     assert scaled[0].stress == pytest.approx(2000.0)
+
+
+def test_ingest_returns_the_file_as_a_sequence_of_samples(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("mode,stretch,stress\nUT,1.0,0.0\n# note\nBT,1.5, 12.5\nUT,2.25,30.1\n"
+                 "PS,1.2,0.3\nBT,1.5,12.7\n")
+    rows = [(UT, 1.0, 0.0), (BT, 1.5, 12.5), (UT, 2.25, 30.1), (PS, 1.2, 0.3), (BT, 1.5, 12.7)]
+    for scale in (1.0, 1000.0):
+        expected = [Sample(m, x, y * scale) for m, x, y in rows]
+        data = ingest(p, stress_scale=scale)
+        assert isinstance(data, kinematics.Dataset) and len(data) == 5
+        assert [data[k] for k in range(5)] == expected
+        assert [data[k] for k in range(-5, 0)] == expected
+        assert list(data) == expected
+        assert all(type(v) is float for s in data for v in (s.stretch, s.stress))
+        with pytest.raises(IndexError):
+            data[5]
+        assert kinematics.Dataset.of(data) is data
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_a_dataset_and_its_list_of_samples_give_the_same_bits(treloar, kind):
+    """Every stage reads the ``Dataset`` columns; handed the same samples as
+    a list, it builds them and returns the same bits."""
+    samples = list(treloar)
+    modes, stretch = [s.mode for s in samples], [s.stretch for s in samples]
+    sc = stress_coefficients(modes, stretch)
+    for column, reference in zip((treloar.i1, treloar.i2, treloar.alpha, treloar.beta),
+                                 (*invariants(modes, stretch), sc.alpha, sc.beta)):
+        assert column.tobytes() == reference.tobytes()
+    assert max_invariants(treloar) == max_invariants(samples)
+    spec = default_spec(kind, treloar, 8, 4)
+    assert spec == default_spec(kind, samples, 8, 4)
+    for a, b in zip(assemble_design(spec, treloar), assemble_design(spec, samples)):
+        assert a.tobytes() == b.tobytes()
+    theta = np.linspace(0.0, 1.0, spec.n_params)
+    theta[list(fixed_zero_indices(spec))] = 0.0
+    state = ModelState(spec=spec, theta=theta)
+    fit, fit_list = metrics(state, treloar), metrics(state, samples)
+    assert fit.predictions.tobytes() == fit_list.predictions.tobytes()
+    assert (fit.mse, fit.r2, fit.mse_combined) == (fit_list.mse, fit_list.r2,
+                                                    fit_list.mse_combined)
+    assert mode_counts(treloar) == mode_counts(samples) == {"UT": 25, "BT": 17, "PS": 14}
+
+
+def test_a_fit_groups_its_dataset_once(tmp_path, monkeypatch):
+    """``ingest`` groups the rows by mode, and every stage of the fit reads
+    those groups: one ``mode_groups`` call per ``calibrate`` of each kind,
+    and one per ``compare`` of all three."""
+    calls, group = [], kinematics.mode_groups
+    monkeypatch.setattr(kinematics, "mode_groups", lambda modes: calls.append(1) or group(modes))
+    data = _neo_hookean_csv(tmp_path / "nh.csv", n=8)
+    cfg = {"data": str(data), "n1": 6, "n2": 4, "lcurve_count": 5}
+    for kind in ModelKind:
+        path = _config(tmp_path / f"{kind.value}.json", kind=kind.value, **cfg)
+        calls.clear()
+        assert main(["calibrate", "--config", str(path),
+                     "--output", str(tmp_path / kind.value)]) == 0
+        assert len(calls) == 1, kind
+    calls.clear()
+    assert main(["compare", "--config", str(path), "--kinds", "separable,surface,mapped",
+                 "--output", str(tmp_path / "compare")]) == 0
+    assert len(calls) == 1
 
 
 def test_bundled_dataset(treloar):
@@ -426,9 +491,10 @@ def test_lcurve_subcommand(tmp_path, capsys):
     rows = text.splitlines()
     assert rows[0] == "lambda,misfit,seminorm,kappa,chosen"
     assert len(rows) == 8
-    flags = [int(r.split(",")[4]) for r in rows[1:]]
-    assert sum(flags) == 1  # exactly one corner row is marked
-    assert "corner lambda=" in capsys.readouterr().out
+    flagged = [r.split(",")[0] for r in rows[1:] if r.split(",")[4] == "1"]
+    # exactly one row is marked, the chosen weight's: the weight of the fit
+    chosen = re.search(r"^corner lambda=\S+ chosen=(\S+)$", capsys.readouterr().out, re.M)
+    assert flagged == [chosen.group(1)]
     # one pipeline: calibrate at the automatic weight writes the same curve
     assert main(["calibrate", "--config", str(cfg), "--output", str(tmp_path / "cal")]) == 0
     assert (tmp_path / "cal" / "lcurve.csv").read_text() == text
