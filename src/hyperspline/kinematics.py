@@ -140,6 +140,8 @@ class Dataset(Sequence):
         self.groups = mode_groups(self.modes)
         self.stretch, _ = _check_stretch(stretch)
         self.stress = np.asarray(stress, dtype=float)
+        if not len(self.modes) == self.stretch.size == self.stress.size:
+            raise ValueError("expected one mode, stretch and stress per sample")
         self.i1, self.i2 = _by_mode(_INVARIANTS, self.groups, self.stretch)
         self.alpha, self.beta = _by_mode(_COEFFICIENTS, self.groups, self.stretch)
 

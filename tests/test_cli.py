@@ -201,6 +201,8 @@ def test_ingest_returns_the_file_as_a_sequence_of_samples(tmp_path):
         with pytest.raises(IndexError):
             data[5]
         assert kinematics.Dataset.of(data) is data
+    with pytest.raises(ValueError, match="one mode, stretch and stress per sample"):
+        kinematics.Dataset([UT, UT], [1.5, 2.0], [1.0])
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
