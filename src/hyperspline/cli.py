@@ -262,15 +262,11 @@ def _write_atomic(path: Path, text: str):
 
 
 def _cells(column) -> list:
-    """Text of one column: a list of strings as it is, else ``str`` of each
-    Python scalar or array element, which for a float is its ``repr``."""
+    """Text of one column: ``repr`` of each array element, ``str`` of each
+    list entry (for a float the two are equal)."""
     if isinstance(column, np.ndarray):
-        return list(map(str, column.tolist()))
-    try:
-        "".join(column)  # raises unless every cell is a string
-        return column
-    except TypeError:
-        return list(map(str, column))
+        return list(map(repr, column.tolist()))
+    return list(map(str, column))
 
 
 def _write_csv(path: Path, columns: dict):
@@ -350,14 +346,14 @@ class CalibrationResult:
     lcurve_result: object = None
 
 
-def run_calibration(cfg: RunConfig, samples, kind: ModelKind) -> CalibrationResult:
-    """Fit one model kind to samples already read; the one code that
-    assembles a fit.  Builds the spec and the calibration problem (design,
-    curvature penalty, shape constraints, pinned parameters), then runs
-    the L-curve sweep at the automatic weight, the problem taking its
+def run_calibration(cfg: RunConfig, samples) -> CalibrationResult:
+    """Fit the config's model kind to samples already read; the one code
+    that assembles a fit.  Builds the spec and the calibration problem
+    (design, curvature penalty, shape constraints, pinned parameters), then
+    runs the L-curve sweep at the automatic weight, the problem taking its
     chosen weight, or one solve at a fixed one, and the fit metrics.  Reads
     no file; ``main`` maps what it raises to an exit code."""
-    samples = Dataset.of(samples)
+    kind, samples = cfg.model_kind(), Dataset.of(samples)
     spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
     A, y = assemble_design(spec, samples)
     ineq = inequality_operator(spec, monotone_1=cfg.monotone_1, monotone_2=cfg.monotone_2,
@@ -382,11 +378,8 @@ def run_calibration(cfg: RunConfig, samples, kind: ModelKind) -> CalibrationResu
 
 def _prediction_columns(result: CalibrationResult) -> dict:
     data = result.samples
-    names = np.empty(len(data), dtype=object)
-    for mode, idx in data.groups.items():
-        names[idx] = mode.value
-    return {"mode": names.tolist(), "stretch": data.stretch, "stress_exp": data.stress,
-            "stress_model": result.fit.predictions}
+    return {"mode": [m.value for m in data.modes], "stretch": data.stretch,
+            "stress_exp": data.stress, "stress_model": result.fit.predictions}
 
 
 def _activation_columns(result: CalibrationResult) -> dict:
@@ -429,7 +422,7 @@ def _cmd_calibrate(args) -> int:
     cfg = load_config(args.config)
     outdir = Path(args.output or cfg.output)
     samples = ingest(cfg.data, cfg.stress_scale)
-    result = run_calibration(cfg, samples, cfg.model_kind())
+    result = run_calibration(cfg, samples)
     _write_calibration(result, outdir, cfg.data)
     counts = mode_counts(samples)
     print(f"ingested {len(samples)} samples: "
@@ -480,7 +473,7 @@ def _cmd_predict(args) -> int:
 def _cmd_lcurve(args) -> int:
     cfg = load_config(args.config)
     samples = ingest(cfg.data, cfg.stress_scale)
-    lc = run_calibration(replace(cfg, lambda_pen=AUTO), samples, cfg.model_kind()).lcurve_result
+    lc = run_calibration(replace(cfg, lambda_pen=AUTO), samples).lcurve_result
     outdir = Path(args.output or cfg.output)
     _write_csv(outdir / "lcurve.csv", _lcurve_columns(lc))
     print(f"corner lambda={lc.lambda_corner} chosen={lc.lambda_chosen}")
@@ -493,16 +486,13 @@ def _cmd_compare(args) -> int:
     kind_names = [k.strip() for k in args.kinds.split(",") if k.strip()]
     if len(kind_names) < 2:
         raise InputError("compare needs at least two kinds")
-    kinds = {}
-    for name in kind_names:
-        try:
-            kinds[name] = ModelKind(name)
-        except ValueError:
-            raise InputError(f"unknown model kind {name!r}") from None
+    configs = {name: replace(cfg, kind=name) for name in kind_names}
+    for kind_cfg in configs.values():
+        kind_cfg.model_kind()
     # Read the data once and fit each distinct kind once, so repeated kinds
     # produce identical rows.
     samples = ingest(cfg.data, cfg.stress_scale)
-    results = {name: run_calibration(cfg, samples, kind) for name, kind in kinds.items()}
+    results = {name: run_calibration(kind_cfg, samples) for name, kind_cfg in configs.items()}
     fits = [results[name] for name in kind_names]
     columns = {"kind": kind_names, "n_params": [r.state.spec.n_params for r in fits],
                **{f"{metric}_{mode.value}": [getattr(r.fit, metric).get(mode, "") for r in fits]

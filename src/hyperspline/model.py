@@ -259,8 +259,8 @@ def _energy_splines(state: ModelState):
     spec = state.spec
     ops = spec_ops(spec)
     if spec.kind is ModelKind.SEPARABLE:
-        return (splines.Curve(ops.u.kv, ops.u.binv @ state.theta[: spec.n1], ops.u.sites),
-                splines.Curve(ops.v.kv, ops.v.binv @ state.theta[spec.n1 :], ops.v.sites))
+        return (splines.Curve(ops.u.kv, ops.u.binv @ state.theta[: spec.n1]),
+                splines.Curve(ops.v.kv, ops.v.binv @ state.theta[spec.n1 :]))
     grid = ops.u.binv @ state.theta.reshape(spec.n1, spec.n2) @ ops.v.binv.T
     return splines.Surface(ops.u.kv, ops.v.kv, grid)
 

@@ -215,12 +215,11 @@ def eval_coeffs(kv: KnotVector, coeffs: np.ndarray, x, r: int = 0):
 
 
 class Curve:
-    """Univariate cubic spline interpolating prescribed values at sites."""
+    """Univariate cubic spline given by its B-spline coefficients."""
 
-    def __init__(self, kv: KnotVector, coeffs: np.ndarray, sites: np.ndarray):
+    def __init__(self, kv: KnotVector, coeffs: np.ndarray):
         self.kv = kv
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.sites = np.asarray(sites, dtype=float)
 
     def __call__(self, x, r: int = 0):
         return eval_coeffs(self.kv, self.coeffs, x, r)
@@ -238,7 +237,7 @@ def interpolate_curve(sites, values) -> Curve:
         coeffs = np.linalg.solve(B, v)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by knot rule
         raise ValueError("singular collocation system; check site/knot pairing") from exc
-    return Curve(kv, coeffs, s)
+    return Curve(kv, coeffs)
 
 
 class Surface:
@@ -294,10 +293,6 @@ class DirectionOps:
         D2, self.kv2 = derivative_operator(self.kv1)
         self.c1 = D1 @ self.binv
         self.c2 = D2 @ D1 @ self.binv
-
-    @property
-    def n(self) -> int:
-        return self.kv.n
 
     def _rows(self, x, orders: tuple) -> list:
         """Rows of each derivative order in ``orders`` at x, from one basis

@@ -33,7 +33,7 @@ def treloar_fit(treloar):
     def build(kind: ModelKind) -> SimpleNamespace:
         if kind not in cache:
             cfg = RunConfig(kind=kind.value, data=str(bundled_treloar_path()))
-            result = run_calibration(cfg, treloar, kind)
+            result = run_calibration(cfg, treloar)
             problem = result.problem
             cache[kind] = SimpleNamespace(
                 A=problem.A, y=problem.y, problem=problem, lcurve=result.lcurve_result,

@@ -1,12 +1,15 @@
 """Test oracles the package itself does not need: the boundary cubic of the
 admissible domain, tensor-product surface interpolation with dense grid
-evaluation, and the curvature penalty as one row per quadrature node."""
+evaluation, the curvature penalty as one row per quadrature node, and the
+optimum of a small calibration QP by enumeration of its active sets."""
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from hyperspline import ModelKind, operators, splines
+from hyperspline import CalibrationProblem, ModelKind, operators, splines
 from hyperspline._batch import pairs, unbatch
 from hyperspline.model import spec_ops
 
@@ -73,3 +76,45 @@ def quadrature_penalty_rows(spec) -> np.ndarray:
     w_xixi = s * (ru2[:, None, :, None] * rv0[None, :, None, :])
     w_etaeta = s * (ru0[:, None, :, None] * rv2[None, :, None, :])
     return np.stack([w_xixi, w_etaeta], axis=2).reshape(-1, spec.n_params)
+
+
+def random_qp(rng: np.random.Generator) -> CalibrationProblem:
+    """A random problem small enough to enumerate: n in [2, 6] parameters,
+    m in [n, 10] rows, k in [1, 8] inequality rows and a weight of 0, 1e-3
+    or 1 on the identity penalty."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(n, 11))
+    k = int(rng.integers(1, 9))
+    A = rng.normal(size=(m, n))
+    y = rng.normal(size=m)
+    G = rng.normal(size=(k, n))
+    lam = float(rng.choice([0.0, 1e-3, 1.0]))
+    pen = np.eye(n) if lam > 0 else None
+    return CalibrationProblem(A=A, y=y, A_pen=pen, lambda_pen=lam, A_ineq=G)
+
+
+def enumerated_objective(problem: CalibrationProblem) -> float:
+    """The least objective over every subset of inequality rows held as
+    equalities, among the least-squares points on them that are feasible."""
+    A, y, G, lam = problem.A, problem.y, problem.A_ineq, problem.lambda_pen
+    m, n = A.shape
+    k = G.shape[0]
+    M = A if problem.A_pen is None else np.vstack([A, math.sqrt(lam) * problem.A_pen])
+    d = np.concatenate([y, np.zeros(M.shape[0] - m)])
+    best = np.inf
+    for r in range(k + 1):
+        for subset in itertools.combinations(range(k), r):
+            if subset:
+                _, s, Vt = np.linalg.svd(G[list(subset)])
+                rank = int(np.sum(s > 1e-12 * s[0]))
+                Z = Vt[rank:].T
+            else:
+                Z = np.eye(n)
+            if Z.shape[1] == 0:
+                cand = np.zeros(n)
+            else:
+                z, *_ = np.linalg.lstsq(M @ Z, d, rcond=None)
+                cand = Z @ z
+            if np.max(G @ cand) <= 1e-9:
+                best = min(best, float(np.sum((M @ cand - d) ** 2)))
+    return best

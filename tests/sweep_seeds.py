@@ -36,7 +36,7 @@ def treloar_sweeps():
     data = bundled_treloar_path()
     samples, solve, out = ingest(data), solver.solve, []
     for kind in (ModelKind.SURFACE, ModelKind.MAPPED_SURFACE):
-        fit = run_calibration(RunConfig(kind=kind.value, data=str(data)), samples, kind)
+        fit = run_calibration(RunConfig(kind=kind.value, data=str(data)), samples)
         problem, steps = fit.problem, []
 
         def counted(*args, **kwargs):

@@ -5,7 +5,6 @@ capture) before asserting, so a full run reads as a checklist.  Tolerances
 are fixed constants here, not knobs.
 """
 
-import itertools
 import math
 import time
 import warnings
@@ -42,7 +41,7 @@ from hyperspline import (
     solve,
     stress_coefficients,
 )
-from oracles import cubic_residual, eval_grid
+from oracles import cubic_residual, enumerated_objective, eval_grid, random_qp
 from hyperspline.model import spec_ops
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
@@ -370,34 +369,9 @@ def test_criterion_09_qp_oracle(capsys):
     worst_obj = 0.0
     worst_kkt = 0.0
     for _ in range(200):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(n, 11))
-        k = int(rng.integers(1, 9))
-        A = rng.normal(size=(m, n))
-        y = rng.normal(size=m)
-        G = rng.normal(size=(k, n))
-        lam = float(rng.choice([0.0, 1e-3, 1.0]))
-        pen = np.eye(n) if lam > 0 else None
-        sol = solve(CalibrationProblem(A=A, y=y, A_pen=pen, lambda_pen=lam,
-                                       A_ineq=G))
-        M = A if pen is None else np.vstack([A, math.sqrt(lam) * pen])
-        d = np.concatenate([y, np.zeros(M.shape[0] - m)])
-        best = np.inf
-        for r in range(k + 1):
-            for subset in itertools.combinations(range(k), r):
-                if subset:
-                    _, s, Vt = np.linalg.svd(G[list(subset)])
-                    rank = int(np.sum(s > 1e-12 * s[0]))
-                    Z = Vt[rank:].T
-                else:
-                    Z = np.eye(n)
-                if Z.shape[1] == 0:
-                    cand = np.zeros(n)
-                else:
-                    z, *_ = np.linalg.lstsq(M @ Z, d, rcond=None)
-                    cand = Z @ z
-                if np.max(G @ cand) <= 1e-9:
-                    best = min(best, float(np.sum((M @ cand - d) ** 2)))
+        problem = random_qp(rng)
+        sol = solve(problem)
+        best = enumerated_objective(problem)
         worst_obj = max(worst_obj, abs(sol.objective - best) / max(1e-10, best))
         worst_kkt = max(worst_kkt, sol.kkt_residual)
     ok = worst_obj <= 1e-8 and worst_kkt <= 1e-8

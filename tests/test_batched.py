@@ -387,6 +387,8 @@ def test_dataset_batches_equal_the_per_mode_references(treloar):
 def test_a_mode_list_names_its_fault():
     with pytest.raises(ValueError, match=r"^unknown mode 'UT'$"):
         hs.invariants([UT, "UT"], [1.5, 2.0])
+    with pytest.raises(ValueError, match=r"^unknown mode 'UT'$"):  # a name is no mode
+        hs.invariants("UT", 2.0)
     with pytest.raises(ValueError, match=r"^expected one mode per stretch, got 2 modes for 3"):
         hs.stress_coefficients([UT, BT], [1.5, 2.0, 2.5])
 

@@ -157,6 +157,9 @@ def test_ingest_reports_line_numbers(tmp_path):
     p.write_text("stretch,mode,stress\nUT,1.0,0.0\n")
     with pytest.raises(InputError, match="header"):
         ingest(p)
+    p.write_text("# Treloar 1944\n\n  # no rows\n")
+    with pytest.raises(InputError, match=r": missing header 'mode,stretch,stress'$"):
+        ingest(p)
     p.write_text("mode,stretch,stress\n")
     with pytest.raises(InputError, match="no data rows"):
         ingest(p)
@@ -343,6 +346,11 @@ def test_calibrate_empty_dataset_writes_nothing(tmp_path, capsys):
 def test_calibrate_missing_config_exit_code(tmp_path, capsys):
     assert main(["calibrate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text("kind = separable\n")
+    assert main(["calibrate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert f"error: config {path} is not valid JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- predict
@@ -523,6 +531,20 @@ def test_compare_repeated_kind_rows_are_identical(tmp_path):
     assert rows[1] == rows[2]
 
 
+def test_compare_rejects_an_unknown_kind_before_reading_data(tmp_path, monkeypatch, capsys):
+    """Each kind is checked as ``calibrate`` checks its config's kind."""
+    data = _neo_hookean_csv(tmp_path / "nh.csv", n=6)
+    cfg = _config(tmp_path / "cfg.json", kind="separable", data=str(data))
+    reads = []
+    monkeypatch.setattr(cli, "ingest", lambda *a: reads.append(a) or ingest(*a))
+    assert main(["compare", "--config", str(cfg), "--kinds", "separable,bogus",
+                 "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: unknown model kind 'bogus'; expected one of "
+                                       "['mapped', 'separable', 'surface']\n")
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_two_kinds(tmp_path, monkeypatch):
     data = _neo_hookean_csv(tmp_path / "nh.csv", n=10)
     cfg = _config(tmp_path / "cfg.json", kind="separable", data=str(data),
@@ -635,3 +657,8 @@ def test_csv_writer_matches_the_csv_module(tmp_path):
     assert path.read_bytes() == _csv_oracle(list(columns), rows).encode()
     _write_csv(path, {"a": [], "b": np.zeros(0)})  # a header and no rows
     assert path.read_bytes() == b"a,b\n"
+    # the one rule: repr of each array element, str of each list entry
+    _write_csv(path, {"i": [0, "", 2], "x": [0.1 + 0.2, 1e-05, -0.0],
+                      "a": np.array([1e16, 2.5, math.nan]), "n": np.array([3, -1, 0])})
+    assert path.read_bytes() == (b"i,x,a,n\n0,0.30000000000000004,1e+16,3\n"
+                                 b",1e-05,2.5,-1\n2,-0.0,nan,0\n")

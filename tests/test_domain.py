@@ -169,6 +169,8 @@ def test_width_floor_at_apex():
     cfg = DomainMapConfig(u_max=10.0, delta=1e-6)
     eff, _ = width(3.0, cfg)
     assert eff == pytest.approx(1e-6, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^I1 = 2\.0 outside \[3\.0, 10\.0\]$"):
+        width(2.0, cfg)  # below the apex, off the axis
 
 
 def test_width_in_the_transformed_i2():

@@ -1,7 +1,6 @@
 """Active-set least squares, KKT diagnostics and the L-curve sweep."""
 
 import contextlib
-import itertools
 import json
 import math
 import warnings
@@ -32,6 +31,7 @@ from hyperspline import (
 from hyperspline import solver
 from hyperspline.cli import RunConfig, bundled_treloar_path, main, run_calibration
 from hyperspline.solver import _stacked
+from oracles import enumerated_objective, random_qp
 
 
 def _full_stack(problem, free):
@@ -189,6 +189,18 @@ def test_a_violated_row_in_the_working_span_is_skipped():
     assert (sol.adds, sol.drops, sol.active_set) == (1, 1, (1,))
     assert sol.iterations <= 4
 
+    # the step after a skip clears the skipped rows: row 0 enters, row 1
+    # then reads 5e-11, lies in row 0's span and is skipped, and the step
+    # that adds row 2 (violated by 2e-11) resets the skip
+    problem = CalibrationProblem(A=np.eye(3), y=np.array([-1.0, 1.0, 2e-11]),
+                                 A_ineq=np.array([[-1.0, 0.0, 0.0], [1.0, 5e-11, 0.0],
+                                                  [0.0, 0.0, 1.0]]))
+    sol = solve(problem)
+    assert sol.theta.tolist() == [0.0, 1.0, 0.0]
+    assert (sol.adds, sol.drops, sol.active_set, sol.iterations) == (2, 0, (0, 2), 4)
+    stat, feas, comp = kkt_check(problem, sol.theta)
+    assert stat <= 1e-12 and feas <= solver.FEAS_TOL and comp <= 1e-12
+
 
 def test_determinism():
     rng = np.random.default_rng(71)
@@ -204,39 +216,13 @@ def test_random_problems_match_subset_enumeration():
     """Brute force over active subsets confirms the active-set optimum."""
     rng = np.random.default_rng(0)
     for _ in range(60):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(n, 11))
-        k = int(rng.integers(1, 9))
-        A = rng.normal(size=(m, n))
-        y = rng.normal(size=m)
-        G = rng.normal(size=(k, n))
-        lam = float(rng.choice([0.0, 1e-3, 1.0]))
-        pen = np.eye(n) if lam > 0 else None
-        problem = CalibrationProblem(A=A, y=y, A_pen=pen, lambda_pen=lam,
-                                     A_ineq=G)
+        problem = random_qp(rng)
         sol = solve(problem)
-        M = A if pen is None else np.vstack([A, np.sqrt(lam) * pen])
-        d = np.concatenate([y, np.zeros(M.shape[0] - m)])
-        best = np.inf
-        for r in range(k + 1):
-            for subset in itertools.combinations(range(k), r):
-                if subset:
-                    _, s, Vt = np.linalg.svd(G[list(subset)])
-                    rank = int(np.sum(s > 1e-12 * s[0]))
-                    Z = Vt[rank:].T
-                else:
-                    Z = np.eye(n)
-                if Z.shape[1] == 0:
-                    cand = np.zeros(n)
-                else:
-                    z, *_ = np.linalg.lstsq(M @ Z, d, rcond=None)
-                    cand = Z @ z
-                if np.max(G @ cand) <= 1e-9:
-                    best = min(best, float(np.sum((M @ cand - d) ** 2)))
+        best = enumerated_objective(problem)
         assert sol.objective == pytest.approx(best, rel=1e-8, abs=1e-10)
         # solution invariants: feasibility and the KKT residual
-        assert float(np.max(G @ sol.theta)) <= 1e-9
-        assert sol.kkt_residual <= 1e-8 * (1.0 + float(np.linalg.norm(y)))
+        assert float(np.max(problem.A_ineq @ sol.theta)) <= 1e-9
+        assert sol.kkt_residual <= 1e-8 * (1.0 + float(np.linalg.norm(problem.y)))
 
 
 def test_start_point_independence():
@@ -728,7 +714,7 @@ def test_calibration_warm_starts_the_chosen_weight(treloar, treloar_fit):
     swept weight, warm-started from the working rows of the weight above
     it, and it matches a cold solve there."""
     cfg = RunConfig(kind="surface", data=str(bundled_treloar_path()))
-    result = run_calibration(cfg, treloar, ModelKind.SURFACE)
+    result = run_calibration(cfg, treloar)
     lam = result.problem.lambda_pen
     assert lam == result.lcurve_result.lambda_chosen
     assert result.sol is result.lcurve_result.solution
