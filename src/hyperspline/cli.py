@@ -43,7 +43,7 @@ from .domain import DomainMapConfig
 from .kinematics import Dataset, DeformationMode, mode_groups
 from .model import (ModelKind, ModelSpec, ModelState, activation,
                     assemble_design, fixed_zero_indices, default_spec,
-                    metrics, predict_stress_clamped)
+                    metrics, predict_stress_clamped, reduced_design)
 from .model import predict_stress  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .operators import curvature_operator, inequality_operator
 from .solver import CalibrationProblem, default_lambda_grid, lcurve, solve
@@ -355,7 +355,10 @@ def run_calibration(cfg: RunConfig, samples) -> CalibrationResult:
     no file; ``main`` maps what it raises to an exit code."""
     kind, samples = cfg.model_kind(), Dataset.of(samples)
     spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
-    A, y = assemble_design(spec, samples)
+    # data taller than the n1 x n2 site grid plus one is reduced span by span;
+    # below that, per-sample rows and _blocks' one QR cost less for every kind
+    design = reduced_design if len(samples) > spec.n1 * spec.n2 + 1 else assemble_design
+    A, y = design(spec, samples)
     ineq = inequality_operator(spec, monotone_1=cfg.monotone_1, monotone_2=cfg.monotone_2,
                                convex_1=cfg.convex_1, convex_2=cfg.convex_2)
     problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,

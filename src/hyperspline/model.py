@@ -21,8 +21,15 @@ a ``Dataset`` or samples, and read its mode groups and kinematics.
 Evaluation is batched: the evaluators take one stretch (or invariant pair)
 or a 1-D array of them, and the stretch evaluators take one deformation
 mode or one mode per stretch, so a whole dataset is one call.
-Design rows of the surfaces are row-wise outer products of the two axes'
-value and slope rows.  Predictions never build rows: they evaluate the
+Design rows come from one builder, ``_partials``: one A2.3 pass per axis
+gives each point's rows of the spline partials W_x and W_y in B-spline
+coefficient space (16 weights on a surface, 4 + 4 on the separable split),
+which the chain rule and the stress coefficients combine.  Per-sample rows
+(``assemble_design``, ``stress_row``, ``sensitivity_derivatives``) are
+mapped to the site values by K = binv_u (x) binv_v (binv_u and binv_v on
+the diagonal for the separable split); ``reduced_design`` reduces the rows
+in coefficient space one u-axis span at a time and maps only the n_params
++ 1 rows it keeps.  Predictions never build rows: they evaluate the
 energy gradient in coefficient form, a span index and (N, 4) value and
 slope blocks per axis against the coefficient grid
 binv_u @ Theta @ binv_v^T.  Each point costs one A2.3 pass per axis and,
@@ -157,20 +164,67 @@ def _coordinates(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
     return x1, x2, d1x, np.zeros(i1.shape), dx2, outside
 
 
-def _partial_rows(spec: ModelSpec, x: np.ndarray, y: np.ndarray):
-    """Rows mapping theta to the spline partials W_x and W_y at the points;
-    surface rows are row-wise outer products of the two axes' value rows."""
+def _partials(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
+    """The one design-row builder.  At N points of the calibrated domain
+    (a point outside raises) it returns the u-axis span of each point, the
+    chain-rule factors (d1x, d1y, d2y) of ``_coordinates`` and the rows of
+    the spline partials W_x and W_y in B-spline coefficient space: one
+    A2.3 pass per axis, and per point the 16 weights of a surface (u slope
+    by v value, u value by v slope) or the 4 + 4 slopes of the separable
+    split.  A row holds its point's band of columns, the 4 u coefficients
+    of its span (by every v coefficient on a surface), then the separable
+    split's v coefficients."""
+    x, y, d1x, d1y, d2y, outside = _coordinates(spec, i1, i2)
+    admitted(outside, i1, i2)
     ops = spec_ops(spec)
+    su, (u0, u1) = splines._basis_block(ops.u.kv, x, 1)
+    sv, (v0, v1) = splines._basis_block(ops.v.kv, y, 1)
+    v = np.zeros((2, x.size, spec.n2))  # the v rows over every v coefficient
+    v[:, np.arange(x.size)[:, None], splines._block_index(ops.v.kv, sv)] = v0, v1
     if spec.kind is ModelKind.SEPARABLE:
-        zu, zv = np.zeros((x.size, spec.n1)), np.zeros((x.size, spec.n2))
-        return (np.hstack([ops.u.value_row(x, 1), zv]),
-                np.hstack([zu, ops.v.value_row(y, 1)]))
+        px, py = np.zeros((2, x.size, u1.shape[1] + spec.n2))
+        px[:, :u1.shape[1]], py[:, u1.shape[1]:] = u1, v[1]
+    else:
+        px = (u1[:, :, None] * v[0][:, None, :]).reshape(x.size, -1)
+        py = (u0[:, :, None] * v[1][:, None, :]).reshape(x.size, -1)
+    return su, px, py, d1x, d1y, d2y
 
-    def outer(a, b):
-        return (a[:, :, None] * b[:, None, :]).reshape(x.size, -1)
 
-    (u0, u1), (v0, v1) = ops.u.value_slope_rows(x), ops.v.value_slope_rows(y)
-    return outer(u1, v0), outer(u0, v1)
+@lru_cache(maxsize=64)
+def _site_map(sites1: tuple, sites2: tuple, separable: bool) -> np.ndarray:
+    """K with coefficients = K theta: binv_u (x) binv_v on the row-major
+    grid, or binv_u and binv_v on the diagonal for the separable split."""
+    ops = _ops(sites1, sites2)
+    if not separable:
+        return np.kron(ops.u.binv, ops.v.binv)
+    n1 = ops.u.binv.shape[0]
+    K = np.zeros((n1 + ops.v.binv.shape[0],) * 2)
+    K[:n1, :n1], K[n1:, n1:] = ops.u.binv, ops.v.binv
+    return K
+
+
+def _to_sites(spec: ModelSpec, span: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Coefficient-space rows on their band and tail columns times K, as
+    (N, n_params) rows on the site values.  K is applied one factor at a
+    time (binv_v, then binv_u's rows on the band) in a fixed order of
+    elementwise products, so a row does not depend on the batch it is in."""
+    ops, degree = spec_ops(spec), splines.DEGREE
+    cols = splines._block_index(ops.u.kv, span)
+    out = np.zeros((span.size, spec.n_params))
+    if spec.kind is ModelKind.SEPARABLE:
+        for a in range(degree + 1):
+            out[:, :spec.n1] += rows[:, a, None] * ops.u.binv[cols[:, a]]
+        for b in range(spec.n2):
+            out[:, spec.n1:] += rows[:, degree + 1 + b, None] * ops.v.binv[b]
+        return out
+    band = rows.reshape(span.size, degree + 1, spec.n2)
+    t = band[:, :, :1] * ops.v.binv[0]
+    for b in range(1, spec.n2):
+        t += band[:, :, b : b + 1] * ops.v.binv[b]
+    grid, term = out.reshape(span.size, spec.n1, spec.n2), np.empty((span.size, spec.n1, spec.n2))
+    for a in range(degree + 1):
+        grid += np.multiply(ops.u.binv[cols[:, a], :, None], t[:, a, None, :], out=term)
+    return out
 
 
 def sensitivity_derivatives(spec: ModelSpec, i1, i2):
@@ -181,21 +235,24 @@ def sensitivity_derivatives(spec: ModelSpec, i1, i2):
     domain raises: design rows are never extrapolated.
     """
     i1, i2, scalar = pairs(i1, i2)
-    x, y, d1x, d1y, d2y, outside = _coordinates(spec, i1, i2)
-    admitted(outside, i1, i2)
-    sx, sy = _partial_rows(spec, x, y)
-    dw1 = d1x[:, None] * sx + d1y[:, None] * sy
-    dw2 = d2y[:, None] * sy
+    span, px, py, d1x, d1y, d2y = _partials(spec, i1, i2)
+    dw1 = _to_sites(spec, span, d1x[:, None] * px + d1y[:, None] * py)
+    dw2 = _to_sites(spec, span, d2y[:, None] * py)
     return (dw1[0], dw2[0]) if scalar else (dw1, dw2)
 
 
 def _stress_rows(spec: ModelSpec, alpha, beta, i1, i2) -> np.ndarray:
-    """(N, n_params) design rows at N points of known kinematics."""
-    rows = np.zeros((alpha.size, spec.n_params))
+    """(N, n_params) design rows at N points of known kinematics, formed in
+    place so that tall data holds no more than three (N, n_params) blocks."""
     live = (alpha != 0.0) | (beta != 0.0)  # stretch 1 has an exact zero row
-    if live.any():
-        dw1, dw2 = sensitivity_derivatives(spec, i1[live], i2[live])
-        rows[live] = alpha[live, None] * dw1 + beta[live, None] * dw2
+    if not live.any():
+        return np.zeros((alpha.size, spec.n_params))
+    dw1, dw2 = sensitivity_derivatives(spec, i1[live], i2[live])
+    dw1 *= alpha[live, None]
+    dw1 += np.multiply(dw2, beta[live, None], out=dw2)
+    del dw2
+    rows = np.zeros((alpha.size, spec.n_params))
+    rows[live] = dw1
     return rows
 
 
@@ -208,18 +265,17 @@ def stress_row(spec: ModelSpec, mode, lam) -> np.ndarray:
     return rows[0] if scalar else rows
 
 
-def assemble_design(spec: ModelSpec, samples):
-    """Weighted design matrix and stress vector for a ``Dataset`` or samples.
-
-    Each row is scaled by 1/sqrt(N_mode) so that the squared residual norm
-    equals the sum over modes of the per-mode mean squared stress error.
-    The rows are built in one batch; if it fails, the error names the first
-    sample that cannot be assembled.
-    """
+def _weighted(spec: ModelSpec, samples, build):
+    """build(data, w) of a ``Dataset`` or samples, w the row weights
+    1/sqrt(N_mode); if it fails, the error names the first sample that
+    cannot be assembled."""
     samples = samples if isinstance(samples, Dataset) else list(samples)  # read again on failure
     try:
         data = Dataset.of(samples)
-        A = _stress_rows(spec, data.alpha, data.beta, data.i1, data.i2)
+        w = np.empty(len(data))
+        for idx in data.groups.values():
+            w[idx] = 1.0 / math.sqrt(idx.size)
+        return build(data, w)
     except ValueError:
         # a non-mode entry fails the grouping, which names it; else name the sample
         if all(isinstance(s.mode, DeformationMode) for s in samples):
@@ -230,10 +286,61 @@ def assemble_design(spec: ModelSpec, samples):
                     raise ValueError(f"sample {k} ({s.mode.value}, stretch {s.stretch})"
                                      f" cannot be assembled: {exc}") from exc
         raise
-    w = np.empty(len(data))
-    for idx in data.groups.values():
-        w[idx] = 1.0 / math.sqrt(idx.size)
-    return w[:, None] * A, w * data.stress
+
+
+def assemble_design(spec: ModelSpec, samples):
+    """Weighted design matrix and stress vector for a ``Dataset`` or samples.
+
+    Each row is scaled by 1/sqrt(N_mode) so that the squared residual norm
+    equals the sum over modes of the per-mode mean squared stress error.
+    The rows are built in one batch; if it fails, the error names the first
+    sample that cannot be assembled.
+    """
+    def build(data, w):
+        A = _stress_rows(spec, data.alpha, data.beta, data.i1, data.i2)
+        return w[:, None] * A, w * data.stress
+    return _weighted(spec, samples, build)
+
+
+def reduced_design(spec: ModelSpec, samples):
+    """``assemble_design``'s [A | y] reduced to n_params + 1 rows [R | c]
+    with ||R theta - c|| = ||A theta - y|| for every theta, up to roundoff.
+
+    The weighted rows stay in coefficient space, where each touches one
+    band of columns, and are reduced one u-axis span at a time (Lawson &
+    Hanson, Solving Least Squares Problems, 1974, ch. 27): stable-sorted
+    by span, each span's rows go under the rows of the triangle carried
+    from the spans before that reach its band or the tail (y, and the
+    separable split's v columns), and a Householder QR of that stack
+    replaces them.  The triangle times K gives the rows on the site values.
+    A stretch-1 sample has a zero row and carries only its stress, in the
+    first span's stack.  Errors are those of ``assemble_design``.
+    """
+    def build(data, w):
+        n, degree = spec.n_params, splines.DEGREE
+        # span s's band: columns (s - degree) * stride on; the tail ends theta
+        stride, tail = (1, spec.n2) if spec.kind is ModelKind.SEPARABLE else (spec.n2, 0)
+        live = (data.alpha != 0.0) | (data.beta != 0.0)
+        span = np.full(len(data), degree)
+        X = np.zeros((len(data), (degree + 1) * stride + tail + 1))  # band, tail, y
+        X[:, -1] = w * data.stress
+        if live.any():
+            su, px, py, d1x, d1y, d2y = _partials(spec, data.i1[live], data.i2[live])
+            a, b = (w * data.alpha)[live], (w * data.beta)[live]
+            X[live, :-1] = (a * d1x)[:, None] * px + (a * d1y + b * d2y)[:, None] * py
+            span[live] = su
+        order = np.argsort(span, kind="stable")
+        X, span = X[order], span[order]
+        Rc = np.zeros((n + 1, n + 1))
+        band, ends = np.arange((degree + 1) * stride), np.arange(n - tail, n + 1)
+        cuts = np.flatnonzero(np.diff(span)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, span.size]):
+            cols = np.concatenate([(span[lo] - degree) * stride + band, ends])
+            block = np.ix_(cols, cols)
+            Rc[block] = np.linalg.qr(np.vstack([Rc[block], X[lo:hi]]), mode="r")
+        K = _site_map(spec.sites1, spec.sites2, spec.kind is ModelKind.SEPARABLE)
+        return Rc[:, :n] @ K, Rc[:, n]
+    return _weighted(spec, samples, build)
 
 
 @dataclass

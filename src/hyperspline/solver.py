@@ -136,10 +136,13 @@ def _blocks(problem: CalibrationProblem):
     and a penalty with more rows than the problem has columns become their
     triangular QR factors, which keeps ||A t - y|| and ||A_pen t|| for
     every t; a penalty no taller than that, such as the separable split's
-    factors, enters as it is.  G, the inequality rows, has none without
-    A_ineq.  A factor is stored column-major, as a column slice is, so a
-    product with a block (``kkt_check``'s gradient) takes one BLAS path
-    whether the block was reduced or not."""
+    factors, enters as it is.  The data block of a calibration of tall data
+    arrives reduced by ``model.reduced_design`` to n + 1 rows on all n
+    columns, and this QR only takes it to the free columns; a problem
+    built from per-sample rows is reduced here whole.  G, the inequality
+    rows, has none without A_ineq.  A factor is stored column-major, as a
+    column slice is, so a product with a block (``kkt_check``'s gradient)
+    takes one BLAS path whether the block was reduced or not."""
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero], dtype=int)
     A, y, A_pen = problem.A[:, free], problem.y, problem.A_pen
     if A.shape[0] > free.size + 1:
@@ -333,12 +336,15 @@ class _WorkingFactor:
     def drop(self, p: int) -> None:
         """Remove the working row at position p: with H the reflector taking
         row p of Ti to e_k, Q[:, :k] H turns its last column out of the other
-        rows' span, and Ti H without row p and column k - 1 inverts the rest."""
+        rows' span, and Ti H without row p and column k - 1 inverts the rest.
+        H acts only from the first nonzero column a of row p: the entries
+        left of a are exact zeros, which leave the reflector unchanged."""
         k = len(self.rows)
-        _, tau, v = _reflector(self.Ti[p, k - 1::-1])
+        a = int(np.flatnonzero(self.Ti[p, :k])[0])
+        _, tau, v = _reflector(self.Ti[p, a:k][::-1])
         v = v[::-1]
-        self.Qt[:k] -= v[:, None] * (tau * (v @ self.Qt[:k]))
-        self.Ti[:k, :k] -= (tau * (self.Ti[:k, :k] @ v))[:, None] * v
+        self.Qt[a:k] -= v[:, None] * (tau * (v @ self.Qt[a:k]))
+        self.Ti[:k, a:k] -= (tau * (self.Ti[:k, a:k] @ v))[:, None] * v
         self.Ti[p:k - 1] = self.Ti[p + 1:k]
         self.Ti[k - 1] = self.Ti[:k, k - 1] = 0.0
         self.mask[self.rows.pop(p)] = False

@@ -15,8 +15,8 @@ block of the nonzero basis functions, computed by the Cox-de Boor
 derivative algorithm (A2.3 of Piegl & Tiller, "The NURBS Book") run over
 all points at once; a scalar point is a batch of one and gets Python
 scalars back.  One A2.3 pass per axis gives every derivative order up to
-the one asked for, so a surface gradient and the paired value and slope
-rows of a direction take both orders from one pass.
+the one asked for, so a surface gradient and a design row's value and
+slope blocks take both orders from one pass per axis.
 """
 
 from __future__ import annotations
@@ -315,10 +315,6 @@ class DirectionOps:
         """Row mapping site values to the r-th derivative of the spline at x;
         (N, n) rows for N points."""
         return self._rows(x, (r,))[0]
-
-    def value_slope_rows(self, x) -> tuple:
-        """``(value_row(x, 0), value_row(x, 1))``, from one basis pass."""
-        return tuple(self._rows(x, (0, 1)))
 
 
 @dataclass

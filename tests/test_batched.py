@@ -14,7 +14,8 @@ import pytest
 import hyperspline as hs
 from hyperspline import domain, splines
 from hyperspline.cli import load_model, main, model_to_dict
-from hyperspline.model import _coordinates, _energy_splines, spec_ops, stress_row
+from hyperspline.model import (_coordinates, _energy_splines, _partials, _to_sites, spec_ops,
+                              stress_row)
 from oracles import InterpolationGrid, cubic_residual, interpolate_surface
 
 UT, BT, PS = hs.DeformationMode.UT, hs.DeformationMode.BT, hs.DeformationMode.PS
@@ -151,17 +152,30 @@ def test_batched_value_rows_match_scalar_rows(r):
             np.testing.assert_array_equal(ops.value_row(float(x[k]), r), rows[k])
 
 
-def test_paired_rows_equal_the_per_order_rows():
-    rng = np.random.default_rng(37)
-    for sites in (np.linspace(0.0, 1.0, 20), np.linspace(0.0, 1.0, 5)):
-        ops = splines.DirectionOps(sites)
-        x = _points(ops.kv, rng)
-        rows0, rows1 = ops.value_slope_rows(x)
-        np.testing.assert_array_equal(rows0, ops.value_row(x, 0))
-        np.testing.assert_array_equal(rows1, ops.value_row(x, 1))
-        one0, one1 = ops.value_slope_rows(float(x[3]))
-        np.testing.assert_array_equal(one0, rows0[3])
-        np.testing.assert_array_equal(one1, rows1[3])
+def test_paired_rows_equal_the_per_order_rows(treloar):
+    """The design-row builder takes each axis's value and slope blocks from
+    one A2.3 pass and maps its coefficient-space rows of W_x and W_y to the
+    site values.  Those rows equal the per-order value rows: bit for bit on
+    the separable split (u slope row, v slope row), and their row-wise
+    outer products (u slope by v value, u value by v slope) on the
+    surfaces, up to roundoff."""
+    live = (treloar.alpha != 0.0) | (treloar.beta != 0.0)
+    i1, i2 = treloar.i1[live], treloar.i2[live]
+    for name in KIND_FILES:
+        spec = load_model(FIXTURES / f"{name}.json")[0].spec
+        ops = spec_ops(spec)
+        x, y = _coordinates(spec, i1, i2)[:2]
+        span, px, py = _partials(spec, i1, i2)[:3]
+        wx, wy = _to_sites(spec, span, px), _to_sites(spec, span, py)
+        u0, u1 = ops.u.value_row(x, 0), ops.u.value_row(x, 1)
+        v0, v1 = ops.v.value_row(y, 0), ops.v.value_row(y, 1)
+        if spec.kind is hs.ModelKind.SEPARABLE:
+            np.testing.assert_array_equal(wx, np.hstack([u1, np.zeros_like(v1)]))
+            np.testing.assert_array_equal(wy, np.hstack([np.zeros_like(u1), v1]))
+            continue
+        for got, a, b in ((wx, u1, v0), (wy, u0, v1)):
+            want = (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("kind", ("surface", "mapped"))
@@ -367,7 +381,10 @@ def test_batch_and_single_calls_agree(kind):
 
 def test_dataset_batches_equal_the_per_mode_references(treloar):
     """``assemble_design`` and ``metrics`` evaluate the Treloar dataset in
-    one batch; each row and prediction has the bits of the per-mode call."""
+    one batch; each row and prediction has the bits of the per-mode call.
+    The rows come from one builder: ``stress_row`` is, bit for bit,
+    alpha dW/dI1 + beta dW/dI2 of ``sensitivity_derivatives``, and the
+    exact zero row at stretch 1."""
     stretch = np.array([s.stretch for s in treloar])
     stress = np.array([s.stress for s in treloar])
     for name in KIND_FILES:
@@ -377,7 +394,15 @@ def test_dataset_batches_equal_the_per_mode_references(treloar):
         for mode in (UT, BT, PS):
             idx = np.array([k for k, s in enumerate(treloar) if s.mode is mode])
             w = 1.0 / np.sqrt(idx.size)
-            np.testing.assert_array_equal(A[idx], w * stress_row(state.spec, mode, stretch[idx]))
+            rows = stress_row(state.spec, mode, stretch[idx])
+            np.testing.assert_array_equal(A[idx], w * rows)
+            sc = hs.stress_coefficients(mode, stretch[idx])
+            live = stretch[idx] != 1.0
+            assert not np.any(rows[~live])
+            dw1, dw2 = hs.sensitivity_derivatives(
+                state.spec, *hs.invariants(mode, stretch[idx][live]))
+            np.testing.assert_array_equal(
+                rows[live], sc.alpha[live, None] * dw1 + sc.beta[live, None] * dw2)
             np.testing.assert_array_equal(y[idx], w * stress[idx])
             pred = hs.predict_stress(state, mode, stretch[idx])
             np.testing.assert_array_equal(fit.predictions[idx], pred)

@@ -562,7 +562,7 @@ def test_compare_two_kinds(tmp_path, monkeypatch):
     assert int(rows[2].split(",")[1]) == 32   # 8 x 4 parameters
 
 
-@pytest.mark.parametrize("kind, steps", [("separable", 9), ("surface", 555), ("mapped", 394)])
+@pytest.mark.parametrize("kind, steps", [("separable", 9), ("surface", 555), ("mapped", 393)])
 def test_a_fit_reports_the_loop_steps_of_all_its_solves(kind, steps, tmp_path, monkeypatch,
                                                         capsys):
     """A fit is its sweep's 25 solves, the chosen weight's among them, or

@@ -1,6 +1,10 @@
 """Model layer: specs, sensitivities, design assembly, prediction, metrics."""
 
+import csv
+import importlib.util
+import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +31,10 @@ from hyperspline import (
     sensitivity_derivatives,
     stress_coefficients,
 )
-from hyperspline.cli import load_model
-from hyperspline.model import _energy_splines
+from hyperspline.cli import RunConfig, load_model, run_calibration
+from hyperspline.model import _energy_splines, _partials, reduced_design
+from hyperspline.operators import curvature_operator, inequality_operator
+from hyperspline.solver import CalibrationProblem, solve
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 KINDS = (ModelKind.SEPARABLE, ModelKind.SURFACE, ModelKind.MAPPED_SURFACE)
@@ -158,6 +164,79 @@ def test_design_weights_normalise_mode_counts():
     A, y = assemble_design(spec, samples)
     assert y[0] == pytest.approx(5.0 / 2.0)
     assert y[4] == pytest.approx(5.0)
+
+
+def _dense_seed_1(treloar) -> list:
+    """The benchmark's dense-fit data of seed 1, 400 rows per mode from
+    stretch 1, generated by ``perfbench/inputs.py`` (only read)."""
+    where = FIXTURES.parent / "inputs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_inputs", where)
+    inputs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(inputs)
+    text = inputs.dense_csv(1, inputs.mode_maxima(treloar))
+    return [Sample(DeformationMode(r["mode"]), float(r["stretch"]), float(r["stress"]))
+            for r in csv.DictReader(io.StringIO(text))]
+
+
+def _edge_cases(kind, dense) -> list:
+    """Dense data with the edges of the span-by-span reduction: no sample
+    on one u-axis span, stretch-1 rows of nonzero stress (zero rows whose
+    stress stays in the residual) and a mode with one sample."""
+    spec = default_spec(kind, dense)
+    live = [s for s in dense if s.stretch != 1.0]
+    spans = _partials(spec, *invariants([s.mode for s in live], [s.stretch for s in live]))[0]
+    gap = int(np.median(np.unique(spans)))
+    kept = [s for s, span in zip(live, spans) if span != gap and s.mode is not PS]
+    one_ps = [s for s in live if s.mode is PS][200]
+    return kept + [one_ps, Sample(UT, 1.0, 7.5), Sample(BT, 1.0, -3.0), Sample(UT, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("case", ("dense", "edges"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_reduced_design_matches_the_per_sample_rows(kind, case, treloar):
+    """``reduced_design`` keeps ||A theta - y||^2 of ``assemble_design`` to
+    1e-12 relative at random theta, and the two problems solve to the same
+    active set and theta (1e-10 of max |theta|)."""
+    samples = _dense_seed_1(treloar)
+    if case == "edges":
+        samples = _edge_cases(kind, samples)
+        spec = default_spec(kind, samples)
+        spans = _partials(spec, *invariants([s.mode for s in samples if s.stretch != 1.0],
+                                            [s.stretch for s in samples if s.stretch != 1.0]))[0]
+        assert np.setdiff1d(np.arange(3, spans.max()), spans).size == 1  # one empty span
+        assert sum(s.mode is PS for s in samples) == 1
+    spec = default_spec(kind, samples)
+    A, y = assemble_design(spec, samples)
+    R, c = reduced_design(spec, samples)
+    assert R.shape == (spec.n_params + 1, spec.n_params) and c.shape == (spec.n_params + 1,)
+    rng = np.random.default_rng(71)
+    scale = np.abs(y).max() / np.abs(A).max()
+    for k in range(30):
+        theta = rng.normal(size=spec.n_params) * scale * 10.0 ** (k % 5 - 2)
+        full = float(np.sum((A @ theta - y) ** 2))
+        assert abs(float(np.sum((R @ theta - c) ** 2)) - full) <= 1e-12 * full
+    common = dict(A_pen=curvature_operator(spec).rows, lambda_pen=1e-4,
+                  A_ineq=inequality_operator(spec).rows, fixed_zero=fixed_zero_indices(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither stack needs the micro-ridge
+        per_sample = solve(CalibrationProblem(A=A, y=y, **common))
+        reduced = solve(CalibrationProblem(A=R, y=c, **common))
+    assert reduced.active_set == per_sample.active_set
+    theta = per_sample.theta
+    assert np.max(np.abs(reduced.theta - theta)) <= 1e-10 * np.max(np.abs(theta))
+
+
+def test_a_mapped_fit_at_zero_band_width_never_maps_stretch_1(treloar):
+    """Stretch-1 rows are exact zero rows and are never mapped, so a mapped
+    fit at delta = 0, where the band closes at the apex, runs on data that
+    holds them, per-sample rows (Treloar) and reduced ones (dense) alike."""
+    for samples in (treloar, _dense_seed_1(treloar)):
+        assert any(s.stretch == 1.0 for s in samples)
+        cfg = RunConfig(kind="mapped", data="unread.csv", delta=0.0, lambda_pen=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_calibration(cfg, samples)
+        assert np.all(np.isfinite(result.state.theta)) and result.fit.mse_combined > 0.0
 
 
 def test_assemble_design_empty_dataset():

@@ -400,7 +400,7 @@ def test_treloar_surface_fit_matches_the_nnls_oracle(weight, treloar_fit):
 
 def test_cold_mapped_treloar_solve_at_zero_weight_converges(treloar_fit):
     """The unpenalised mapped Treloar fit (the micro-ridge, 99 free
-    parameters, 325 rows) takes 3181 dual steps from a cold start,
+    parameters, 325 rows) takes 3349 dual steps from a cold start,
     past a cap of 10 n_free + 100 = 1090 but within the cap tied to the row
     count, 10 (n_free + m) + 100 = 4340.  It reaches the optimum, to 1e-9,
     and a KKT point within the benchmark gate's bounds."""
