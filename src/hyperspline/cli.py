@@ -308,6 +308,11 @@ def model_to_dict(state: ModelState, lambda_pen: float, fit, provenance: dict) -
     }
 
 
+# a model file's numbers (each entry of a list): finite JSON numbers, ints where int
+_MODEL_NUMBERS = dict(n1=int, n2=int, u_min=float, u_max=float, delta=float, i2_axis_max=float,
+                      lambda_pen=float, sites1=float, sites2=float, theta=float)
+
+
 def model_from_dict(data: dict) -> tuple:
     """Rebuild ``(ModelState, lambda_pen)`` from a model-file dictionary."""
     if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
@@ -318,6 +323,12 @@ def model_from_dict(data: dict) -> tuple:
         if data["use_polyconvex"] is not True:
             raise ValueError("use_polyconvex must be true, got "
                              + json.dumps(data["use_polyconvex"]))
+        for key, number in _MODEL_NUMBERS.items():
+            for value in data[key] if isinstance(data[key], list) else [data[key]]:
+                if (isinstance(value, bool) or not isinstance(value, (int, number))
+                        or not math.isfinite(value)):
+                    raise ValueError(f"{key} must be a finite {number.__name__}, "
+                                     f"got {json.dumps(value)}")
         cfg = DomainMapConfig(u_max=float(data["u_max"]), u_min=float(data["u_min"]),
                               delta=float(data["delta"]))
         spec = ModelSpec(kind=kind, n1=int(data["n1"]), n2=int(data["n2"]),

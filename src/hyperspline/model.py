@@ -23,13 +23,13 @@ or a 1-D array of them, and the stretch evaluators take one deformation
 mode or one mode per stretch, so a whole dataset is one call.
 Design rows come from one builder, ``_partials``: one A2.3 pass per axis
 gives each point's rows of the spline partials W_x and W_y in B-spline
-coefficient space (16 weights on a surface, 4 + 4 on the separable split),
-which the chain rule and the stress coefficients combine.  Per-sample rows
-(``assemble_design``, ``stress_row``, ``sensitivity_derivatives``) are
-mapped to the site values by K = binv_u (x) binv_v (binv_u and binv_v on
-the diagonal for the separable split); ``reduced_design`` reduces the rows
-in coefficient space one u-axis span at a time and maps only the n_params
-+ 1 rows it keeps.  Predictions never build rows: they evaluate the
+coefficient space (16 nonzero weights on a surface, 4 + 4 on the separable
+split), which the chain rule and the stress coefficients combine.  One map,
+``_to_sites``, applies K = binv_u (x) binv_v (binv_u and binv_v on the
+diagonal for the separable split) to the per-sample rows (``assemble_design``,
+``stress_row``, ``sensitivity_derivatives``) and to the n_params + 1 rows of
+``reduced_design``, a triangle that keeps the band of the rows it reduces
+span by span.  Predictions never build rows: they evaluate the
 energy gradient in coefficient form, a span index and (N, 4) value and
 slope blocks per axis against the coefficient grid
 binv_u @ Theta @ binv_v^T.  Each point costs one A2.3 pass per axis and,
@@ -169,11 +169,12 @@ def _partials(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
     (a point outside raises) it returns the u-axis span of each point, the
     chain-rule factors (d1x, d1y, d2y) of ``_coordinates`` and the rows of
     the spline partials W_x and W_y in B-spline coefficient space: one
-    A2.3 pass per axis, and per point the 16 weights of a surface (u slope
-    by v value, u value by v slope) or the 4 + 4 slopes of the separable
-    split.  A row holds its point's band of columns, the 4 u coefficients
-    of its span (by every v coefficient on a surface), then the separable
-    split's v coefficients."""
+    A2.3 pass per axis, and per point the weights of a surface (u slope
+    by v value, u value by v slope), 4 x n2 slots of which 16 are nonzero,
+    or the 4 + 4 slopes of the separable split in 4 + n2 slots.  A row
+    holds its point's band of columns, the 4 u coefficients of its span
+    (by every v coefficient on a surface), then the separable split's v
+    coefficients."""
     x, y, d1x, d1y, d2y, outside = _coordinates(spec, i1, i2)
     admitted(outside, i1, i2)
     ops = spec_ops(spec)
@@ -190,41 +191,19 @@ def _partials(spec: ModelSpec, i1: np.ndarray, i2: np.ndarray):
     return su, px, py, d1x, d1y, d2y
 
 
-@lru_cache(maxsize=64)
-def _site_map(sites1: tuple, sites2: tuple, separable: bool) -> np.ndarray:
-    """K with coefficients = K theta: binv_u (x) binv_v on the row-major
-    grid, or binv_u and binv_v on the diagonal for the separable split."""
-    ops = _ops(sites1, sites2)
-    if not separable:
-        return np.kron(ops.u.binv, ops.v.binv)
-    n1 = ops.u.binv.shape[0]
-    K = np.zeros((n1 + ops.v.binv.shape[0],) * 2)
-    K[:n1, :n1], K[n1:, n1:] = ops.u.binv, ops.v.binv
-    return K
-
-
 def _to_sites(spec: ModelSpec, span: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Coefficient-space rows on their band and tail columns times K, as
-    (N, n_params) rows on the site values.  K is applied one factor at a
-    time (binv_v, then binv_u's rows on the band) in a fixed order of
-    elementwise products, so a row does not depend on the batch it is in."""
-    ops, degree = spec_ops(spec), splines.DEGREE
+    (N, n_params) rows on the site values.  ``DirectionOps.to_sites``
+    applies K one factor at a time: binv_v on every v coefficient, then
+    binv_u's rows on the band, or binv_u and binv_v each on its own axis
+    for the separable split."""
+    ops, width = spec_ops(spec), splines.DEGREE + 1
     cols = splines._block_index(ops.u.kv, span)
-    out = np.zeros((span.size, spec.n_params))
     if spec.kind is ModelKind.SEPARABLE:
-        for a in range(degree + 1):
-            out[:, :spec.n1] += rows[:, a, None] * ops.u.binv[cols[:, a]]
-        for b in range(spec.n2):
-            out[:, spec.n1:] += rows[:, degree + 1 + b, None] * ops.v.binv[b]
-        return out
-    band = rows.reshape(span.size, degree + 1, spec.n2)
-    t = band[:, :, :1] * ops.v.binv[0]
-    for b in range(1, spec.n2):
-        t += band[:, :, b : b + 1] * ops.v.binv[b]
-    grid, term = out.reshape(span.size, spec.n1, spec.n2), np.empty((span.size, spec.n1, spec.n2))
-    for a in range(degree + 1):
-        grid += np.multiply(ops.u.binv[cols[:, a], :, None], t[:, a, None, :], out=term)
-    return out
+        return np.hstack([ops.u.to_sites(rows[:, :width], cols),
+                          ops.v.to_sites(rows[:, width:])])
+    band = ops.v.to_sites(rows.reshape(-1, spec.n2)).reshape(span.size, width, spec.n2)
+    return ops.u.to_sites(band, cols).reshape(span.size, spec.n_params)
 
 
 def sensitivity_derivatives(spec: ModelSpec, i1, i2):
@@ -312,9 +291,11 @@ def reduced_design(spec: ModelSpec, samples):
     by span, each span's rows go under the rows of the triangle carried
     from the spans before that reach its band or the tail (y, and the
     separable split's v columns), and a Householder QR of that stack
-    replaces them.  The triangle times K gives the rows on the site values.
-    A stretch-1 sample has a zero row and carries only its stress, in the
-    first span's stack.  Errors are those of ``assemble_design``.
+    replaces them.  Row r of the triangle is zero outside the tail and the
+    band of the last span that reaches its u coefficient r // stride, so
+    ``_to_sites`` maps it as it maps a sample's row.  A stretch-1 sample
+    has a zero row and carries only its stress, in the first span's stack.
+    Errors are those of ``assemble_design``.
     """
     def build(data, w):
         n, degree = spec.n_params, splines.DEGREE
@@ -338,8 +319,11 @@ def reduced_design(spec: ModelSpec, samples):
             cols = np.concatenate([(span[lo] - degree) * stride + band, ends])
             block = np.ix_(cols, cols)
             Rc[block] = np.linalg.qr(np.vstack([Rc[block], X[lo:hi]]), mode="r")
-        K = _site_map(spec.sites1, spec.sites2, spec.kind is ModelKind.SEPARABLE)
-        return Rc[:, :n] @ K, Rc[:, n]
+        # the window of a tail row or c's row lies left of its diagonal: zeros
+        r = np.arange(n + 1)
+        start = np.minimum(r // stride, spec.n1 - degree - 1)
+        rows = np.hstack([Rc[r[:, None], start[:, None] * stride + band], Rc[:, n - tail : n]])
+        return _to_sites(spec, start + degree, rows), Rc[:, n]
     return _weighted(spec, samples, build)
 
 

@@ -7,15 +7,17 @@ The calibration problem is
 
 a convex QP solved with Goldfarb & Idnani's dual active-set method (Math.
 Programming 27, 1983) in least-squares form; the normal equations are never
-formed.  ``_blocks`` cuts a problem to its free columns and reduces [A | y]
-where it is taller than them, and A_pen where it has more rows than the
-problem has columns (``curvature_operator``'s separable rows are already
-triangular factors), to its triangular factor.  ``_Factor`` keeps those
-blocks and takes the generalized SVD of [A; A_pen] once per problem or sweep
-in Paige & Saunders' QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981; Elden,
-BIT 22, 1982).  A weight is then a diagonal scaling D of ||L theta - c||,
-L = D W^T R0, and of the LDP rows G L^-1 = B D^-1: B = G R0^-1 W, B * B and
-[B; R0^-1 W] are formed once per factor, so a weight forms only its d.
+formed.  ``_blocks`` cuts a problem to its free columns and reduces to its
+triangular factor [A | y] where it has more rows than the problem has
+columns plus one (``model.reduced_design``'s n + 1 rows are already
+reduced), and A_pen where it has more rows than the problem has columns
+(``curvature_operator``'s separable rows are already triangular factors).
+``_Factor`` keeps those blocks and takes the generalized SVD of [A; A_pen]
+once per problem or sweep in Paige & Saunders' QR-plus-CS form (SIAM J.
+Numer. Anal. 18, 1981; Elden, BIT 22, 1982).  A weight is then a diagonal
+scaling D of ||L theta - c||, L = D W^T R0, and of the LDP rows
+G L^-1 = B D^-1: B = G R0^-1 W, B * B and [B; R0^-1 W] are formed once per
+factor, so a weight forms only its d.
 
 That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
 1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
@@ -132,20 +134,19 @@ RIDGE = math.sqrt(np.finfo(float).eps)
 
 def _blocks(problem: CalibrationProblem):
     """(free, A, y, A_pen, G): the problem's blocks on its free columns.  A
-    data block taller than its free columns, y counting as one more column,
-    and a penalty with more rows than the problem has columns become their
-    triangular QR factors, which keeps ||A t - y|| and ||A_pen t|| for
-    every t; a penalty no taller than that, such as the separable split's
-    factors, enters as it is.  The data block of a calibration of tall data
-    arrives reduced by ``model.reduced_design`` to n + 1 rows on all n
-    columns, and this QR only takes it to the free columns; a problem
-    built from per-sample rows is reduced here whole.  G, the inequality
-    rows, has none without A_ineq.  A factor is stored column-major, as a
-    column slice is, so a product with a block (``kkt_check``'s gradient)
-    takes one BLAS path whether the block was reduced or not."""
+    data block taller than the problem's n columns plus y, and a penalty
+    with more rows than n, become their triangular QR factors, which keeps
+    ||A t - y|| and ||A_pen t|| for every t; a block no taller than that
+    enters as it is: the n + 1 rows of ``model.reduced_design`` (a
+    calibration of tall data) and the separable split's penalty factors,
+    both already reduced.  A problem built from tall per-sample rows is
+    reduced here.  G, the inequality rows, has none without A_ineq.  A
+    factor is stored column-major, as a column slice is, so a product with
+    a block (``kkt_check``'s gradient) takes one BLAS path whether the
+    block was reduced or not."""
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero], dtype=int)
     A, y, A_pen = problem.A[:, free], problem.y, problem.A_pen
-    if A.shape[0] > free.size + 1:
+    if A.shape[0] > problem.n_params + 1:
         A, y = _reduce(A, y)
         A = np.asfortranarray(A)
     if A_pen is not None:

@@ -294,22 +294,28 @@ class DirectionOps:
         self.c1 = D1 @ self.binv
         self.c2 = D2 @ D1 @ self.binv
 
+    def to_sites(self, w: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """(N, n, ...) weights on the site values of (N, k, ...) weights w on
+        the coefficients ``cols`` (N, k), or on every coefficient without
+        them: the sum from zero of w[:, a] * binv[cols[:, a]] in a fixed
+        order, so a row does not depend on its batch; binv's rows are
+        broadcast, not gathered, without ``cols``."""
+        rows = self.binv.reshape(self.binv.shape + (1,) * (w.ndim - 2))
+        out = np.zeros((w.shape[0], self.binv.shape[1]) + w.shape[2:])
+        term = np.empty_like(out)
+        for a in range(w.shape[1]):
+            out += np.multiply(rows[a] if cols is None else rows[cols[:, a]], w[:, a, None],
+                               out=term)
+        return out
+
     def _rows(self, x, orders: tuple) -> list:
         """Rows of each derivative order in ``orders`` at x, from one basis
-        pass.  Each row combines the ``degree + 1`` rows of ``binv`` on the
-        span, in a fixed order, so it does not depend on the batch it is in.
-        """
+        pass."""
         pts, scalar = points(x)
         span, blocks = _basis_block(self.kv, pts, max(orders))
         idx = _block_index(self.kv, span)
-        binv = [self.binv[idx[:, j]] for j in range(self.kv.degree + 1)]
-        out = []
-        for vals in (blocks[r] for r in orders):
-            rows = vals[:, :1] * binv[0]
-            for j in range(1, self.kv.degree + 1):
-                rows += vals[:, j : j + 1] * binv[j]
-            out.append(rows[0] if scalar else rows)
-        return out
+        rows = [self.to_sites(blocks[r], idx) for r in orders]
+        return [row[0] if scalar else row for row in rows]
 
     def value_row(self, x, r: int = 0) -> np.ndarray:
         """Row mapping site values to the r-th derivative of the spline at x;

@@ -432,6 +432,26 @@ def test_predict_rejects_schema_mismatch(nh_setup, capsys):
         assert main(["predict", "--model", str(bad), "--at", str(at),
                      "--output", str(tmp_path / "p")]) == 2
         assert "malformed model file" in capsys.readouterr().err
+    # numbers must be finite JSON numbers, n1 and n2 integers; the committed
+    # benchmark models load, and each edit of one fails as configs fail
+    fixtures = MAPPED_MODEL.parent
+    for name in ("separable", "surface", "mapped"):
+        load_model(fixtures / f"{name}.json")
+    surface = json.loads((fixtures / "surface.json").read_text())
+    theta_nan = list(surface["theta"])
+    theta_nan[5] = math.nan
+    edits = ({"theta": theta_nan}, {"u_max": math.inf}, {"i2_axis_max": math.inf},
+             {"delta": math.nan}, {"lambda_pen": math.nan}, {"n1": 20.5}, {"n1": "20"},
+             {"n2": True}, {"u_max": "12.5"}, {"theta": [repr(v) for v in surface["theta"]]},
+             {"sites2": [0.0, 0.25, "0.5", 0.75, 1.0]})
+    at.write_text("mode,stretch\nUT,2.0\nBT,1.5\n")
+    for edit in edits:
+        bad.write_text(json.dumps(dict(surface, **edit)))
+        with pytest.raises(InputError, match="^malformed model file: "):
+            load_model(bad)
+        assert main(["predict", "--model", str(bad), "--at", str(at),
+                     "--output", str(tmp_path / "p")]) == 2
+        assert "malformed model file" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
 
 

@@ -34,7 +34,7 @@ from hyperspline import (
 from hyperspline.cli import RunConfig, load_model, run_calibration
 from hyperspline.model import _energy_splines, _partials, reduced_design
 from hyperspline.operators import curvature_operator, inequality_operator
-from hyperspline.solver import CalibrationProblem, solve
+from hyperspline.solver import CalibrationProblem, _blocks, solve
 
 UT, BT, PS = DeformationMode.UT, DeformationMode.BT, DeformationMode.PS
 KINDS = (ModelKind.SEPARABLE, ModelKind.SURFACE, ModelKind.MAPPED_SURFACE)
@@ -178,34 +178,44 @@ def _dense_seed_1(treloar) -> list:
             for r in csv.DictReader(io.StringIO(text))]
 
 
+def _live_spans(spec, samples):
+    """The samples off stretch 1 and the u-axis span of each."""
+    live = [s for s in samples if s.stretch != 1.0]
+    return live, _partials(spec, *invariants([s.mode for s in live], [s.stretch for s in live]))[0]
+
+
 def _edge_cases(kind, dense) -> list:
     """Dense data with the edges of the span-by-span reduction: no sample
     on one u-axis span, stretch-1 rows of nonzero stress (zero rows whose
     stress stays in the residual) and a mode with one sample."""
-    spec = default_spec(kind, dense)
-    live = [s for s in dense if s.stretch != 1.0]
-    spans = _partials(spec, *invariants([s.mode for s in live], [s.stretch for s in live]))[0]
+    live, spans = _live_spans(default_spec(kind, dense), dense)
     gap = int(np.median(np.unique(spans)))
     kept = [s for s, span in zip(live, spans) if span != gap and s.mode is not PS]
     one_ps = [s for s in live if s.mode is PS][200]
     return kept + [one_ps, Sample(UT, 1.0, 7.5), Sample(BT, 1.0, -3.0), Sample(UT, 1.0, 2.0)]
 
 
-@pytest.mark.parametrize("case", ("dense", "edges"))
+@pytest.mark.parametrize("case", ("dense", "edges", "4 x 4", "5 x 4", "last span empty"))
 @pytest.mark.parametrize("kind", KINDS)
 def test_reduced_design_matches_the_per_sample_rows(kind, case, treloar):
     """``reduced_design`` keeps ||A theta - y||^2 of ``assemble_design`` to
     1e-12 relative at random theta, and the two problems solve to the same
-    active set and theta (1e-10 of max |theta|)."""
+    active set and theta (1e-10 of max |theta|).  The triangle's last rows
+    read windows clipped to the last span's band: on the smallest grids
+    (n1 = 4, 5), where most rows' windows clip, and on data whose last
+    u-axis span holds no sample."""
     samples = _dense_seed_1(treloar)
     if case == "edges":
         samples = _edge_cases(kind, samples)
-        spec = default_spec(kind, samples)
-        spans = _partials(spec, *invariants([s.mode for s in samples if s.stretch != 1.0],
-                                            [s.stretch for s in samples if s.stretch != 1.0]))[0]
+        spans = _live_spans(default_spec(kind, samples), samples)[1]
         assert np.setdiff1d(np.arange(3, spans.max()), spans).size == 1  # one empty span
         assert sum(s.mode is PS for s in samples) == 1
-    spec = default_spec(kind, samples)
+    spec = default_spec(kind, samples, *{"4 x 4": (4, 4), "5 x 4": (5, 4)}.get(case, (20, 5)))
+    if case == "last span empty":  # the spec still spans the samples dropped
+        live, spans = _live_spans(spec, samples)
+        assert spans.max() == spec.n1 - 1
+        samples = ([s for s in samples if s.stretch == 1.0]
+                   + [s for s, span in zip(live, spans) if span < spec.n1 - 1])
     A, y = assemble_design(spec, samples)
     R, c = reduced_design(spec, samples)
     assert R.shape == (spec.n_params + 1, spec.n_params) and c.shape == (spec.n_params + 1,)
@@ -224,6 +234,25 @@ def test_reduced_design_matches_the_per_sample_rows(kind, case, treloar):
     assert reduced.active_set == per_sample.active_set
     theta = per_sample.theta
     assert np.max(np.abs(reduced.theta - theta)) <= 1e-10 * np.max(np.abs(theta))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_tall_fit_is_reduced_once(kind, treloar):
+    """A fit of tall data hands the solver the n_params + 1 rows of
+    ``reduced_design``, which ``_blocks`` takes as they are, on the free
+    columns; a problem on ``assemble_design``'s per-sample rows is still
+    reduced there."""
+    samples = _dense_seed_1(treloar)
+    cfg = RunConfig(kind=kind.value, data="unread.csv", lambda_pen=1e-4)
+    problem = run_calibration(cfg, samples).problem
+    n = problem.n_params
+    free, A, y, _, _ = _blocks(problem)
+    assert A.shape == (n + 1, free.size) and y.shape == (n + 1,)
+    assert A.tobytes() == problem.A[:, free].tobytes() and y.tobytes() == problem.y.tobytes()
+    spec = default_spec(kind, samples)
+    per_sample = CalibrationProblem(*assemble_design(spec, samples), fixed_zero=problem.fixed_zero)
+    assert per_sample.A.shape[0] == len(samples) == 1200
+    assert _blocks(per_sample)[1].shape[0] <= n + 1
 
 
 def test_a_mapped_fit_at_zero_band_width_never_maps_stretch_1(treloar):
