@@ -7,17 +7,15 @@ The calibration problem is
 
 a convex QP solved with Goldfarb & Idnani's dual active-set method (Math.
 Programming 27, 1983) in least-squares form; the normal equations are never
-formed.  ``_blocks`` cuts a problem to its free columns and reduces to its
-triangular factor [A | y] where it has more rows than the problem has
-columns plus one (``model.reduced_design``'s n + 1 rows are already
-reduced), and A_pen where it has more rows than the problem has columns
-(``curvature_operator``'s separable rows are already triangular factors).
-``_Factor`` keeps those blocks and takes the generalized SVD of [A; A_pen]
-once per problem or sweep in Paige & Saunders' QR-plus-CS form (SIAM J.
-Numer. Anal. 18, 1981; Elden, BIT 22, 1982).  A weight is then a diagonal
-scaling D of ||L theta - c||, L = D W^T R0, and of the LDP rows
-G L^-1 = B D^-1: B = G R0^-1 W, B * B and [B; R0^-1 W] are formed once per
-factor, so a weight forms only its d.
+formed.  ``_blocks`` cuts a problem to its free columns and reduces [A | y]
+with more than n + 1 rows, n the problem's columns, and A_pen with more
+than n to their triangular factors (the rows of ``model.reduced_design``
+and the separable split's penalty already are).  ``_Factor`` keeps those
+blocks and takes the generalized SVD of [A; A_pen] once per problem or sweep
+in Paige & Saunders' QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981; Elden,
+BIT 22, 1982).  A weight is then a diagonal scaling D of ||L theta - c||,
+L = D W^T R0, and of the LDP rows G L^-1 = B D^-1: B = G R0^-1 W, B * B and
+[B; R0^-1 W] are formed once per factor, so a weight forms only its d.
 
 That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
 1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
@@ -134,16 +132,14 @@ RIDGE = math.sqrt(np.finfo(float).eps)
 
 def _blocks(problem: CalibrationProblem):
     """(free, A, y, A_pen, G): the problem's blocks on its free columns.  A
-    data block taller than the problem's n columns plus y, and a penalty
-    with more rows than n, become their triangular QR factors, which keeps
-    ||A t - y|| and ||A_pen t|| for every t; a block no taller than that
-    enters as it is: the n + 1 rows of ``model.reduced_design`` (a
-    calibration of tall data) and the separable split's penalty factors,
-    both already reduced.  A problem built from tall per-sample rows is
-    reduced here.  G, the inequality rows, has none without A_ineq.  A
-    factor is stored column-major, as a column slice is, so a product with
-    a block (``kkt_check``'s gradient) takes one BLAS path whether the
-    block was reduced or not."""
+    data block of more than n + 1 rows, n the problem's columns, and a
+    penalty of more than n rows become their triangular QR factors, which
+    keep ||A t - y|| and ||A_pen t|| for every t; a block no taller, such
+    as the n + 1 rows of ``model.reduced_design`` or the separable split's
+    penalty factors, enters as it is.  G, the inequality rows, has none
+    without A_ineq.  A factor is stored column-major, as a column slice is,
+    so a product with a block (``kkt_check``'s gradient) takes one BLAS
+    path whether the block was reduced or not."""
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero], dtype=int)
     A, y, A_pen = problem.A[:, free], problem.y, problem.A_pen
     if A.shape[0] > problem.n_params + 1:
