@@ -244,13 +244,13 @@ def test_a_tall_fit_is_reduced_once(kind, treloar):
     reduced there."""
     samples = _dense_seed_1(treloar)
     cfg = RunConfig(kind=kind.value, data="unread.csv", lambda_pen=1e-4)
-    problem = run_calibration(cfg, samples).problem
-    n = problem.n_params
+    result = run_calibration(cfg, samples)
+    problem, n = result.problem, result.problem.n_params
     free, A, y, _, _ = _blocks(problem)
     assert A.shape == (n + 1, free.size) and y.shape == (n + 1,)
     assert A.tobytes() == problem.A[:, free].tobytes() and y.tobytes() == problem.y.tobytes()
-    spec = default_spec(kind, samples)
-    per_sample = CalibrationProblem(*assemble_design(spec, samples), fixed_zero=problem.fixed_zero)
+    per_sample = CalibrationProblem(*assemble_design(result.state.spec, samples),
+                                    fixed_zero=problem.fixed_zero)
     assert per_sample.A.shape[0] == len(samples) == 1200
     assert _blocks(per_sample)[1].shape[0] <= n + 1
 
