@@ -17,23 +17,26 @@ BIT 22, 1982).  A weight is then a diagonal scaling D of ||L theta - c||,
 L = D W^T R0, and of the LDP rows G L^-1 = B D^-1: B = G R0^-1 W, B * B and
 [B; R0^-1 W] are formed once per factor, so a weight forms only its d.
 
-That runs in the LDP form (Lawson & Hanson, Solving Least Squares Problems,
-1974, ch. 23) where cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
+Every weight runs in that LDP form (Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23): the loop moves u = L theta, with rows F = G L^-1
+and the identity metric.  A working set's optimum is the projection
+u = Z Z^T c onto the null space Z = Q[:, k:] of F_W, a direction is
+Z Z^T f_p, and theta = L^-1 u plus one refinement step is formed once per
+solve.  A row of F is B_j / d, the row norms are sqrt((B * B) d^-2), and
+the pricing's F u and the theta of its tolerance come from one product
+[B; R0^-1 W] (u / d).  A weight takes the problem's factor where
+cond(R0) <= FEAS_TOL / eps, which bounds the roundoff
 theta = R0^-1 W D^-1 u adds to G theta, and cond(R0) cond(D) <= 1 / RANK_TOL,
 which keeps cond(L) under the ridge's threshold.  Both rules read cond(R0)
 as its upper bound ||R0||_F ||R0^-1||_F, R0^-1 being formed for L^-1 anyway,
 and an SVD gives cond(R0) itself only where the bound fails a rule
-(``_Factor._holds``).  The loop then moves u = L theta, with rows
-F = G L^-1 and the identity metric: a working set's optimum is the
-projection u = Z Z^T c onto the null space Z = Q[:, k:] of F_W, a direction
-is Z Z^T f_p, and theta = L^-1 u plus one refinement step is formed once
-per solve.  A row of F is B_j / d, the row norms are
-sqrt((B * B) d^-2), and the pricing's F u and the theta of its tolerance
-come from one product [B; R0^-1 W] (u / d).  Other weights (``_stacked``,
-ridged or not) run the loop in theta, with F = G, the metric R^T R and a
-QR of R Z per step.  Of F_W^T = Q[:, :k] T only Q^T, stored row-major so
-that its working rows Q^T[:k] and null-space rows Q^T[k:] are contiguous
-blocks, and T^-1 are kept.  Handed-over rows enter with one complete QR
+(``_Factor._holds``).  Any other weight takes the factor of its own
+problem (``_stacked``): the stack M = [A; sqrt(lam) A_pen], ridged or not,
+with the penalty ||M|| I, whose R0 has cond <= sqrt(2).
+
+Of F_W^T = Q[:, :k] T only Q^T, stored row-major so that its working rows
+Q^T[:k] and null-space rows Q^T[k:] are contiguous blocks, and T^-1 are
+kept.  Handed-over rows enter with one complete QR
 of F_W^T, T^-1 coming from ``_triangular_inverse``; then an add is one
 Householder reflector on the null-space rows (Gill, Golub, Murray &
 Saunders, 1974), a drop one on the working rows and on the columns of T^-1,
@@ -50,8 +53,8 @@ working multiplier reaches zero and its row is dropped.  A violated row in
 the working span that releases no multiplier is violated only by roundoff,
 theta = 0 being feasible, and is skipped.  The cap is tied to the problem's
 size, 10 (n + m) + 100 steps for n free parameters and m rows, and a loop
-at its cap raises.  The same loop, on the rows -I from the unconstrained
-optimum, gives ``kkt_check``'s nonnegative multipliers (``_nnls``).
+at its cap raises.  ``solve`` on the rows -I with a micro-ridge gives
+``kkt_check``'s nonnegative multipliers (``_nnls``).
 """
 
 from __future__ import annotations
@@ -142,9 +145,9 @@ def _blocks(problem: CalibrationProblem):
     path whether the block was reduced or not."""
     free = np.array([i for i in range(problem.n_params) if i not in problem.fixed_zero], dtype=int)
     A, y, A_pen = problem.A[:, free], problem.y, problem.A_pen
-    if A.shape[0] > problem.n_params + 1:
-        A, y = _reduce(A, y)
-        A = np.asfortranarray(A)
+    if A.shape[0] > problem.n_params + 1:  # [A | y] = Q [R | c]
+        Rc = np.linalg.qr(np.column_stack([A, y]), mode="r")
+        A, y = np.asfortranarray(Rc[:, :-1]), Rc[:, -1]
     if A_pen is not None:
         A_pen = A_pen[:, free]
         if A_pen.shape[0] > problem.n_params:
@@ -153,36 +156,33 @@ def _blocks(problem: CalibrationProblem):
     return free, A, y, A_pen, G
 
 
-def _stacked(A: np.ndarray, y: np.ndarray, A_pen: np.ndarray | None, lam: float):
-    """Stacked least-squares system (M, d) of the free-column blocks, with
-    ridge fallback.  The blocks enter as they are, reduced or not.  A stack
-    with cond > 1 / RANK_TOL gets micro-ridge rows sqrt(eps) * ||A|| * I,
-    with a warning: eps * ||A||^2 on the normal matrix, the perturbation
-    that forming A^T A in double precision already makes.  It damps only
-    the directions whose singular value is below sqrt(eps) * ||A||.
+def _stacked(A: np.ndarray, y: np.ndarray, A_pen: np.ndarray | None, lam: float,
+             G: np.ndarray | None = None) -> CalibrationProblem:
+    """The weight's own problem on the free-column blocks, which enter as
+    they are, reduced or not: the stack M = [A; sqrt(lam) A_pen] with target
+    [y; 0], the rows G and the penalty ||M||_2 I, at weight 0.  Where
+    cond(M) > 1 / RANK_TOL the weight is (sqrt(eps) ||A|| / ||M||)^2 instead,
+    with a warning: the micro-ridge rows sqrt(eps) * ||A|| * I, that is
+    eps * ||A||^2 on the normal matrix, the perturbation that forming A^T A
+    in double precision already makes.  It damps only the directions whose
+    singular value is below sqrt(eps) * ||A||.
     """
     parts = [A]
     if A_pen is not None and lam > 0.0:
         parts.append(math.sqrt(lam) * A_pen)
     M = np.vstack(parts)
-    d = np.concatenate([y, np.zeros(M.shape[0] - A.shape[0])])
     sv = np.linalg.svd(M, compute_uv=False)
     smin = sv[-1] if M.shape[0] >= M.shape[1] else 0.0  # a wide stack's zeros
+    ridge = 0.0
     if sv.size and sv[0] > 0 and smin < RANK_TOL * sv[0]:
         anorm = np.linalg.norm(A, 2) if A.size else 0.0
         if anorm > 0.0:
             warnings.warn("rank-deficient stacked system; adding micro-ridge "
                           "(consider a positive penalty weight or a coarser grid)",
                           stacklevel=3)
-            M = np.vstack([M, RIDGE * anorm * np.eye(M.shape[1])])
-            d = np.concatenate([d, np.zeros(M.shape[1])])
-    return M, d
-
-
-def _reduce(M: np.ndarray, d: np.ndarray):
-    """Triangular factor of [M | d]: ||M t - d|| = ||R t - c|| for every t."""
-    Rc = np.linalg.qr(np.column_stack([M, d]), mode="r")
-    return Rc[:, :-1], Rc[:, -1]
+            ridge = (RIDGE * anorm / sv[0]) ** 2
+    return CalibrationProblem(M, np.concatenate([y, np.zeros(M.shape[0] - A.shape[0])]),
+                              sv[0] * np.eye(M.shape[1]), ridge, G)
 
 
 TRI_BLOCK = 24
@@ -211,7 +211,7 @@ class _Factor:
     B = G R0^-1 W, B * B and the stack [B; R0^-1 W] are kept, so a weight
     forms only d.  The LDP rules read cond(R0) through ``_holds``: first
     as its upper bound ||R0||_F ||R0^-1||_F, then, where a rule fails on
-    the bound, as np.linalg.cond, so the form is the one cond(R0) picks;
+    the bound, as np.linalg.cond, so the factor is the one cond(R0) picks;
     cond is infinite where max |R0_ii| / min |R0_ii|, a lower bound,
     already exceeds FEAS_TOL / eps."""
 
@@ -232,8 +232,9 @@ class _Factor:
             U, c, Wt = np.linalg.svd(Q[:m])
             self.c, self.b = np.zeros(n), np.zeros(n)
             self.c[:c.size], self.b[:c.size] = c, c * (U[:, :c.size].T @ self.y)
-            self.s = np.linalg.norm(Q[m:] @ Wt.T, axis=0)
-            self.WtR0, Rinv = Wt @ R0, R0inv @ Wt.T
+            W = np.ascontiguousarray(Wt.T)  # no transposed view as a BLAS operand
+            self.s = np.linalg.norm(np.ascontiguousarray(Q[m:]) @ W, axis=0)
+            self.WtR0, Rinv = Wt @ R0, R0inv @ W
             self.stack = np.vstack([self.G @ Rinv, Rinv])
             self.BB = self.stack[:self.G.shape[0]] ** 2
 
@@ -244,23 +245,29 @@ class _Factor:
         return bool(rule(self.cond))
 
     def at(self, lam: float, working=None):
-        """(R, c, working factor) at weight lam: L, D^-1 C U^T y and the LDP
-        rows where the rule holds, else the stack's [R | c] and the rows G;
-        the factor starts from the rows ``working`` where they are given."""
+        """(L, D^-1 C U^T y, working factor) at weight lam, the factor
+        starting from the rows ``working`` where they are given.  Where a
+        rule fails they come from the factor of the weight's own problem
+        (``_stacked``) at its weight, L^T L = M^T M plus any micro-ridge:
+        its R0 factors [M; ||M|| I], so cond(R0) <= sqrt(2), and its form
+        is taken as it is, with no second fallback."""
         if self.ldp:
             d = np.sqrt(self.c ** 2 + lam * self.s ** 2)
             if self._holds(lambda cond: cond * d.max() * RANK_TOL <= d.min()):
-                work = _WorkingFactor(self.stack, d, self.BB, working)
-                return d[:, None] * self.WtR0, self.b / d, work
-        R, c = _reduce(*_stacked(self.A, self.y, self.A_pen, lam))
-        return R, c, _WorkingFactor(self.G, rows=working)
+                return self._form(d, working)
+        own = _stacked(self.A, self.y, self.A_pen, lam, self.G)
+        factor = _Factor(own)
+        return factor._form(np.sqrt(factor.c ** 2 + own.lambda_pen * factor.s ** 2), working)
+
+    def _form(self, d: np.ndarray, working):
+        return d[:, None] * self.WtR0, self.b / d, _WorkingFactor(self.stack, d, self.BB, working)
 
 
 def _reflector(x: np.ndarray):
     """(beta, tau, v), H = I - tau v v^T, v[0] = 1, H x = beta e_1, scaled as
     LAPACK's dlarfg: H maps signed unit vectors to signed unit vectors, so on
-    rows of -I (``_nnls``) every add and drop keeps Q a signed permutation,
-    with exact zeros."""
+    rows of -I every add and drop keeps Q a signed permutation, with exact
+    zeros."""
     beta = -math.copysign(math.sqrt(float(x @ x)), x[0])
     v = x / (x[0] - beta)
     v[0] = 1.0
@@ -269,22 +276,17 @@ def _reflector(x: np.ndarray):
 
 class _WorkingFactor:
     """The loop's rows F, their norms and the factor of its working rows
-    (module docstring).  Given ``stack`` = G alone, F = G; in the LDP form
-    ``stack`` = [B; R0^-1 W] and ``BB`` = B * B, shared by a sweep, and the
-    weight's scaling d give F = B D^-1 and L^-1 = R0^-1 W D^-1.  Qt = Q^T
-    and Ti = T^-1 of F_W^T = Q[:, :k] T; ``rows`` and Ti's rows follow the
-    adds.  The factor starts from the rows ``rows`` (``hand_over``) or,
-    without them, from none."""
+    (module docstring).  ``stack`` = [B; R0^-1 W] and ``BB`` = B * B, shared
+    by a sweep, and the weight's scaling d give F = B D^-1 and
+    L^-1 = R0^-1 W D^-1.  Qt = Q^T and Ti = T^-1 of F_W^T = Q[:, :k] T;
+    ``rows`` and Ti's rows follow the adds.  The factor starts from the rows
+    ``rows`` (``hand_over``) or, without them, from none."""
 
-    def __init__(self, stack: np.ndarray, d: np.ndarray | None = None,
-                 BB: np.ndarray | None = None, rows=None):
+    def __init__(self, stack: np.ndarray, d: np.ndarray, BB: np.ndarray, rows=None):
         n = stack.shape[1]
         self.stack, self.d, self.Ti = stack, d, np.zeros((n, n))
-        if d is None:
-            self.B, self.Rinv, self.norms = stack, None, np.linalg.norm(stack, axis=1)
-        else:
-            self.B, self.Rinv = stack[:-n], stack[-n:]
-            self.norms = np.sqrt(BB @ (1.0 / d ** 2))
+        self.B, self.Rinv = stack[:-n], stack[-n:]
+        self.norms = np.sqrt(BB @ (1.0 / d ** 2))
         self.rows, self.mask = [], np.zeros(self.B.shape[0], dtype=bool)
         if rows is None:
             self.Qt = np.eye(n)
@@ -293,12 +295,10 @@ class _WorkingFactor:
 
     def row(self, j) -> np.ndarray:
         """Row j of F (rows j for a list)."""
-        return self.B[j] if self.Rinv is None else self.B[j] / self.d
+        return self.B[j] / self.d
 
     def price(self, x: np.ndarray):
         """(F x, theta at x before refinement) from one product."""
-        if self.Rinv is None:
-            return self.B @ x, x
         y = self.stack @ (x / self.d)
         return y[:self.B.shape[0]], y[self.B.shape[0]:]
 
@@ -346,61 +346,46 @@ class _WorkingFactor:
         self.Ti[k - 1] = self.Ti[:k, k - 1] = 0.0
         self.mask[self.rows.pop(p)] = False
 
-    def step(self, R: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Minimise ||R x - c|| subject to F_W x = 0: in the LDP form x = u
-        is the projection Z Z^T c, otherwise x = theta = Z z with z from the
-        triangular factor of [R Z | c]."""
+    def step(self, c: np.ndarray) -> np.ndarray:
+        """Minimise ||u - c|| subject to F_W u = 0: the projection Z Z^T c."""
         Zt = self.Qt[len(self.rows):]
-        if self.Rinv is not None:
-            return (Zt @ c) @ Zt
-        m = Zt.shape[0]
-        Rz, cz = _reduce(R @ Zt.T, c)
-        return np.linalg.solve(Rz[:m], cz[:m]) @ Zt
+        return (Zt @ c) @ Zt
 
     def theta(self, x: np.ndarray, R: np.ndarray | None = None) -> np.ndarray:
-        """theta at the loop's x: L^-1 u in the LDP form, refined once given R = L."""
-        if self.Rinv is None:
-            return x
+        """theta = L^-1 u at the loop's x = u, refined once given R = L."""
         t = self.Rinv @ (x / self.d)
         return t if R is None else t + self.Rinv @ ((x - R @ t) / self.d)
 
-    def multipliers(self, R: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Working-row multipliers at x, F_W^T mu = -g: g = 2 (x - c), or 2 R^T (R x - c) on G."""
+    def multipliers(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Working-row multipliers at x, F_W^T mu = -g, g = 2 (x - c)."""
         k = len(self.rows)
-        g = x - c if self.Rinv is not None else R.T @ (R @ x - c)  # g / 2
-        return (self.Ti[:k, :k] @ (self.Qt[:k] @ g)) * -2.0
+        return (self.Ti[:k, :k] @ (self.Qt[:k] @ (x - c))) * -2.0
 
-    def directions(self, R: np.ndarray, j: int):
-        """Goldfarb & Idnani's directions for adding row j, f_j = H z + F_W^T r
-        with F_W z = 0, H = I in the LDP form and R^T R on G: (z, r, f_j . z,
-        Q^T f_j for ``add``, f_j), z None where f_j lies in the working span."""
+    def directions(self, j: int):
+        """Goldfarb & Idnani's directions for adding row j, f_j = z + F_W^T r
+        with F_W z = 0: (z, r, f_j . z, Q^T f_j for ``add``, f_j), z None
+        where f_j lies in the working span."""
         k, f = len(self.rows), self.row(j)
         qf = self.Qt @ f
-        Zt, w, h = self.Qt[k:], qf[k:], qf[:k]
+        w = qf[k:]
         z, gz, ww = None, 0.0, float(w @ w)
         if ww > (INDEP_TOL * self.norms[j]) ** 2:
-            if self.Rinv is not None:
-                z, gz = w @ Zt, ww
-            else:  # z = Z (R Z)^+ (R Z)^+T Z^T f
-                Rz = np.linalg.qr(R @ Zt.T, mode="r")
-                v = np.linalg.solve(Rz.T, w)
-                z, gz = np.linalg.solve(Rz, v) @ Zt, float(v @ v)
-                h = h - self.Qt[:k] @ (R.T @ (R @ z))
-        return z, self.Ti[:k, :k] @ h, gz, qf, f
+            z, gz = w @ self.Qt[k:], ww
+        return z, self.Ti[:k, :k] @ qf[:k], gz, qf, f
 
 
-def _dual_active_set(R, c, work, max_iter=None):
-    """Goldfarb & Idnani's dual loop on ||R x - c|| subject to F x <= 0 from
-    the seeded factor ``work``, in x = u in the LDP form and x = theta on G:
-    a step s towards adding row p moves x by -s z / 2, the multipliers mu by
-    -s r and p's by s.  The cap is 10 (columns + rows of F) + 100 unless
-    ``max_iter`` is given.  Returns (x, working rows, mu, iterations, adds, drops)."""
+def _dual_active_set(c, work, max_iter=None):
+    """Goldfarb & Idnani's dual loop on ||x - c|| subject to F x <= 0, x = u,
+    from the seeded factor ``work``: a step s towards adding row p moves x
+    by -s z / 2, the multipliers mu by -s r and p's by s.  The cap is
+    10 (columns + rows of F) + 100 unless ``max_iter`` is given.  Returns
+    (x, working rows, mu, iterations, adds, drops)."""
     norms = work.norms
     m, n = work.B.shape
     if max_iter is None:
         max_iter = 10 * (n + m) + 100
-    x = work.step(R, c)
-    mu = work.multipliers(R, c, x)
+    x = work.step(c)
+    mu = work.multipliers(c, x)
     adds = drops = 0
     p, skip, skipped = -1, np.zeros(m, dtype=bool), False  # skip: rows violated by roundoff
     dist, ratio_buf = np.empty(m + 1), np.empty(n + 1)
@@ -409,8 +394,8 @@ def _dual_active_set(R, c, work, max_iter=None):
             if mu.size and mu.min() < -MULT_TOL:  # the start is not dual feasible
                 work.drop(int((mu * norms[work.rows]).argmin()))
                 drops += 1
-                x = work.step(R, c)
-                mu = work.multipliers(R, c, x)
+                x = work.step(c)
+                mu = work.multipliers(c, x)
                 continue
             Fx, th = work.price(x)
             tol = ADD_TOL * max(1.0, float(np.abs(th).max()))
@@ -419,8 +404,8 @@ def _dual_active_set(R, c, work, max_iter=None):
             np.divide(Fx, norms, out=dist[:-1], where=(Fx > tol) & ~blocked)
             p, mu_p = int(dist.argmax()), 0.0
             if dist[p] == -np.inf:  # no row is violated
-                return x, work.rows, work.multipliers(R, c, x), it, adds, drops
-        z, r, gz, qf, f = work.directions(R, p)
+                return x, work.rows, work.multipliers(c, x), it, adds, drops
+        z, r, gz, qf, f = work.directions(p)
         ratios = ratio_buf[:r.size + 1]  # r.size where no working multiplier reaches zero
         ratios.fill(np.inf)
         np.divide(mu, r, out=ratios[:-1], where=r > 0.0)
@@ -429,8 +414,8 @@ def _dual_active_set(R, c, work, max_iter=None):
         s2 = 2.0 * float(f @ x) / gz if gz > 0.0 else np.inf
         if s1 == s2 == np.inf:  # in the working span: violated only by roundoff
             skip[p], p, skipped = True, -1, True  # and back to the working rows' optimum
-            x = work.step(R, c)
-            mu = work.multipliers(R, c, x)
+            x = work.step(c)
+            mu = work.multipliers(c, x)
             continue
         s = min(s1, s2)
         if z is not None:
@@ -442,7 +427,7 @@ def _dual_active_set(R, c, work, max_iter=None):
             work.add(p, qf)
             adds += 1
             mu, p = np.concatenate((mu, (mu_p,))), -1
-            x = work.step(R, c)
+            x = work.step(c)
         else:
             work.drop(l)
             drops += 1
@@ -460,7 +445,7 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
     factor = _Factor(problem) if _factor is None else _factor
     lam = problem.lambda_pen
     R, c, work = factor.at(lam, working)
-    x, rows, mu, iters, adds, drops = _dual_active_set(R, c, work, max_iter)
+    x, rows, mu, iters, adds, drops = _dual_active_set(c, work, max_iter)
     free, A, y, A_pen, G = factor.free, factor.A, factor.y, factor.A_pen, factor.G
     theta, th = np.zeros(problem.n_params), work.theta(x, R)
     theta[free] = th
@@ -474,16 +459,21 @@ def solve(problem: CalibrationProblem, max_iter: int | None = None, working=None
 
 
 def _nnls(B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimise ||B x - b|| over x >= 0: the dual loop on the rows -I from
-    the unconstrained optimum.  On those rows every add and drop keeps Q a
-    signed permutation (``_reflector``), and the loop returns a working-set
-    optimum Z z, so the entries held at zero are exactly 0.0.  Ridge rows
-    sqrt(eps) * ||B|| * I keep a degenerate set of columns (more near-active
-    rows than the rank) well posed."""
+    """Minimise ||B x - b|| over x >= 0: ``solve`` on the rows -I with the
+    penalty ||B|| I at weight eps, the micro-ridge rows sqrt(eps) ||B|| I,
+    which keep a degenerate set of columns (more near-active rows than the
+    rank) well posed.  The entries its working rows hold are exactly 0.0;
+    the others are one least-squares solve of [B; sqrt(eps) ||B|| I] on
+    their columns, so the residual does not carry the roundoff of theta's
+    map from the loop's variable."""
     k = B.shape[1]
-    ridge = RIDGE * max(float(np.linalg.norm(B, 2)), np.finfo(float).tiny)
-    R, c = _reduce(np.vstack([B, ridge * np.eye(k)]), np.concatenate([b, np.zeros(k)]))
-    return _dual_active_set(R, c, _WorkingFactor(-np.eye(k)))[0]
+    scale = max(float(np.linalg.norm(B, 2)), np.finfo(float).tiny)
+    held = solve(CalibrationProblem(B, b, scale * np.eye(k), RIDGE ** 2, -np.eye(k))).active_set
+    free = np.setdiff1d(np.arange(k), held)
+    x = np.zeros(k)
+    x[free] = np.linalg.lstsq(np.vstack([B[:, free], RIDGE * scale * np.eye(free.size)]),
+                              np.concatenate([b, np.zeros(free.size)]))[0]
+    return x
 
 
 def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
@@ -492,9 +482,11 @@ def kkt_check(problem: CalibrationProblem, theta: np.ndarray):
     of the negated gradient, so stationarity is the smallest residual that
     any admissible multipliers leave."""
     free, A, y, A_pen, G = _blocks(problem)
-    M, d = _stacked(A, y, A_pen, problem.lambda_pen)
+    own = _stacked(A, y, A_pen, problem.lambda_pen)
     th = np.asarray(theta, dtype=float).ravel()[free]
-    g = 2.0 * M.T @ (M @ th - d)
+    g = 2.0 * own.A.T @ (own.A @ th - own.y)
+    if own.lambda_pen > 0.0:  # the micro-ridge
+        g += 2.0 * own.lambda_pen * (own.A_pen.T @ (own.A_pen @ th))
     slack = G @ th
     act = np.flatnonzero(slack >= -1e-8 * (1.0 + float(np.linalg.norm(th))))
     mu = _nnls(G[act].T, -g) if act.size else np.zeros(0)

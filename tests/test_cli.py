@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,35 @@ def test_calibrate_outputs_are_byte_deterministic(nh_setup, command):
     for name in names:
         a, b = ((tmp_path / sub / name).read_bytes() for sub in ("a", "b"))
         assert a == b, name
+
+
+def test_model_json_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """The Treloar surface and mapped fits at the automatic weight and the
+    unpenalised mapped fit write the same model.json bytes at one BLAS
+    thread and at two.  OpenBLAS reads its thread count when it loads, so
+    each count fits in a process of its own."""
+    fits = {"surface": {"kind": "surface"}, "mapped": {"kind": "mapped"},
+            "mapped-0": {"kind": "mapped", "lambda_pen": 0.0}}
+    for name, cfg in fits.items():
+        _config(tmp_path / f"{name}.json", data=str(bundled_treloar_path()), **cfg)
+    script = ("import sys\n"
+              "from hyperspline.cli import main\n"
+              "args = sys.argv[1:]\n"
+              "sys.exit(max(main(['calibrate', '--config', c, '--output', o])\n"
+              "             for c, o in zip(args[::2], args[1::2])))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    models = {}
+    for threads in ("1", "2"):
+        argv = [str(p) for name in fits
+                for p in (tmp_path / f"{name}.json", tmp_path / threads / name)]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                       capture_output=True)
+        models[threads] = {name: (tmp_path / threads / name / "model.json").read_bytes()
+                           for name in fits}
+    for name in fits:
+        assert models["1"][name] == models["2"][name], name
 
 
 def test_model_json_is_byte_identical_across_copies_of_the_data(nh_setup):
