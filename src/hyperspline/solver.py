@@ -232,7 +232,8 @@ class _Factor:
             U, c, Wt = np.linalg.svd(Q[:m])
             self.c, self.b = np.zeros(n), np.zeros(n)
             self.c[:c.size], self.b[:c.size] = c, c * (U[:, :c.size].T @ self.y)
-            W = np.ascontiguousarray(Wt.T)  # no transposed view as a BLAS operand
+            # a transposed view as a BLAS operand gives bits that depend on the thread count
+            W = np.ascontiguousarray(Wt.T)
             self.s = np.linalg.norm(np.ascontiguousarray(Q[m:]) @ W, axis=0)
             self.WtR0, Rinv = Wt @ R0, R0inv @ W
             self.stack = np.vstack([self.G @ Rinv, Rinv])
@@ -257,6 +258,8 @@ class _Factor:
                 return self._form(d, working)
         own = _stacked(self.A, self.y, self.A_pen, lam, self.G)
         factor = _Factor(own)
+        if not factor.ldp:  # only M = 0 leaves R0 singular
+            raise np.linalg.LinAlgError("the stacked system is zero")
         return factor._form(np.sqrt(factor.c ** 2 + own.lambda_pen * factor.s ** 2), working)
 
     def _form(self, d: np.ndarray, working):

@@ -493,8 +493,9 @@ def test_stage_form_follows_the_conditioning_bound(pen_scale, ldp, treloar_fit):
     """A solve runs on the problem's factor where its R0 of [A; A_pen] has
     cond <= FEAS_TOL / eps and the weight's scaling D keeps
     cond(R0) * cond(D) <= 1 / RANK_TOL, on the factor of the weight's own
-    stack M elsewhere; both give an L with L^T L = M^T M, and both reach
-    the LSI -> LDP -> NNLS optimum.  Both cases solve one stack, the
+    stack M elsewhere; both give an L with L^T L = M^T M (to 2.5e-14 and
+    1.6e-15 relative; 1e-12 is asked), and both reach the
+    LSI -> LDP -> NNLS optimum.  Both cases solve one stack, the
     Treloar surface one at weight 1e-10 (cond 1.2e6, no ridge): A_pen
     scaled by 1e-6 at weight 1e2 raises cond(R0) from 3.7e4 to 1.2e7."""
     pytest.importorskip("scipy")
@@ -504,8 +505,8 @@ def test_stage_form_follows_the_conditioning_bound(pen_scale, ldp, treloar_fit):
     assert factor.ldp is ldp
     L, _, work = factor.at(problem.lambda_pen)
     assert (work.stack is getattr(factor, "stack", None)) is ldp
-    MtM = (lambda M: M.T @ M)(_full_stack(problem, factor.free)[0])
-    assert np.linalg.norm(L.T @ L - MtM) <= 1e-12 * np.linalg.norm(MtM)
+    M = _full_stack(problem, factor.free)[0]
+    assert np.linalg.norm(L.T @ L - M.T @ M) <= 1e-12 * np.linalg.norm(M.T @ M)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the ridge's warning would raise
         sol = solve(problem)
@@ -897,6 +898,14 @@ def test_lcurve_respects_a_custom_grid():
     result = lcurve(_knee_problem(), grid)
     np.testing.assert_allclose(result.lambdas, grid)
     assert result.lambda_chosen == result.lambda_corner / 10.0
+
+
+def test_a_zero_stack_is_a_linear_algebra_failure():
+    """With no data and no penalty to fit, the weight's own stack is zero
+    and no factor of it exists: ``solve`` raises np.linalg.LinAlgError,
+    which the command line reports as a numerical failure (exit 3)."""
+    with pytest.raises(np.linalg.LinAlgError, match="stacked system is zero"):
+        solve(_nonneg_problem(np.zeros((3, 2)), np.ones(3)))
 
 
 def test_solution_reporting_fields():
