@@ -366,8 +366,11 @@ def run_calibration(cfg: RunConfig, samples) -> CalibrationResult:
     no file; ``main`` maps what it raises to an exit code."""
     kind, samples = cfg.model_kind(), Dataset.of(samples)
     spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
-    # data taller than the n1 x n2 site grid plus one is reduced span by span;
-    # below that, per-sample rows and _blocks' one QR cost less for every kind
+    # data taller than the n1 x n2 site grid plus one is reduced span by span.
+    # At one BLAS thread, per-sample rows and _blocks' one QR cost less up to
+    # about 130-200 rows (surfaces) but 600-800 (separable split); the one
+    # threshold stays, as perfbench's tracer test pins Treloar's separable
+    # fit to its 56 per-sample rows and a threshold per kind must keep that
     design = reduced_design if len(samples) > spec.n1 * spec.n2 + 1 else assemble_design
     A, y = design(spec, samples)
     ineq = inequality_operator(spec, monotone_1=cfg.monotone_1, monotone_2=cfg.monotone_2,

@@ -80,13 +80,9 @@ def make_knots(sites) -> KnotVector:
     return KnotVector(knots=tuple(knots))
 
 
-def find_span(kv: KnotVector, x: float) -> int:
-    """Index i with knots[i] <= x < knots[i+1]; the right end maps to the last span."""
-    return int(_spans(kv, np.array([float(x)]))[0])
-
-
 def _spans(kv: KnotVector, x: np.ndarray) -> np.ndarray:
-    """``find_span`` over an array of points, with the same domain check."""
+    """Index i with knots[i] <= x < knots[i+1] of each point, the right end
+    in the last span; raises ValueError on a point outside the domain."""
     p, n = kv.degree, kv.n
     lo, hi = kv.domain
     grace = 1e-12 * (1.0 + abs(lo) + abs(hi))
@@ -289,8 +285,8 @@ class DirectionOps:
             self.binv = np.linalg.solve(B, np.eye(self.kv.n))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise ValueError("singular collocation system") from exc
-        D1, self.kv1 = derivative_operator(self.kv)
-        D2, self.kv2 = derivative_operator(self.kv1)
+        D1, kv1 = derivative_operator(self.kv)
+        D2, _ = derivative_operator(kv1)
         self.c1 = D1 @ self.binv
         self.c2 = D2 @ D1 @ self.binv
 

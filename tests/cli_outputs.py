@@ -5,9 +5,11 @@
 runs, through ``hyperspline.cli.main`` in one process:
 
 - ``calibrate`` and ``lcurve`` of each kind on the bundled Treloar data at
-  the default config;
+  the default config, and ``calibrate`` of the unpenalised mapped kind
+  (``lambda_pen`` 0: one cold solve under the micro-ridge);
 - ``calibrate`` of each kind on the benchmark's seed-1 dense-fit data at
-  its fixed weights (separable 0, surface and mapped 1e-4);
+  its fixed weights (separable 0, surface and mapped 1e-4); its 1200 rows
+  are taller than the site grid plus one, so they are reduced span by span;
 - ``compare`` of separable,surface,mapped,surface on the Treloar data;
 - ``predict`` of each committed benchmark model on the seed-1 predict-bulk
   request.
@@ -57,6 +59,9 @@ def commands(outdir: Path, configs: Path) -> dict:
         argv[f"calibrate-{kind}"] = ["calibrate", "--config", str(cfg)]
         argv[f"lcurve-{kind}"] = ["lcurve", "--config", str(cfg)]
         argv[f"dense-{kind}"] = ["calibrate", "--config", str(dense)]
+    mapped_0 = configs / "treloar-mapped-0.json"
+    mapped_0.write_text(json.dumps({"kind": "mapped", "data": str(treloar), "lambda_pen": 0.0}))
+    argv["calibrate-mapped-0"] = ["calibrate", "--config", str(mapped_0)]
     argv["compare"] = ["compare", "--config", str(configs / "treloar-separable.json"),
                        "--kinds", "separable,surface,mapped,surface"]
     for kind in KINDS:

@@ -5,6 +5,7 @@ The references are the scalar Cox-de Boor pass (NURBS Book A2.3,
 evaluated one stretch at a time, and ``scipy.interpolate.BSpline``.
 """
 
+import bisect
 import json
 from pathlib import Path
 
@@ -47,7 +48,8 @@ def _basis_and_derivatives(kv: splines.KnotVector, x: float, nderiv: int):
     """
     p = kv.degree
     t = kv.knots
-    span = splines.find_span(kv, x)
+    # A2.1: knots[span] <= x < knots[span + 1], the right end in the last span
+    span = min(max(bisect.bisect_right(t, x) - 1, p), kv.n - 1)
     x = min(max(x, kv.domain[0]), kv.domain[1])
     requested = nderiv
     nderiv = min(nderiv, p)

@@ -420,22 +420,31 @@ def test_predict_flags_extrapolation(nh_setup):
 
 
 @pytest.mark.parametrize("kind", ["separable", "surface", "mapped"])
-def test_predict_at_the_data_reproduces_the_fit_predictions(kind, tmp_path):
-    """``predict`` at the stretches of a Treloar fit's predictions.csv writes
-    its stress_model cells byte for byte: the data lie inside the model's
-    domain, so the clamped path takes the fit's own bits."""
-    cfg = _config(tmp_path / "cfg.json", kind=kind, data=str(bundled_treloar_path()))
-    assert main(["calibrate", "--config", str(cfg), "--output", str(tmp_path / "fit")]) == 0
-    fit = [line.split(",") for line in
-           (tmp_path / "fit" / "predictions.csv").read_text().splitlines()[1:]]
-    at = tmp_path / "at.csv"
-    at.write_text("mode,stretch\n" + "".join(f"{m},{lam}\n" for m, lam, _, _ in fit))
-    assert main(["predict", "--model", str(tmp_path / "fit" / "model.json"),
-                 "--at", str(at), "--output", str(tmp_path / "pred")]) == 0
-    pred = [line.split(",") for line in
-            (tmp_path / "pred" / "predictions.csv").read_text().splitlines()[1:]]
-    assert [row[:3] for row in pred] == [[m, lam, w] for m, lam, _, w in fit]
-    assert all(row[3] == "0" for row in pred)
+def test_predict_at_the_data_reproduces_the_fit_predictions(kind, tmp_path, monkeypatch):
+    """``predict`` at the stretches of a fit's predictions.csv writes its
+    stress_model cells byte for byte: the data lie inside the model's
+    domain, so the clamped path takes the fit's own bits.  Treloar's 56
+    rows give per-sample design rows; 400 rows per mode, taller than the
+    20 x 5 site grid plus one, are reduced span by span first."""
+    reduced, reduce = [], cli.reduced_design
+    monkeypatch.setattr(cli, "reduced_design", lambda *a: reduced.append(a) or reduce(*a))
+    tall = _neo_hookean_csv(tmp_path / "tall.csv", lam_max=4.0, n=400)
+    for name, data, weight in (("treloar", bundled_treloar_path(), {}),
+                               ("tall", tall, {"lambda_pen": 1e-4})):
+        cfg = _config(tmp_path / f"{name}.json", kind=kind, data=str(data), **weight)
+        fit_dir, pred_dir = tmp_path / f"{name}-fit", tmp_path / f"{name}-pred"
+        assert main(["calibrate", "--config", str(cfg), "--output", str(fit_dir)]) == 0
+        assert len(reduced) == (name == "tall")
+        fit = [line.split(",") for line in
+               (fit_dir / "predictions.csv").read_text().splitlines()[1:]]
+        at = tmp_path / f"{name}-at.csv"
+        at.write_text("mode,stretch\n" + "".join(f"{m},{lam}\n" for m, lam, _, _ in fit))
+        assert main(["predict", "--model", str(fit_dir / "model.json"),
+                     "--at", str(at), "--output", str(pred_dir)]) == 0
+        pred = [line.split(",") for line in
+                (pred_dir / "predictions.csv").read_text().splitlines()[1:]]
+        assert [row[:3] for row in pred] == [[m, lam, w] for m, lam, _, w in fit]
+        assert all(row[3] == "0" for row in pred)
 
 
 def test_predict_rejects_schema_mismatch(nh_setup, capsys):
@@ -556,9 +565,12 @@ def test_lcurve_subcommand(tmp_path, capsys):
     # exactly one row is marked, the chosen weight's: the weight of the fit
     chosen = re.search(r"^corner lambda=\S+ chosen=(\S+)$", capsys.readouterr().out, re.M)
     assert flagged == [chosen.group(1)]
-    # one pipeline: calibrate at the automatic weight writes the same curve
+    # one pipeline: calibrate at the automatic weight writes the same curve,
+    # and its model's weight is the chosen row's, the same repr
     assert main(["calibrate", "--config", str(cfg), "--output", str(tmp_path / "cal")]) == 0
     assert (tmp_path / "cal" / "lcurve.csv").read_text() == text
+    model = json.loads((tmp_path / "cal" / "model.json").read_text())
+    assert flagged == [repr(model["lambda_pen"])]
 
 
 def test_compare_requires_two_kinds(tmp_path, capsys):
