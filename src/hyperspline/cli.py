@@ -12,13 +12,13 @@ the ``Dataset`` that every stage of a fit, and every kind of a
 
 A config's ``lambda_pen`` may be ``"auto"`` (``AUTO``, the surface kinds'
 default): the fit is then the L-curve sweep with its solve at the chosen
-weight, and reports the loop steps of all its solves.  All outputs are
-plain JSON/CSV written atomically (temp file plus rename) and
-byte-deterministic for identical inputs.  One writer emits every CSV: a
-header line and one line per row, each ending in a newline, with no
-quoting; floats are serialised with ``repr``, which emits the shortest
-digit string that round-trips.  Exit codes: 0 success, 2 input/config
-error, 3 numerical failure.
+weight, and reports the loop steps of all its solves; a fit at weight 0, the
+separable default, builds no penalty.  All outputs are plain JSON/CSV
+written atomically (temp file plus rename) and byte-deterministic for
+identical inputs.  One writer emits every CSV: a header line and one line
+per row, each ending in a newline, with no quoting; floats are serialised
+with ``repr``, which emits the shortest digit string that round-trips.  Exit
+codes: 0 success, 2 input/config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ def load_model(path) -> tuple:
 
 @dataclass
 class CalibrationResult:
-    problem: CalibrationProblem  # its lambda_pen is the weight solved at
+    problem: CalibrationProblem  # solved at its lambda_pen; A_pen is None at 0
     state: ModelState
     fit: object
     sol: object
@@ -360,10 +360,11 @@ class CalibrationResult:
 def run_calibration(cfg: RunConfig, samples) -> CalibrationResult:
     """Fit the config's model kind to samples already read; the one code
     that assembles a fit.  Builds the spec and the calibration problem
-    (design, curvature penalty, shape constraints, pinned parameters), then
-    runs the L-curve sweep at the automatic weight, the problem taking its
-    chosen weight, or one solve at a fixed one, and the fit metrics.  Reads
-    no file; ``main`` maps what it raises to an exit code."""
+    (design, curvature penalty, none at weight 0, shape constraints, pinned
+    parameters), then runs the L-curve sweep at the automatic weight, the
+    problem taking its chosen weight, or one solve at a fixed one, and the
+    fit metrics.  Reads no file; ``main`` maps what it raises to an exit
+    code."""
     kind, samples = cfg.model_kind(), Dataset.of(samples)
     spec = default_spec(kind, samples, cfg.n1, cfg.n2, delta=cfg.delta)
     # data taller than the n1 x n2 site grid plus one is reduced span by span.
@@ -375,17 +376,17 @@ def run_calibration(cfg: RunConfig, samples) -> CalibrationResult:
     A, y = design(spec, samples)
     ineq = inequality_operator(spec, monotone_1=cfg.monotone_1, monotone_2=cfg.monotone_2,
                                convex_1=cfg.convex_1, convex_2=cfg.convex_2)
-    problem = CalibrationProblem(A=A, y=y, A_pen=curvature_operator(spec).rows,
-                                 A_ineq=ineq.rows, fixed_zero=fixed_zero_indices(spec))
     lam, lc = cfg.lambda_pen, None
     if lam is None:  # the kind's default
         lam = 0.0 if kind is ModelKind.SEPARABLE else AUTO
+    pen = None if lam == 0 else curvature_operator(spec).rows  # weight 0 reads no penalty
+    problem = CalibrationProblem(A=A, y=y, A_pen=pen, lambda_pen=0.0 if lam == AUTO else lam,
+                                 A_ineq=ineq.rows, fixed_zero=fixed_zero_indices(spec))
     if lam == AUTO:
         lc = lcurve(problem, default_lambda_grid(cfg.lcurve_count, cfg.lcurve_min,
                                                  cfg.lcurve_max))
         problem, sol = replace(problem, lambda_pen=lc.lambda_chosen), lc.solution
     else:
-        problem = replace(problem, lambda_pen=lam)
         sol = solve(problem)
     state = ModelState(spec=spec, theta=sol.theta)
     return CalibrationResult(problem=problem, state=state, fit=metrics(state, samples),
@@ -394,8 +395,10 @@ def run_calibration(cfg: RunConfig, samples) -> CalibrationResult:
 
 
 def _prediction_columns(result: CalibrationResult) -> dict:
-    data = result.samples
-    return {"mode": [m.value for m in data.modes], "stretch": data.stretch,
+    data, mode = result.samples, np.empty(len(result.samples), dtype=object)
+    for m, idx in data.groups.items():  # one name per mode, not one lookup per row
+        mode[idx] = m.value
+    return {"mode": mode.tolist(), "stretch": data.stretch,
             "stress_exp": data.stress, "stress_model": result.fit.predictions}
 
 

@@ -13,7 +13,8 @@ than n to their triangular factors (the rows of ``model.reduced_design``
 and the separable split's penalty already are).  ``_Factor`` keeps those
 blocks and takes the generalized SVD of [A; A_pen] once per problem or sweep
 in Paige & Saunders' QR-plus-CS form (SIAM J. Numer. Anal. 18, 1981; Elden,
-BIT 22, 1982).  A weight is then a diagonal scaling D of ||L theta - c||,
+BIT 22, 1982), of A alone where no A_pen is stacked (a fit at weight 0):
+its QR, C = W = I.  A weight is then a diagonal scaling D of ||L theta - c||,
 L = D W^T R0, and of the LDP rows G L^-1 = B D^-1: B = G R0^-1 W, B * B and
 [B; R0^-1 W] are formed once per factor, so a weight forms only its d.
 
@@ -205,7 +206,8 @@ def _triangular_inverse(T: np.ndarray) -> np.ndarray:
 class _Factor:
     """One problem's blocks (``_blocks``) and factor, shared by its weights
     (module docstring): [A; A_pen] = [Q_A; Q_P] R0, Q_A = U C W^T, and s
-    the column norms of Q_P W.  As A^T A + lam A_pen^T A_pen = L^T L with
+    the column norms of Q_P W, or with no penalty rows the QR alone, U = Q,
+    C = W = I and s = 0.  As A^T A + lam A_pen^T A_pen = L^T L with
     L = D W^T R0, D = diag(sqrt(c^2 + lam s^2)), a weight's target is
     D^-1 C U^T y and its LDP rows G L^-1 = B D^-1.  The weight-independent
     B = G R0^-1 W, B * B and the stack [B; R0^-1 W] are kept, so a weight
@@ -228,8 +230,8 @@ class _Factor:
             R0inv = _triangular_inverse(R0)
             self.cond, self.cond_exact = float(np.linalg.norm(R0) * np.linalg.norm(R0inv)), False
         self.ldp = self._holds(lambda cond: cond <= limit)
-        if self.ldp:
-            U, c, Wt = np.linalg.svd(Q[:m])
+        if self.ldp:  # Q_A = Q is orthonormal where no penalty rows are stacked
+            U, c, Wt = (Q, np.ones(n), np.eye(n)) if Q.shape[0] == m else np.linalg.svd(Q[:m])
             self.c, self.b = np.zeros(n), np.zeros(n)
             self.c[:c.size], self.b[:c.size] = c, c * (U[:, :c.size].T @ self.y)
             # a transposed view as a BLAS operand gives bits that depend on the thread count

@@ -5,8 +5,9 @@
 runs, through ``hyperspline.cli.main`` in one process:
 
 - ``calibrate`` and ``lcurve`` of each kind on the bundled Treloar data at
-  the default config, and ``calibrate`` of the unpenalised mapped kind
-  (``lambda_pen`` 0: one cold solve under the micro-ridge);
+  the default config, and ``calibrate`` of the unpenalised surface and
+  mapped kinds (``lambda_pen`` 0: one cold solve under the micro-ridge,
+  with no penalty built);
 - ``calibrate`` of each kind on the benchmark's seed-1 dense-fit data at
   its fixed weights (separable 0, surface and mapped 1e-4); its 1200 rows
   are taller than the site grid plus one, so they are reduced span by span;
@@ -59,9 +60,10 @@ def commands(outdir: Path, configs: Path) -> dict:
         argv[f"calibrate-{kind}"] = ["calibrate", "--config", str(cfg)]
         argv[f"lcurve-{kind}"] = ["lcurve", "--config", str(cfg)]
         argv[f"dense-{kind}"] = ["calibrate", "--config", str(dense)]
-    mapped_0 = configs / "treloar-mapped-0.json"
-    mapped_0.write_text(json.dumps({"kind": "mapped", "data": str(treloar), "lambda_pen": 0.0}))
-    argv["calibrate-mapped-0"] = ["calibrate", "--config", str(mapped_0)]
+    for kind in KINDS[1:]:
+        bare = configs / f"treloar-{kind}-0.json"
+        bare.write_text(json.dumps({"kind": kind, "data": str(treloar), "lambda_pen": 0.0}))
+        argv[f"calibrate-{kind}-0"] = ["calibrate", "--config", str(bare)]
     argv["compare"] = ["compare", "--config", str(configs / "treloar-separable.json"),
                        "--kinds", "separable,surface,mapped,surface"]
     for kind in KINDS:

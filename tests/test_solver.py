@@ -218,16 +218,21 @@ def test_determinism():
 
 
 def test_random_problems_match_subset_enumeration():
-    """Brute force over active subsets confirms the active-set optimum."""
+    """Brute force over active subsets confirms the active-set optimum.
+    The draws at weight 0 have no penalty rows, so their factor is the QR
+    of the data alone."""
     rng = np.random.default_rng(0)
+    unpenalised = 0
     for _ in range(60):
         problem = random_qp(rng)
+        unpenalised += problem.A_pen is None
         sol = solve(problem)
         best = enumerated_objective(problem)
         assert sol.objective == pytest.approx(best, rel=1e-8, abs=1e-10)
         # solution invariants: feasibility and the KKT residual
         assert float(np.max(problem.A_ineq @ sol.theta)) <= 1e-9
         assert sol.kkt_residual <= 1e-8 * (1.0 + float(np.linalg.norm(problem.y)))
+    assert unpenalised >= 10
 
 
 def test_start_point_independence():
@@ -1015,14 +1020,74 @@ def test_blocks_keep_a_short_data_block(treloar_fit):
     assert A_pen.shape == (n_free, n_free)
 
 
-def test_blocks_keep_a_penalty_no_taller_than_the_problem(treloar_fit):
+def test_blocks_keep_a_penalty_no_taller_than_the_problem(treloar):
     """The separable split's penalty is ``curvature_operator``'s n1 + n2
     triangular rows, as many as the problem's columns, so it enters on the
-    free columns bit for bit, with no QR of its own."""
-    problem = treloar_fit(ModelKind.SEPARABLE).problem
+    free columns bit for bit, with no QR of its own.  A fit at a positive
+    weight builds it; the default fit, at weight 0, builds none."""
+    cfg = RunConfig(kind="separable", data=str(bundled_treloar_path()), lambda_pen=1e-6)
+    problem = run_calibration(cfg, treloar).problem
     free, _, _, A_pen, _ = solver._blocks(problem)
     assert problem.A_pen.shape[0] == problem.n_params
     assert A_pen.tobytes() == problem.A_pen[:, free].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_a_fit_at_weight_zero_stacks_no_penalty(kind, treloar):
+    """``run_calibration`` builds no curvature operator for a weight of 0,
+    the separable default or a config's 0; the sweep builds it."""
+    cfg = RunConfig(kind=kind.value, data=str(bundled_treloar_path()), lambda_pen=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the bare surfaces' micro-ridge
+        assert run_calibration(cfg, treloar).problem.A_pen is None
+    if kind is ModelKind.SEPARABLE:
+        assert run_calibration(replace(cfg, lambda_pen=None), treloar).problem.A_pen is None
+        assert run_calibration(replace(cfg, lambda_pen="auto"), treloar).problem.A_pen is not None
+
+
+def test_the_unpenalised_separable_fit_matches_a_solve_with_the_penalty_at_weight_zero(
+        treloar_fit):
+    """The default Treloar separable fit factors its data block alone; a
+    solve of the same problem with ``curvature_operator``'s rows stacked
+    at weight 0 takes the generalized SVD instead.  Both take the same 9
+    steps to the same active set, and theta agrees to 1e-12 relative
+    (7.1e-14 measured)."""
+    fit = treloar_fit(ModelKind.SEPARABLE)
+    stacked = solve(replace(fit.problem, A_pen=curvature_operator(fit.state.spec).rows))
+    assert fit.problem.A_pen is None and fit.sol.iterations == stacked.iterations == 9
+    assert fit.sol.active_set == stacked.active_set
+    scale = float(np.abs(stacked.theta).max())
+    assert float(np.abs(fit.sol.theta - stacked.theta).max()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", [ModelKind.SURFACE, ModelKind.MAPPED_SURFACE])
+def test_bare_surface_fits_match_a_solve_with_the_penalty_bit_for_bit(kind, treloar):
+    """The bare Treloar surface fits have more columns than data rows, so
+    their factor has no LDP form with or without a penalty, and both reach
+    ``_stacked``'s own problem at weight 0, which reads no penalty: theta's
+    bytes, steps and active set are those of a solve with the penalty."""
+    cfg = RunConfig(kind=kind.value, data=str(bundled_treloar_path()), lambda_pen=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the micro-ridge
+        result = run_calibration(cfg, treloar)
+        stacked = solve(replace(result.problem,
+                                A_pen=curvature_operator(result.state.spec).rows))
+    assert result.sol.theta.tobytes() == stacked.theta.tobytes()
+    assert (result.sol.iterations, result.sol.active_set) == (stacked.iterations,
+                                                              stacked.active_set)
+
+
+def test_a_factor_with_no_penalty_rows_is_the_qr_of_its_data(rng):
+    """With no penalty rows Q_A = Q is orthonormal: ``_Factor`` takes no
+    SVD, its c is exactly 1, s is 0 and L at every weight is R0 itself."""
+    A, n = rng.normal(size=(12, 5)), 5
+    with mock.patch("numpy.linalg.svd", side_effect=AssertionError("an SVD was taken")):
+        factor = solver._Factor(CalibrationProblem(A=A, y=rng.normal(size=12),
+                                                   A_ineq=-np.eye(n)))
+    assert factor.ldp and np.all(factor.c == 1.0) and np.all(factor.s == 0.0)
+    for lam in (0.0, 1.0):
+        L, _, _ = factor.at(lam)
+        assert np.array_equal(L, factor.R0)
 
 
 def _dense_surface_problem():
